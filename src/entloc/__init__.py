@@ -24,6 +24,7 @@ from .factorization import (
     occupation_imbalance_pair,
     positive_control,
     residual,
+    residuals,
     ssr_constrain,
 )
 from .hilbert import (
@@ -85,4 +86,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -59,12 +59,13 @@ from .report import RunConfig, build_report, complex_pair, emit, state_json
 from .separability import (
     Tolerances,
     canonical_set_name,
+    classify,
     classify_mode,
     classify_sep_I,
     classify_sep_II,
     classify_sep_III,
     classify_ssr,
-    sample_separable,
+    family,
     sep_I_state,
     sep_II_orthogonal_state,
 )
@@ -252,6 +253,8 @@ def parse_operator(spec: str, ctx: OperatorContext):
             if np.shape(t) != np.shape(acc):
                 raise ValueError("operator terms have mismatched dimensions")
             acc = acc + t
+    if not ctx.exact and not np.all(np.isfinite(acc)):
+        raise ValueError(f"operator {spec!r} has non-finite entries")
     return acc
 
 
@@ -383,19 +386,11 @@ def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
         if set_name not in ("mode", "ssr"):
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
         rep = positive_control(
-            set_name, int(count), args.states, seed=args.seed, workers=args.workers
+            set_name, int(count), args.states, seed=args.seed, n_max=args.n_max
         )
         return {"audit": _audit_results(rep, None, None)}, rep.verdict
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
     A, B = _parse_pair(args, set_name, fock=fock)
-    sampler = None
-    if set_name == "mode":
-        # occupation states with headroom for degree-2 ladder polynomials
-        low = [occ for occ in fock.basis if sum(occ) <= fock.n_max - 2]
-
-        def sampler(rng):
-            return fock.occupation_state(low[rng.integers(len(low))])
-
     rep = audit(
         A,
         B,
@@ -403,9 +398,8 @@ def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
         args.samples,
         seed=args.seed,
         threshold=args.threshold,
-        workers=args.workers,
         pair=args.pair or f"{args.A},{args.B}",
-        sampler=sampler,
+        fock=fock,
     )
     return {"audit": _audit_results(rep, A, B)}, rep.verdict
 
@@ -415,7 +409,7 @@ def cmd_witness(args, config: RunConfig) -> tuple[dict, str]:
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
     A, B = _parse_pair(args, set_name, fock=fock)
     w = find_violation_witness(
-        A, B, set_name, budget=args.budget, seed=args.seed, threshold=args.threshold
+        A, B, set_name, budget=args.budget, seed=args.seed, threshold=args.threshold, fock=fock
     )
     if w is None:
         return {"found": False, "budget": args.budget, "threshold": args.threshold}, "NotFound"
@@ -494,12 +488,11 @@ def cmd_preserve_check(args, config: RunConfig) -> tuple[dict, str]:
 
 def cmd_sample(args, config: RunConfig) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
+    if args.n < 0:
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    from .separability import classify
-
     states = []
-    for _ in range(args.n):
-        psi = sample_separable(set_name, rng)
+    for psi in family(set_name).sample(rng, args.n):
         verdict = classify(set_name, psi)
         states.append({"state": state_json(psi), "verdict": verdict.set.value})
     ok = all(s["verdict"] in ("SepI", "SepIIOnly", "SepIII", "ModeSep", "SsrSep") for s in states)
@@ -519,7 +512,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=WITNESS_THRESHOLD)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=4)
 
 
@@ -588,12 +580,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     core = {
         "command", "seed", "samples", "budget", "tol_class", "tol_rank",
-        "threshold", "fmt", "out", "workers", "n_max",
+        "threshold", "fmt", "out", "n_max",
     }
     # command-specific inputs (pair specs, amplitudes, ...) are echoed so a
     # report is re-verifiable without the original invocation
     extra = {k: v for k, v in vars(args).items() if k not in core and v is not None}
-    extra["workers"] = args.workers
     extra["n_max"] = args.n_max
     config = RunConfig(
         command=args.command,

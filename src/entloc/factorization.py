@@ -13,13 +13,12 @@ factorize to numerical precision.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import separability as sep
 from .hilbert import (
+    EPS_STATE,
     SECTOR_SLOTS,
     SECTORS,
     FockSpace,
@@ -33,25 +32,50 @@ from .separability import (
     Tolerances,
     canonical_set_name,
     classify,
-    sample_separable,
+    family,
 )
 
 WITNESS_THRESHOLD = 1e-6
 """A separable state with |residual| above this counts as a violation witness."""
 
+AUDIT_BLOCK = 1024
+"""Samples an audit draws and evaluates per batch: bounds its working memory."""
+
+
+def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Normalized connected correlators ``<AB> - <A><B>``, one per row of ``S``.
+
+    ``S`` is an ``(n, d)`` stack of states (not necessarily normalized);
+    operators and states must be finite, and so must the results.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    S = np.asarray(S, dtype=complex)
+    d = S.shape[-1]
+    if S.ndim != 2 or A.shape != (d, d) or B.shape != (d, d):
+        raise ValueError("operator and state dimensions do not match")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("operators contain non-finite entries")
+    n = check_state(S)
+    conj = S.conj()
+    BS = S @ B.T
+    ab = np.einsum("ij,ij->i", conj, BS @ A.T)
+    a = np.einsum("ij,ij->i", conj, S @ A.T)
+    b = np.einsum("ij,ij->i", conj, BS)
+    r = (ab - a * b / n) / n
+    if not np.isfinite(r).all():
+        raise ValueError("residual overflowed: operator entries are too large")
+    return r
+
 
 def residual(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> complex:
     """Normalized connected correlator ``<AB> - <A><B>`` on one state."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if A.shape[1] != psi.shape[0] or B.shape[1] != psi.shape[0]:
-        raise ValueError("operator and state dimensions do not match")
-    n = check_state(psi)
-    ab = np.vdot(psi, A @ (B @ psi)) / n
-    a = np.vdot(psi, A @ psi) / n
-    b = np.vdot(psi, B @ psi) / n
-    return complex(ab - a * b)
+    return complex(residuals(A, B, np.asarray(psi)[None, :])[0])
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
 
 
 @dataclass
@@ -75,12 +99,6 @@ class AuditReport:
         return abs(abs(residual(A, B, self.argmax_state)) - abs(self.argmax_residual))
 
 
-def _per_sample_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    # one child generator per sample index: results are independent of
-    # evaluation order, so parallel audits reproduce sequential ones
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def audit(
     A: np.ndarray,
     B: np.ndarray,
@@ -89,47 +107,42 @@ def audit(
     seed: int,
     threshold: float = WITNESS_THRESHOLD,
     tol: Tolerances = DEFAULT_TOL,
-    workers: int | None = None,
     pair: str = "",
-    sampler=None,
+    fock: FockSpace | None = None,
 ) -> AuditReport:
     """Evaluate the pair residual on seeded separable samples.
 
-    Deterministic for fixed ``seed`` regardless of ``workers``; ``sampler``
-    overrides the family sampler (a callable taking a generator).
+    One generator seeded with ``seed`` draws every sample in one batch, so
+    the report is a pure function of the inputs.  ``fock`` makes the mode
+    family the headroom occupation states of that space (see
+    :func:`entloc.separability.family`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
-    draw = sampler if sampler is not None else (lambda rng: sample_separable(set_name, rng))
-    rngs = _per_sample_rngs(seed, n_samples)
-    states = [None] * n_samples
-    values = np.zeros(n_samples, dtype=complex)
-
-    def run(idx: int) -> None:
-        psi = draw(rngs[idx])
-        states[idx] = psi
-        values[idx] = residual(A, B, psi)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_samples)))
-    else:
-        for i in range(n_samples):
-            run(i)
-
-    mags = np.abs(values)
-    k = int(np.argmax(mags))
-    verdict = "ViolationFound" if mags[k] > threshold else "FactorizesOnSamples"
+    fam = family(set_name, fock)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    total, best = 0.0, None
+    for start in range(0, n_samples, AUDIT_BLOCK):
+        states = fam.sample(rng, min(AUDIT_BLOCK, n_samples - start))
+        values = residuals(A, B, states)
+        mags = np.abs(values)
+        k = int(np.argmax(mags))
+        total += float(np.sum(mags))
+        if best is None or mags[k] > best[0]:
+            best = (float(mags[k]), complex(values[k]), states[k])
+    max_abs, argmax_residual, argmax_state = best
+    verdict = "ViolationFound" if max_abs > threshold else "FactorizesOnSamples"
     return AuditReport(
         pair=pair,
         set_name=set_name,
         n_samples=n_samples,
         seed=seed,
-        max_abs_residual=float(mags[k]),
-        mean_abs_residual=float(np.mean(mags)),
-        argmax_state=states[k],
-        argmax_residual=complex(values[k]),
+        max_abs_residual=max_abs,
+        mean_abs_residual=total / n_samples,
+        argmax_state=argmax_state,
+        argmax_residual=argmax_residual,
         threshold=threshold,
         verdict=verdict,
         tolerances=tol,
@@ -146,67 +159,6 @@ class Witness:
     verdict: SeparabilityVerdict
 
 
-# --- separable-family parametrizations used by the refinement search -------
-# Parameters are real coordinate vectors so that every perturbed point still
-# builds a state inside the family.
-
-def _complexify(p: np.ndarray) -> np.ndarray:
-    return p[0::2] + 1j * p[1::2]
-
-
-def _family_param_count(kind: str, tag: int) -> int:
-    if kind in ("I", "II"):
-        return 4
-    if kind == "III":
-        return 16
-    if kind == "ssr":
-        return {0: 6, 1: 8, 2: 6}[tag]
-    return 0  # mode: discrete family
-
-
-def _family_draw(kind: str, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    if kind == "II":
-        tag = int(rng.integers(2))
-    elif kind == "ssr":
-        tag = int(rng.integers(3))
-    elif kind == "mode":
-        tag = int(rng.integers(3))
-    else:
-        tag = 0
-    return tag, rng.normal(size=_family_param_count(kind, tag))
-
-
-def _family_build(kind: str, tag: int, p: np.ndarray) -> np.ndarray:
-    if kind == "I":
-        c = _complexify(p)
-        return sep.sep_I_state(c[0], c[1])
-    if kind == "II":
-        c = _complexify(p)
-        return sep.sep_I_state(c[0], c[1]) if tag == 0 else sep.sep_II_orthogonal_state(c[0], c[1])
-    if kind == "III":
-        c = _complexify(p)
-        sigma = c[0:2]
-        n = np.linalg.norm(sigma)
-        if n < 1e-9:
-            sigma = np.array([1.0, 0.0], dtype=complex)
-            n = 1.0
-        return sep.sep_III_state(sigma / n, c[2], c[3:5], c[5:8])
-    if kind == "ssr":
-        c = _complexify(p)
-        psi = np.zeros(10, dtype=complex)
-        if tag == 0:
-            psi[list(SECTOR_SLOTS["LL"])] = c
-        elif tag == 2:
-            psi[list(SECTOR_SLOTS["RR"])] = c
-        else:
-            psi[list(SECTOR_SLOTS["LR"])] = np.outer(c[0:2], c[2:4]).reshape(4)
-        return psi
-    # mode
-    psi = np.zeros(3, dtype=complex)
-    psi[tag] = 1.0
-    return psi
-
-
 def find_violation_witness(
     A: np.ndarray,
     B: np.ndarray,
@@ -215,64 +167,71 @@ def find_violation_witness(
     seed: int = 0,
     threshold: float = WITNESS_THRESHOLD,
     tol: Tolerances = DEFAULT_TOL,
+    fock: FockSpace | None = None,
 ) -> Witness | None:
     """Search the separable family for a state with ``|residual| > threshold``.
 
     Random restarts draw fresh family parameters; each restart is refined
-    coordinate-wise (perturbations act on the defining coefficients, so every
-    visited state stays exactly inside the family).  Returns the first state
-    exceeding the threshold, or ``None`` once ``budget`` residual evaluations
-    are spent.
+    by coordinate sweeps (perturbations act on the defining coefficients,
+    so every visited state stays exactly inside the family).  The ``2k``
+    probes of a sweep are evaluated as one batch: the first probe above
+    threshold in sweep order is returned, else the search moves to the best
+    improving probe, else it halves the step.  A discrete family (mode) is
+    evaluated once, all its states in one batch.  Every probe counts
+    against ``budget``; returns ``None`` once it is spent.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
+    fam = family(set_name, fock)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    evals = 0
 
-    def value(tag: int, p: np.ndarray) -> float | None:
-        psi = _family_build(set_name, tag, p)
-        norm = np.linalg.norm(psi)
-        if norm < 1e-9:
+    def evaluate(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """States of the rows of ``P`` and their |residual| (0 if degenerate)."""
+        S = fam.build(P)
+        ok = np.linalg.norm(S, axis=1) > EPS_STATE
+        r = np.zeros(len(P))
+        r[ok] = np.abs(residuals(A, B, S[ok]))
+        return S, r
+
+    def first_hit(S: np.ndarray, r: np.ndarray) -> Witness | None:
+        hits = np.flatnonzero(r > threshold)
+        if not hits.size:
             return None
-        return abs(residual(A, B, psi))
-
-    def pack(tag: int, p: np.ndarray) -> Witness:
-        psi = _family_build(set_name, tag, p)
-        psi = psi / np.linalg.norm(psi)
+        psi = S[hits[0]] / np.linalg.norm(S[hits[0]])
         return Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi, tol))
 
+    if fam.n_real == 0:
+        return first_hit(*evaluate(np.arange(min(fam.branches, budget), dtype=float)[:, None]))
+
+    coords = np.arange(1, fam.n_real + 1)
+    rows = 2 * np.arange(fam.n_real)
+    evals = 0
     while evals < budget:
-        tag, p = _family_draw(set_name, rng)
-        r = value(tag, p)
+        p = fam.draw(rng, 1)
+        S, r = evaluate(p)
         evals += 1
-        if r is None:
-            continue
-        if r > threshold:
-            return pack(tag, p)
+        found = first_hit(S, r)
+        if found is not None:
+            return found
         step = 0.5
-        while evals < budget and step > 1e-3 and p.size:
-            improved = False
-            for coord in range(p.size):
-                for delta in (step, -step):
-                    if evals >= budget:
-                        break
-                    q = p.copy()
-                    q[coord] += delta
-                    r2 = value(tag, q)
-                    evals += 1
-                    if r2 is None:
-                        continue
-                    if r2 > threshold:
-                        return pack(tag, q)
-                    if r2 > r:
-                        p, r = q, r2
-                        improved = True
-                        break
-            if not improved:
+        while evals < budget and step > 1e-3:
+            # probes in sweep order: +step then -step on each coordinate
+            Q = np.repeat(p, 2 * fam.n_real, axis=0)
+            Q[rows, coords] += step
+            Q[rows + 1, coords] -= step
+            Q = Q[: budget - evals]
+            S, rq = evaluate(Q)
+            evals += len(Q)
+            found = first_hit(S, rq)
+            if found is not None:
+                return found
+            best = int(np.argmax(rq))
+            if rq[best] > r[0]:
+                p, r = Q[best : best + 1], rq[best : best + 1]
+            else:
                 step /= 2.0
-        if not p.size:
-            continue
     return None
 
 
@@ -349,32 +308,22 @@ def positive_control(
     seed: int = 0,
     n_max: int = 4,
     threshold: float = 1e-10,
-    workers: int | None = None,
 ) -> AuditReport:
     """Residual audit of local pairs on the matching separable samples.
 
     ``kind='mode'``: degree-<=2 ladder polynomials of mode 0 against mode 1
-    on a truncated two-mode Fock space, evaluated on occupation states with
-    total number at most ``n_max - 2`` so the truncation is exact.
+    on a truncated two-mode Fock space, evaluated on its headroom occupation
+    states (total number at most ``n_max - 2``) so the truncation is exact.
     ``kind='ssr'``: one-body L-side against R-side operators (sector
     block-diagonal by construction) on single-sector separable states.
     The expected outcome is ``max |residual| <= 1e-10``.
     """
     if kind not in ("mode", "ssr"):
         raise ValueError("positive controls exist for 'mode' and 'ssr' only")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
-    if kind == "mode":
-        low_states = [occ for occ in space.basis if sum(occ) <= n_max - 2]
-
-        def draw_state(r: np.random.Generator) -> np.ndarray:
-            return space.occupation_state(low_states[r.integers(len(low_states))])
-
-    else:
-
-        def draw_state(r: np.random.Generator) -> np.ndarray:
-            return sample_separable("ssr", r)
-
     worst: AuditReport | None = None
     mean_acc = 0.0
     for j in range(n_pairs):
@@ -389,20 +338,19 @@ def positive_control(
         rep = audit(
             A,
             B,
-            "mode" if kind == "mode" else "ssr",
+            kind,
             n_states,
             seed=int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0]),
             threshold=threshold,
-            workers=workers,
             pair=f"{kind}-local random pair {j}",
-            sampler=draw_state,
+            fock=space,
         )
         mean_acc += rep.mean_abs_residual
         if worst is None or rep.max_abs_residual > worst.max_abs_residual:
             worst = rep
     return AuditReport(
         pair=f"{kind}-local random pairs x{n_pairs}",
-        set_name="mode" if kind == "mode" else "ssr",
+        set_name=kind,
         n_samples=n_pairs * n_states,
         seed=seed,
         max_abs_residual=worst.max_abs_residual,

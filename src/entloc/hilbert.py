@@ -86,12 +86,21 @@ def symmetrizer(dim: int) -> np.ndarray:
     return E @ E.conj().T
 
 
-def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float:
-    """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``eps**2``."""
-    norm2 = float(np.vdot(psi, psi).real)
-    if norm2 <= eps * eps:
-        raise ZeroNormError(f"state norm {np.sqrt(norm2):.3e} below {eps:.1e}")
-    if not np.all(np.isfinite(psi)):
+def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float | np.ndarray:
+    """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``eps**2``.
+
+    A stack of states (one per row) gives an array of squared norms and
+    fails if any row does.
+    """
+    psi = np.asarray(psi)
+    if psi.ndim == 1:
+        norm2 = float(np.vdot(psi, psi).real)
+    else:
+        norm2 = np.einsum("ij,ij->i", psi.conj(), psi).real
+    small = np.asarray(norm2 <= eps * eps)
+    if small.any():
+        raise ZeroNormError(f"state norm {np.sqrt(np.nanmin(norm2)):.3e} below {eps:.1e}")
+    if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
     return norm2
 
@@ -100,16 +109,18 @@ def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Symmetric projection of ``|phi> x |zeta>`` in the symmetric basis.
 
     The result is the (generally unnormalized) vector ``S |phi>|zeta>``;
-    for orthogonal factors its squared norm is 1/2.
+    for orthogonal factors its squared norm is 1/2.  Stacks of factors
+    (leading axes) give one symmetrized vector per pair.
     """
     phi = np.asarray(phi, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
-    if phi.shape != zeta.shape or phi.ndim != 1:
+    if phi.shape != zeta.shape or phi.ndim == 0:
         raise ValueError(f"dimension mismatch: {phi.shape} vs {zeta.shape}")
-    if phi.shape[0] not in (2, 4):
+    d = phi.shape[-1]
+    if d not in (2, 4):
         raise ValueError("only 2- and 4-level single-particle spaces are supported")
-    E = sym_embedding(phi.shape[0])
-    return E.conj().T @ np.kron(phi, zeta)
+    product_amps = (phi[..., :, None] * zeta[..., None, :]).reshape(*phi.shape[:-1], d * d)
+    return product_amps @ sym_embedding(d).conj()
 
 
 def embed_tensor_square(O: np.ndarray) -> np.ndarray:

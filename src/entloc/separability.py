@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import ConsistencyError, ConvergenceError, ZeroNormError
 from .hilbert import (
     EPS_STATE,
     SECTOR_SLOTS,
+    FockSpace,
     check_state,
     partial_trace_second_particle,
     purity,
@@ -85,14 +87,19 @@ class SeparabilityVerdict:
 # family constructors
 
 def sep_I_state(c0: complex, c1: complex) -> np.ndarray:
-    """Symmetric-basis amplitudes of ``(c0|0> + c1|1>)^{x2}`` (unnormalized)."""
-    return np.array([c0 * c0, c1 * c1, np.sqrt(2.0) * c0 * c1], dtype=complex)
+    """Symmetric-basis amplitudes of ``(c0|0> + c1|1>)^{x2}`` (unnormalized).
+
+    Array coefficients give one state per entry, along a new last axis.
+    """
+    c0 = np.asarray(c0, dtype=complex)
+    c1 = np.asarray(c1, dtype=complex)
+    return np.stack([c0 * c0, c1 * c1, np.sqrt(2.0) * c0 * c1], axis=-1)
 
 
 def sep_II_orthogonal_state(c0: complex, c1: complex) -> np.ndarray:
     """Symmetrized pair of a superposition and its orthogonal complement."""
-    psi = np.array([c0, c1], dtype=complex)
-    perp = np.array([np.conj(c1), -np.conj(c0)], dtype=complex)
+    psi = np.stack([c0, c1], axis=-1)
+    perp = np.stack([np.conj(c1), -np.conj(c0)], axis=-1)
     return symmetrize_product(psi, perp)
 
 
@@ -103,14 +110,18 @@ def sep_III_state(
 
     ``sigma`` is the internal direction of the left particle(s), ``a`` the
     doubly occupied L amplitude, ``chi`` the (unnormalized) internal state of
-    the right partner, ``rr`` the three free RR sector amplitudes.
+    the right partner, ``rr`` the three free RR sector amplitudes.  The
+    scale of ``sigma`` can be absorbed into ``a`` and ``chi``, so any nonzero
+    ``sigma`` gives a member.  Leading axes give a stack of states.
     """
     sigma = np.asarray(sigma, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    v_l = np.array([sigma[0], sigma[1], 0, 0], dtype=complex)
-    v_r = np.array([0, 0, chi[0], chi[1]], dtype=complex)
-    psi = a * symmetrize_product(v_l, v_l) + symmetrize_product(v_l, v_r)
-    psi[list(SECTOR_SLOTS["RR"])] += np.asarray(rr, dtype=complex)
+    a = np.asarray(a, dtype=complex)[..., None]
+    v_l = np.concatenate([sigma, np.zeros_like(sigma)], axis=-1)
+    v_r = np.concatenate([np.zeros_like(chi), chi], axis=-1)
+    # S(v_l, v_l) a + S(v_l, v_r) in one product: S is bilinear
+    psi = symmetrize_product(v_l, a * v_l + v_r)
+    psi[..., list(SECTOR_SLOTS["RR"])] += np.asarray(rr, dtype=complex)
     return psi
 
 
@@ -253,73 +264,108 @@ def canonical_set_name(kind: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# family parametrizations and samplers
 
-def _gauss(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
+@dataclass(frozen=True)
+class Family:
+    """The one parametrization of a separable family.
+
+    A parameter row is ``(branch, x_1, ..., x_k)``: ``branch`` picks one of
+    ``branches`` discrete pieces of the family (the orthogonal-pair branch
+    of II, the spatial sector of ssr, the occupation state of mode) and the
+    ``k = n_real`` real coordinates pair up into the complex coefficients of
+    that piece, so every row with an integer branch builds a state exactly
+    inside the family.
+    """
+
+    branches: int
+    n_real: int
+    pieces: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    """``(branches (n,), coefficients (n, k/2))`` -> ``(n, d)`` unnormalized states."""
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` parameter rows: uniform branches, standard normal coordinates."""
+        return np.column_stack(
+            [rng.integers(self.branches, size=n), rng.normal(size=(n, self.n_real))]
+        )
+
+    def build(self, P: np.ndarray) -> np.ndarray:
+        """``(n, 1 + n_real)`` parameter rows -> ``(n, d)`` unnormalized states."""
+        return self.pieces(P[:, 0].astype(int), P[:, 1::2] + 1j * P[:, 2::2])
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``(n, d)`` normalized states from one draw of ``n`` parameter rows.
+
+        The draw is deterministic given the generator state, and every
+        state passes its family's classifier.
+        """
+        states = self.build(self.draw(rng, n))
+        norms = np.linalg.norm(states, axis=1, keepdims=True)
+        if np.any(norms <= EPS_STATE):
+            raise ZeroNormError("sampler produced a degenerate draw")
+        states /= norms
+        return states
 
 
-def sample_separable(
-    kind: str,
-    rng: np.random.Generator,
-    single_sector: bool = True,
-) -> np.ndarray:
-    """Draw one normalized state from a separable family.
+def _by_branch(branch: np.ndarray, *pieces: np.ndarray) -> np.ndarray:
+    """Row ``i`` of ``pieces[branch[i]]``."""
+    return np.stack(pieces, axis=1)[np.arange(len(branch)), branch]
 
-    All continuous coefficients are independent standard complex Gaussians
-    plugged into the family parametrization, so the draw is deterministic
-    given the generator state and always passes its own classifier.
 
-    For ``ssr`` the default draws a single spatial sector (sector-coherent
-    superpositions are still separable but carry classical inter-sector
-    correlations); pass ``single_sector=False`` for the full family.
+def _in_slots(slots: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
+    psi = np.zeros((len(amps), 10), dtype=complex)
+    psi[:, list(slots)] = amps
+    return psi
+
+
+def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # one sector per state: sector-coherent superpositions are separable too,
+    # but they carry classical inter-sector correlations
+    zero = np.zeros((len(c), 2), dtype=complex)
+    lr = symmetrize_product(np.hstack([c[:, 0:2], zero]), np.hstack([zero, c[:, 2:4]]))
+    ll, rr = (_in_slots(SECTOR_SLOTS[X], c[:, :3]) for X in ("LL", "RR"))
+    return _by_branch(branch, ll, lr, rr)
+
+
+def _occupation_family(states: np.ndarray) -> Family:
+    states = np.asarray(states, dtype=complex)
+    return Family(len(states), 0, lambda branch, c: states[branch])
+
+
+FAMILIES = {
+    "I": Family(1, 4, lambda branch, c: sep_I_state(c[:, 0], c[:, 1])),
+    "II": Family(2, 4, lambda branch, c: _by_branch(
+        branch, sep_I_state(c[:, 0], c[:, 1]), sep_II_orthogonal_state(c[:, 0], c[:, 1])
+    )),
+    "III": Family(1, 16, lambda branch, c: sep_III_state(c[:, 0:2], c[:, 2], c[:, 3:5], c[:, 5:8])),
+    "mode": _occupation_family(np.eye(3)),
+    "ssr": Family(3, 8, _ssr_states),
+}
+"""Parametrization per family; ``mode`` holds the two-particle states
+``|2,0>, |0,2>, |1,1>`` in the symmetric basis."""
+
+
+def family(kind: str, fock: FockSpace | None = None) -> Family:
+    """The parametrization of one separable family.
+
+    Given ``fock``, the ``mode`` family is instead the occupation states of
+    that space with total number at most ``n_max - 2``: the headroom keeps
+    degree-<=2 ladder polynomials exact under the truncation.
     """
     kind = canonical_set_name(kind)
-    for _ in range(64):
-        if kind == "I":
-            c = _gauss(rng, 2)
-            psi = sep_I_state(c[0], c[1])
-        elif kind == "II":
-            c = _gauss(rng, 2)
-            if rng.random() < 0.5:
-                psi = sep_I_state(c[0], c[1])
-            else:
-                psi = sep_II_orthogonal_state(c[0], c[1])
-        elif kind == "III":
-            sigma = _gauss(rng, 2)
-            n = np.linalg.norm(sigma)
-            if n < EPS_STATE:
-                continue
-            psi = sep_III_state(sigma / n, complex(_gauss(rng, 1)[0]), _gauss(rng, 2), _gauss(rng, 3))
-        elif kind == "mode":
-            psi = np.zeros(3, dtype=complex)
-            psi[rng.integers(3)] = 1.0
-        else:  # ssr
-            psi = _sample_ssr(rng, single_sector)
-        norm = np.linalg.norm(psi)
-        if norm > EPS_STATE:
-            return psi / norm
-    raise ZeroNormError("sampler produced only degenerate draws")
+    if kind != "mode" or fock is None:
+        return FAMILIES[kind]
+    headroom = [occ for occ in fock.basis if sum(occ) <= fock.n_max - 2]
+    if not headroom:
+        raise ValueError(
+            f"mode states need n_max >= 2 for ladder-polynomial headroom, got {fock.n_max}"
+        )
+    return _occupation_family([fock.occupation_state(occ) for occ in headroom])
 
 
-def _sample_ssr(rng: np.random.Generator, single_sector: bool) -> np.ndarray:
-    parts = {
-        "LL": lambda: _place(SECTOR_SLOTS["LL"], _gauss(rng, 3)),
-        "LR": lambda: symmetrize_product(
-            np.concatenate([_gauss(rng, 2), [0, 0]]), np.concatenate([[0, 0], _gauss(rng, 2)])
-        ),
-        "RR": lambda: _place(SECTOR_SLOTS["RR"], _gauss(rng, 3)),
-    }
-    if single_sector:
-        sector = ("LL", "LR", "RR")[rng.integers(3)]
-        return parts[sector]()
-    return parts["LL"]() + parts["LR"]() + parts["RR"]()
-
-
-def _place(slots: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    psi = np.zeros(10, dtype=complex)
-    psi[list(slots)] = amps
-    return psi
+def sample_separable(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """Draw one normalized state from a separable family (see :meth:`Family.sample`)."""
+    return family(kind).sample(rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------

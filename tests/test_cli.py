@@ -101,6 +101,18 @@ def test_classify_error_exits(capsys):
     assert main(["classify", "--amps", "0,0,0"]) == EXIT_INPUT  # zero norm
     assert main(["classify", "--amps", "a,b,c"]) == EXIT_INPUT  # malformed
     capsys.readouterr()
+    nan_pair = 'entries:[["nan",0],[0,1]],pauli:1'
+    for argv, message in (
+        (["audit", "--set", "I", "--pair", nan_pair], "non-finite"),
+        (["witness", "--set", "I", "--pair", nan_pair], "non-finite"),
+        (["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--threshold", "nan"], "threshold"),
+        (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--threshold", "-1"], "threshold"),
+        (["audit", "--set", "ssr", "--pairs", "random:0"], "n_pairs"),
+        (["audit", "--set", "mode", "--n-max", "1", "--pair", "number:0,number:1"], "n_max >= 2"),
+        (["sample", "--set", "I", "--n", "-1"], "--n must be non-negative"),
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
 
 # --- reproduce-paper ---------------------------------------------------------------
@@ -122,8 +134,6 @@ def test_audit_command_and_determinism(capsys):
     assert doc1["results"]["audit"]["verdict"] == "ViolationFound"
     _, doc2 = run_json(capsys, *args)
     assert results_bytes(doc1) == results_bytes(doc2)
-    _, doc3 = run_json(capsys, *args, "--workers", "4")
-    assert results_bytes(doc1) == results_bytes(doc3)
 
 
 def test_audit_positive_control_command(capsys):
@@ -133,6 +143,11 @@ def test_audit_positive_control_command(capsys):
     assert code == 0
     assert doc["results"]["audit"]["max_abs_residual"] <= 1e-10
     assert doc["summary"] == "FactorizesOnSamples"
+    # --n-max sets the Fock space: dimension 10 for n_max 3, 15 for the default 4
+    _, doc = run_json(
+        capsys, "audit", "--set", "mode", "--pairs", "random:2", "--states", "10", "--n-max", "3"
+    )
+    assert len(doc["results"]["audit"]["argmax_state"]) == 10
 
 
 def test_audit_mode_with_explicit_ladder_pair(capsys):
@@ -169,6 +184,18 @@ def test_witness_block_local_pair_reports_not_found(capsys):
     )
     assert code == 0
     assert doc["summary"] == "NotFound"
+
+
+def test_witness_mode_searches_headroom_occupation_states(capsys):
+    code, doc = run_json(capsys, "witness", "--set", "mode", "--pair", "number:0,number:1")
+    assert code == 0
+    assert doc["summary"] == "NotFound"
+    quadrature = "ladder:0:++ladder:0:-"
+    code, doc = run_json(capsys, "witness", "--set", "mode", "--A", quadrature, "--B", quadrature)
+    assert code == 0
+    assert doc["summary"] == "ViolationFound"
+    assert doc["results"]["membership"]["set"] == "ModeSep"
+    assert doc["results"]["recheck_error"] < 1e-12
 
 
 def test_witness_command(capsys):

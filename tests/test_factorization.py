@@ -20,10 +20,12 @@ from entloc import (
     positive_control,
     project_symmetric,
     residual,
+    residuals,
     sep_I_state,
     sep_II_orthogonal_state,
     ssr_constrain,
 )
+from entloc.separability import family
 
 RNG = np.random.default_rng(777)
 
@@ -92,6 +94,30 @@ def test_residual_zero_norm():
         residual(np.eye(3), np.eye(3), np.zeros(3, dtype=complex))
 
 
+@pytest.mark.parametrize("kind", ["I", "II", "III", "mode", "ssr"])
+def test_residuals_match_per_state_residual(kind):
+    rng = np.random.default_rng(21)
+    fam = family(kind)
+    S = fam.build(fam.draw(rng, 64))
+    d = S.shape[1]
+    A = rand_vec(d * d, rng).reshape(d, d)
+    B = rand_vec(d * d, rng).reshape(d, d)
+    scalar = np.array([residual(A, B, psi) for psi in S])
+    assert np.max(np.abs(residuals(A, B, S) - scalar)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_residuals_reject_non_finite_input():
+    S = np.eye(3, dtype=complex)
+    bad = np.eye(3, dtype=complex)
+    bad[0, 0] = np.nan
+    for A, B in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            residuals(A, B, S)
+    with pytest.raises(ValueError, match="overflowed"):
+        residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+
+
 # --- audits ----------------------------------------------------------------------
 
 def test_audit_identity_pair_factorizes():
@@ -109,11 +135,9 @@ def test_audit_finds_reference_violation():
 def test_audit_deterministic_and_order_independent():
     rep1 = audit(A_PAIR, B_PAIR, "II", 200, seed=9)
     rep2 = audit(A_PAIR, B_PAIR, "II", 200, seed=9)
-    rep4 = audit(A_PAIR, B_PAIR, "II", 200, seed=9, workers=4)
-    for other in (rep2, rep4):
-        assert rep1.max_abs_residual == other.max_abs_residual
-        assert rep1.mean_abs_residual == other.mean_abs_residual
-        assert np.array_equal(rep1.argmax_state, other.argmax_state)
+    assert rep1.max_abs_residual == rep2.max_abs_residual
+    assert rep1.mean_abs_residual == rep2.mean_abs_residual
+    assert np.array_equal(rep1.argmax_state, rep2.argmax_state)
     assert audit(A_PAIR, B_PAIR, "II", 200, seed=10).max_abs_residual != rep1.max_abs_residual
 
 
@@ -122,12 +146,7 @@ def test_audit_number_polynomials_factorize_on_mode_states():
     n0, n1 = space.number("0"), space.number("1")
     A = n0 @ n0 + 0.5 * n0
     B = 2.0 * n1 - n1 @ n1
-
-    def draw(rng):
-        low = [occ for occ in space.basis if sum(occ) <= 2]
-        return space.occupation_state(low[rng.integers(len(low))])
-
-    rep = audit(A, B, "mode", 200, seed=3, sampler=draw)
+    rep = audit(A, B, "mode", 200, seed=3, fock=space)
     assert rep.max_abs_residual <= 1e-12
 
 

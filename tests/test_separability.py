@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entloc import (
     PAULI,
+    SECTOR_SLOTS,
     ConsistencyError,
     SepClass,
     ZeroNormError,
@@ -28,6 +29,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
+from entloc.separability import family
 
 RNG = np.random.default_rng(99)
 
@@ -187,6 +189,10 @@ def test_samplers_pass_their_classifiers(kind):
         psi = sample_separable(kind, rng)
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
         assert classify(kind, psi).separable
+    states = family(kind).sample(rng, 200)
+    assert np.allclose(np.linalg.norm(states, axis=1), 1, atol=1e-12)
+    for psi in states:
+        assert classify(kind, psi).separable
 
 
 def test_sampler_is_deterministic_per_seed():
@@ -218,9 +224,14 @@ def test_family_III_states_have_rank_one_reductions():
 
 
 def test_full_family_ssr_sampler_is_still_separable():
+    # sector-coherent LL + LR + RR superpositions, with a product LR block
     rng = np.random.default_rng(10)
     for _ in range(30):
-        psi = sample_separable("ssr", rng, single_sector=False)
+        psi = symmetrize_product(
+            np.concatenate([rand_vec(2, rng), [0, 0]]), np.concatenate([[0, 0], rand_vec(2, rng)])
+        )
+        psi[list(SECTOR_SLOTS["LL"])] = rand_vec(3, rng)
+        psi[list(SECTOR_SLOTS["RR"])] = rand_vec(3, rng)
         assert classify_ssr(psi).set is SepClass.SSR_SEP
 
 
