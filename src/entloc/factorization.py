@@ -39,7 +39,8 @@ WITNESS_THRESHOLD = 1e-6
 """A separable state with |residual| above this counts as a violation witness."""
 
 AUDIT_BLOCK = 1024
-"""Samples an audit draws and evaluates per batch: bounds its working memory."""
+"""Most states one ``residuals`` call of :func:`audit` or
+:func:`find_violation_witness` evaluates: bounds their working memory."""
 
 
 def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -112,10 +113,10 @@ def audit(
 ) -> AuditReport:
     """Evaluate the pair residual on seeded separable samples.
 
-    One generator seeded with ``seed`` draws every sample in one batch, so
-    the report is a pure function of the inputs.  ``fock`` makes the mode
-    family the headroom occupation states of that space (see
-    :func:`entloc.separability.family`).
+    One generator seeded with ``seed`` draws the samples in blocks of
+    ``AUDIT_BLOCK``, each evaluated as one batch, so the report is a pure
+    function of the inputs.  ``fock`` makes the mode family the headroom
+    occupation states of that space (see :func:`entloc.separability.family`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -173,12 +174,26 @@ def find_violation_witness(
 
     Random restarts draw fresh family parameters; each restart is refined
     by coordinate sweeps (perturbations act on the defining coefficients,
-    so every visited state stays exactly inside the family).  The ``2k``
-    probes of a sweep are evaluated as one batch: the first probe above
-    threshold in sweep order is returned, else the search moves to the best
-    improving probe, else it halves the step.  A discrete family (mode) is
-    evaluated once, all its states in one batch.  Every probe counts
-    against ``budget``; returns ``None`` once it is spent.
+    so every visited state stays exactly inside the family).  A sweep
+    evaluates ``2k`` probes: the first probe above threshold in sweep order
+    is the witness, else the restart moves to the best improving probe,
+    else it halves the step.  Every probe counts against ``budget``; the
+    search returns ``None`` once it is spent.  A discrete family (mode) is
+    evaluated once, all its states in one batch.
+
+    The answer is that of running the restarts one after another, but they
+    run in lockstep rounds.  The first round is the first restart alone;
+    each later round draws as many restarts as the remaining budget could
+    start (a restart without a hit spends at least ``1 + 9*2k``
+    evaluations), at most ``AUDIT_BLOCK // 2k``, and evaluates the current
+    sweep of all of them in one batch.  A restart stops once it cannot
+    matter: an earlier one has hit, or the least the earlier ones can spend
+    plus its own evaluations reaches the budget.  The round is then replayed
+    in draw order: the first hit at a global evaluation index below
+    ``budget`` wins.  A one-row batch rounds differently from a larger one,
+    so each start state is evaluated alone, as the sequential search does,
+    and the answer is taken from the batch that search evaluates last: the
+    start state, or the sweep cut to the remaining budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -205,33 +220,68 @@ def find_violation_witness(
     if fam.n_real == 0:
         return first_hit(*evaluate(np.arange(min(fam.branches, budget), dtype=float)[:, None]))
 
+    width = 2 * fam.n_real
     coords = np.arange(1, fam.n_real + 1)
     rows = 2 * np.arange(fam.n_real)
-    evals = 0
+
+    def probes(P: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """``(n, 2k, 1 + k)`` sweep probes: +step then -step on each coordinate."""
+        Q = np.repeat(P[:, None, :], width, axis=1)
+        Q[:, rows, coords] += step[:, None]
+        Q[:, rows + 1, coords] -= step[:, None]
+        return Q
+
+    def least_spend(spent: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Evaluations a restart spends at least if it never hits: one sweep per halving left."""
+        return spent + width * np.maximum(np.ceil(np.log2(step / 1e-3)), 0).astype(int)
+
+    evals, n = 0, 1  # evaluations of the finished rounds; restarts per round
     while evals < budget:
-        p = fam.draw(rng, 1)
-        S, r = evaluate(p)
-        evals += 1
-        found = first_hit(S, r)
-        if found is not None:
-            return found
-        step = 0.5
-        while evals < budget and step > 1e-3:
-            # probes in sweep order: +step then -step on each coordinate
-            Q = np.repeat(p, 2 * fam.n_real, axis=0)
-            Q[rows, coords] += step
-            Q[rows + 1, coords] -= step
-            Q = Q[: budget - evals]
-            S, rq = evaluate(Q)
-            evals += len(Q)
-            found = first_hit(S, rq)
-            if found is not None:
-                return found
-            best = int(np.argmax(rq))
-            if rq[best] > r[0]:
-                p, r = Q[best : best + 1], rq[best : best + 1]
-            else:
-                step /= 2.0
+        # one draw per restart keeps the generator stream of the sequential search
+        P = np.vstack([fam.draw(rng, 1) for _ in range(n)])
+        starts = [evaluate(P[j : j + 1]) for j in range(n)]
+        r = np.array([rj[0] for _, rj in starts])
+        hit = np.where(r > threshold, 0, -1)  # restart-local index of the first hit
+        spent = np.ones(n, dtype=int)
+        step = np.full(n, 0.5)
+        trail = []  # (points, steps) before each lockstep sweep
+        while True:
+            # restart j matters only if no earlier one hits, and then it starts
+            # after the least spend of the earlier ones; past the budget it stops
+            hit_before = np.cumsum(hit >= 0) - (hit >= 0) > 0
+            least = least_spend(spent, step)
+            earliest = evals + np.cumsum(least) - least
+            live = (hit < 0) & (step > 1e-3) & ~hit_before & (earliest + spent < budget)
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            trail.append((P.copy(), step.copy()))
+            Q = probes(P[idx], step[idx])
+            rq = evaluate(Q.reshape(-1, P.shape[1]))[1].reshape(len(idx), width)
+            over = rq > threshold
+            found = over.any(axis=1)
+            hit[idx[found]] = spent[idx[found]] + np.argmax(over[found], axis=1)
+            best = np.argmax(rq, axis=1)
+            top = rq[np.arange(len(idx)), best]
+            better = top > r[idx]
+            P[idx[better]] = Q[better, best[better]]
+            r[idx[better]] = top[better]
+            step[idx[~better]] /= 2.0
+            spent[idx] += width
+        for j in range(n):
+            if hit[j] < 0 and evals + spent[j] < budget:
+                evals += spent[j]
+                continue
+            # restart j decides: rebuild the last batch the sequential search evaluates
+            last = budget - evals - 1 if hit[j] < 0 else min(hit[j], budget - evals - 1)
+            if last == 0:
+                return first_hit(*starts[j])
+            # live sets only shrink, so sweep s of restart j is lockstep sweep s
+            s = (last - 1) // width
+            P_s, step_s = trail[s]
+            Q = probes(P_s[j : j + 1], step_s[j : j + 1])[0]
+            return first_hit(*evaluate(Q[: budget - evals - 1 - s * width]))
+        n = min(-(-(budget - evals) // least_spend(1, 0.5)), AUDIT_BLOCK // width)
     return None
 
 

@@ -25,7 +25,10 @@ from entloc import (
     sep_II_orthogonal_state,
     ssr_constrain,
 )
-from entloc.separability import family
+from entloc import factorization
+from entloc.factorization import AUDIT_BLOCK, Witness
+from entloc.hilbert import EPS_STATE
+from entloc.separability import canonical_set_name, classify, family
 
 RNG = np.random.default_rng(777)
 
@@ -184,6 +187,120 @@ def test_witness_imbalance_pair_on_family_III():
 def test_witness_not_found_for_trivial_pair():
     out = find_violation_witness(np.eye(3), np.eye(3), "I", budget=300, seed=8)
     assert out is None
+
+
+def sequential_witness(A, B, set_name, budget, seed, threshold):
+    """Reference search: the restarts run one after another, one sweep per batch."""
+    set_name = canonical_set_name(set_name)
+    fam = family(set_name)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def evaluate(P):
+        S = fam.build(P)
+        ok = np.linalg.norm(S, axis=1) > EPS_STATE
+        r = np.zeros(len(P))
+        r[ok] = np.abs(residuals(A, B, S[ok]))
+        return S, r
+
+    def first_hit(S, r):
+        hits = np.flatnonzero(r > threshold)
+        if not hits.size:
+            return None
+        psi = S[hits[0]] / np.linalg.norm(S[hits[0]])
+        return Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi))
+
+    if fam.n_real == 0:
+        return first_hit(*evaluate(np.arange(min(fam.branches, budget), dtype=float)[:, None]))
+    coords = np.arange(1, fam.n_real + 1)
+    rows = 2 * np.arange(fam.n_real)
+    evals = 0
+    while evals < budget:
+        p = fam.draw(rng, 1)
+        S, r = evaluate(p)
+        evals += 1
+        found = first_hit(S, r)
+        if found is not None:
+            return found
+        step = 0.5
+        while evals < budget and step > 1e-3:
+            Q = np.repeat(p, 2 * fam.n_real, axis=0)
+            Q[rows, coords] += step
+            Q[rows + 1, coords] -= step
+            Q = Q[: budget - evals]
+            S, rq = evaluate(Q)
+            evals += len(Q)
+            found = first_hit(S, rq)
+            if found is not None:
+                return found
+            best = int(np.argmax(rq))
+            if rq[best] > r[0]:
+                p, r = Q[best : best + 1], rq[best : best + 1]
+            else:
+                step /= 2.0
+    return None
+
+
+def witness_bytes(w):
+    if w is None:
+        return None
+    return w.state.tobytes(), np.complex128(w.residual).tobytes(), w.set_name, repr(w.verdict)
+
+
+def differential_pairs(kind, rng):
+    """A generic pair, the same pair scaled to spectral norm ~1, and a pair that factorizes.
+
+    The scaled pair reaches |residual| 0.3 on some states only, so the search
+    has to climb; it never reaches 2.
+    """
+    d = family(kind).build(family(kind).draw(rng, 1)).shape[1]
+    A, B = (rand_vec(d * d, rng).reshape(d, d) for _ in range(2))
+    scale = 1.5 if kind == "ssr" else 1.0
+    scaled = tuple(scale * X / np.linalg.norm(X, 2) for X in (A, B))
+    if kind == "ssr":
+        local = (number_level_operator(0), number_level_operator(2))
+    else:
+        local = (np.eye(d), B)
+    return [(A, B), scaled, local]
+
+
+@pytest.mark.parametrize("kind", ["I", "II", "III", "ssr", "mode"])
+def test_witness_matches_sequential_search(kind):
+    rng = np.random.default_rng(["I", "II", "III", "ssr", "mode"].index(kind) + 40)
+    width = 2 * family(kind).n_real
+    budgets = sorted({1, max(width, 2), max(width, 2) + 1, 150, 10_000})
+    seen = set()
+    for (A, B), threshold, seed in (
+        (pair, t, s)
+        for pair in differential_pairs(kind, rng)
+        for t in (1e-6, 0.3, 2.0)
+        for s in (3, 4)
+    ):
+        found = []
+        for budget in budgets:
+            want = sequential_witness(A, B, kind, budget, seed, threshold)
+            got = find_violation_witness(A, B, kind, budget=budget, seed=seed, threshold=threshold)
+            assert witness_bytes(got) == witness_bytes(want), (threshold, seed, budget)
+            found.append(want is not None)
+        seen.add("NotFound" if not found[-1] else "at start" if found[0] else "in a sweep")
+        if found[-1] and not all(found):
+            seen.add("cut by budget")
+    want_seen = {"NotFound", "at start"} if width == 0 else {
+        "NotFound", "at start", "in a sweep", "cut by budget"
+    }
+    assert seen == want_seen
+
+
+def test_witness_batches_stay_within_the_block(monkeypatch):
+    sizes = []
+
+    def counting(A, B, S):
+        sizes.append(len(S))
+        return residuals(A, B, S)
+
+    monkeypatch.setattr(factorization, "residuals", counting)
+    A = project_symmetric(embed_tensor_square(PAULI[0]))
+    assert find_violation_witness(A, B_PAIR, "I", budget=100_000, seed=12) is None
+    assert max(sizes) == AUDIT_BLOCK
 
 
 # --- sector expectation triple ------------------------------------------------------

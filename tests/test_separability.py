@@ -182,9 +182,12 @@ def test_ssr_matches_family_III_on_lr_only_states():
 
 # --- samplers --------------------------------------------------------------------
 
+SAMPLER_SEEDS = {"I": 1871, "II": 1872, "III": 1873, "mode": 1874, "ssr": 1875}
+
+
 @pytest.mark.parametrize("kind", ["I", "II", "III", "mode", "ssr"])
 def test_samplers_pass_their_classifiers(kind):
-    rng = np.random.default_rng(abs(hash(kind)) % 2**32)
+    rng = np.random.default_rng(SAMPLER_SEEDS[kind])
     for _ in range(50):
         psi = sample_separable(kind, rng)
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
