@@ -292,6 +292,8 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
         raise ValueError("X and Y must be distinct sectors among LL, LR, RR")
     A = exact_matrix(A, RootTwoRational)
     B = exact_matrix(B, RootTwoRational)
+    if len(A) != 10 or len(B) != 10:
+        raise ValueError("sector certificates need 10x10 operators")
     bra_names = tuple(f"c{k}*" for k in range(_sector_params(X)))
     ket_names = tuple(f"d{k}" for k in range(_sector_params(Y)))
     variables = tuple(

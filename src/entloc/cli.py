@@ -79,6 +79,13 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 # scalar and operator spec parsing
 
+def _exact_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_exact_scalar(text: str) -> GaussianRational:
     t = text.strip().replace(" ", "").replace("i", "j")
     if not t:
@@ -90,17 +97,17 @@ def parse_exact_scalar(text: str) -> GaussianRational:
                 re_part, im_part = body[:k], body[k:]
                 if im_part in ("+", "-"):
                     im_part += "1"
-                return GaussianRational(Fraction(re_part), Fraction(im_part))
+                return GaussianRational(_exact_rational(re_part), _exact_rational(im_part))
         if body in ("", "+", "-"):
             body += "1"
-        return GaussianRational(Fraction(0), Fraction(body))
-    return GaussianRational(Fraction(t), Fraction(0))
+        return GaussianRational(Fraction(0), _exact_rational(body))
+    return GaussianRational(_exact_rational(t), Fraction(0))
 
 
 def parse_scalar(text: str) -> complex:
     try:
         return parse_exact_scalar(text).to_complex()
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, OverflowError):
         return complex(text.strip().replace(" ", "").replace("i", "j"))
 
 
@@ -111,10 +118,11 @@ def _coerce_entry(v, exact: bool):
         if len(v) != 2:
             raise ValueError("complex entries as [re, im] pairs")
         if exact:
-            return GaussianRational(Fraction(str(v[0])), Fraction(str(v[1])))
+            return GaussianRational(_exact_rational(str(v[0])), _exact_rational(str(v[1])))
         return complex(float(v[0]), float(v[1]))
     if exact:
-        return GaussianRational.coerce(v)
+        # JSON numbers are read as the exact decimals they spell, like pairs
+        return GaussianRational(v if type(v) is int else _exact_rational(str(v)))
     return complex(v)
 
 

@@ -5,74 +5,136 @@ imaginary parts), optionally extended by sqrt(2) where symmetrized pair
 amplitudes require it.  Polynomials store a map from exponent tuples to
 coefficients and support the handful of ring operations the certificates
 need; nothing is ever rounded.
+
+Both rings store integer numerators over one positive denominator, reduced
+to gcd 1: ``(a + b*i) / d`` and ``(a + b*i + (c + e*i)*sqrt2) / d``.  The
+reduced form is unique, so ``==`` and ``hash`` compare integers, and each
+``+``, ``-`` or ``*`` is a few integer operations and one ``math.gcd``.
+``Fraction`` appears only at the boundary: the constructors, the read-only
+``re``/``im``/``rat``/``irr`` parts and the text form.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .errors import DegreeOverflowError
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _rational(v) -> int | Fraction:
+    if isinstance(v, (int, Fraction)):
         return v
     if isinstance(v, numbers.Integral):
-        return Fraction(int(v))
+        return int(v)
     if isinstance(v, numbers.Real) and float(v).is_integer():
-        return Fraction(int(float(v)))
+        return int(float(v))
     raise TypeError(f"cannot coerce {v!r} to an exact rational")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class _IntegerRing:
+    """Immutable tuple ``_n`` of integer numerators over a denominator ``_d > 0``."""
+
+    __slots__ = ("_n", "_d")
+
+    @classmethod
+    def _make(cls, n: tuple, d: int):
+        if d != 1:
+            g = gcd(d, *n)
+            if g != 1:
+                n = tuple(x // g for x in n)
+                d //= g
+        new = object.__new__(cls)
+        object.__setattr__(new, "_n", n)
+        object.__setattr__(new, "_d", d)
+        return new
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._make, (self._n, self._d)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._d == other._d and self._n == other._n
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._n, self._d))
+
+    def __add__(self, other):
+        o = self.coerce(other)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return self._make(tuple(map(add, self._n, o._n)), d1)
+        return self._make(tuple(x * d2 + y * d1 for x, y in zip(self._n, o._n)), d1 * d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(tuple(-x for x in self._n), self._d)
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __rsub__(self, other):
+        return self.coerce(other) + (-self)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._n)
+
+
+class GaussianRational(_IntegerRing):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ()
+
+    def __new__(cls, re=0, im=0):
+        re, im = _rational(re), _rational(im)
+        d = lcm(re.denominator, im.denominator)
+        return cls._make(
+            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)), d
+        )
 
     @classmethod
     def coerce(cls, v) -> "GaussianRational":
         if isinstance(v, GaussianRational):
             return v
         if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
-            return cls(_frac(v.real), _frac(v.imag))
-        return cls(_frac(v))
+            return cls(v.real, v.imag)
+        return cls(v)
 
-    def __add__(self, other) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._n[0], self._d)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "GaussianRational":
-        return self + (-GaussianRational.coerce(other))
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.coerce(other) + (-self)
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._n[1], self._d)
 
     def __mul__(self, other) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        (a, b), (c, e) = self._n, o._n
+        return self._make((a * c - b * e, a * e + b * c), self._d * o._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b = self._n
+        return self._make((a, -b), self._d)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return f"({self.re})+({self.im})i"
@@ -83,12 +145,16 @@ GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class RootTwoRational:
+class RootTwoRational(_IntegerRing):
     """Element ``rat + irr*sqrt(2)`` of the quadratic extension of the ring."""
 
-    rat: GaussianRational = GR_ZERO
-    irr: GaussianRational = GR_ZERO
+    __slots__ = ()
+
+    def __new__(cls, rat=GR_ZERO, irr=GR_ZERO):
+        rat, irr = GaussianRational.coerce(rat), GaussianRational.coerce(irr)
+        d = lcm(rat._d, irr._d)
+        m, k = d // rat._d, d // irr._d
+        return cls._make((rat._n[0] * m, rat._n[1] * m, irr._n[0] * k, irr._n[1] * k), d)
 
     @classmethod
     def coerce(cls, v) -> "RootTwoRational":
@@ -96,40 +162,41 @@ class RootTwoRational:
             return v
         return cls(GaussianRational.coerce(v))
 
-    def __add__(self, other) -> "RootTwoRational":
-        o = RootTwoRational.coerce(other)
-        return RootTwoRational(self.rat + o.rat, self.irr + o.irr)
+    @property
+    def rat(self) -> GaussianRational:
+        return GaussianRational._make(self._n[:2], self._d)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RootTwoRational":
-        return RootTwoRational(-self.rat, -self.irr)
-
-    def __sub__(self, other) -> "RootTwoRational":
-        return self + (-RootTwoRational.coerce(other))
-
-    def __rsub__(self, other) -> "RootTwoRational":
-        return RootTwoRational.coerce(other) + (-self)
+    @property
+    def irr(self) -> GaussianRational:
+        return GaussianRational._make(self._n[2:], self._d)
 
     def __mul__(self, other) -> "RootTwoRational":
         o = RootTwoRational.coerce(other)
-        return RootTwoRational(
-            self.rat * o.rat + GaussianRational(Fraction(2)) * self.irr * o.irr,
-            self.rat * o.irr + self.irr * o.rat,
+        a, b, c, e = self._n
+        p, q, r, s = o._n
+        # (a + bi + (c + ei)s2)(p + qi + (r + si)s2), with s2^2 = 2
+        return self._make(
+            (
+                a * p - b * q + 2 * (c * r - e * s),
+                a * q + b * p + 2 * (c * s + e * r),
+                a * r - b * s + c * p - e * q,
+                a * s + b * r + c * q + e * p,
+            ),
+            self._d * o._d,
         )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "RootTwoRational":
         # complex conjugation; sqrt(2) is real
-        return RootTwoRational(self.rat.conjugate(), self.irr.conjugate())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rat.is_zero and self.irr.is_zero
+        a, b, c, e = self._n
+        return self._make((a, -b, c, -e), self._d)
 
     def to_complex(self) -> complex:
         return self.rat.to_complex() + (2.0**0.5) * self.irr.to_complex()
+
+    def __repr__(self) -> str:
+        return f"RootTwoRational({self.rat!r}, {self.irr!r})"
 
     def __str__(self) -> str:
         return f"{self.rat}+[{self.irr}]sqrt2"
@@ -250,11 +317,6 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def leading_monomial(self) -> tuple[tuple[int, ...], object] | None:
-        """First nonzero term in lexicographic exponent order."""
-        items = self.sorted_terms()
-        return items[0] if items else None
 
     def evaluate(self, values: dict[str, object]):
         """Exact evaluation; every variable (starred ones too) needs a value."""

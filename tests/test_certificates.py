@@ -1,6 +1,8 @@
 """Exact certificates against their numeric counterparts."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +261,38 @@ def test_sector_certificate_matches_numeric_coupling():
 def test_sector_certificate_rejects_bad_sectors():
     with pytest.raises(ValueError):
         certify_sector_coupling(np.eye(10, dtype=int), np.eye(10, dtype=int), "LL", "LL")
+
+
+# --- golden certificates ------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_certificates.json")
+GOLDEN_O = [[gr("1/2", 3), gr(-2, "1/3")], [gr(0, -1), gr("-3/4", 2)]]
+GOLDEN_Q = [[gr(1), gr("2/5", -1)], [gr(-3, "1/2"), gr(0, 2)]]
+# full integer and Gaussian-integer 10x10 matrices: every sector block couples
+GOLDEN_A = [[(3 * i + 7 * j + i * j) % 5 - 2 for j in range(10)] for i in range(10)]
+GOLDEN_B = [
+    [complex((2 * i + 5 * j + i * i + 1) % 5 - 2, (i + 2 * j) % 3 - 1) for j in range(10)]
+    for i in range(10)
+]
+
+
+def golden_certificates():
+    yield "pair-pauli", certify_factorization_sep_I(PAULI_EXACT[1], PAULI_EXACT[2])
+    yield "pair-generic", certify_factorization_sep_I(exact_matrix(GOLDEN_O), exact_matrix(GOLDEN_Q))
+    for X, Y in (("LL", "LR"), ("LR", "LL"), ("LL", "RR"), ("RR", "LL"), ("LR", "RR"), ("RR", "LR")):
+        yield f"sectors-{X}-{Y}", certify_sector_coupling(GOLDEN_A, GOLDEN_B, X, Y)
+
+
+def test_golden_certificate_texts():
+    """Certificate texts and term counts are pinned byte for byte.
+
+    The texts in ``golden_certificates.json`` were computed with plain
+    ``Fraction`` coefficients, so any change of the exact arithmetic or of
+    its text form shows here.
+    """
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = {
+        name: {"n_terms": cert.n_terms, "canonical_text": cert.canonical_text()}
+        for name, cert in golden_certificates()
+    }
+    assert got == golden

@@ -41,6 +41,8 @@ def test_parse_scalars():
     assert (g.re, g.im) == (-1.5, 0.25)
     with pytest.raises(ValueError):
         parse_exact_scalar("")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_exact_scalar("1/0")
 
 
 def test_parse_operator_atoms():
@@ -96,6 +98,8 @@ def test_classify_family_input(capsys):
     assert doc["results"]["verdicts"]["sep_I"]["set"] == "SepI"
 
 
+# 1e999 parses to inf, and numpy warns when the parser scales it by its sign
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_classify_error_exits(capsys):
     assert main(["classify", "--amps", "1,0"]) == EXIT_INPUT  # wrong dimension
     assert main(["classify", "--amps", "0,0,0"]) == EXIT_INPUT  # zero norm
@@ -110,6 +114,12 @@ def test_classify_error_exits(capsys):
         (["audit", "--set", "ssr", "--pairs", "random:0"], "n_pairs"),
         (["audit", "--set", "mode", "--n-max", "1", "--pair", "number:0,number:1"], "n_max >= 2"),
         (["sample", "--set", "I", "--n", "-1"], "--n must be non-negative"),
+        (["audit", "--set", "I", "--pair", 'entries:[["1e999",0],[0,1]],pauli:1'], "non-finite"),
+        (["certify", "--sectors", "LL,LR", "--pair", "pauli:1,pauli:2"], "10x10"),
+        (["certify", "--sectors", "LL,LR", "--A", "entries:[[1,2],[3,4]]", "--B", "number:R0"], "10x10"),
+        (["certify", "--A", 'entries:[["1/0",0],[0,1]]', "--B", "pauli:1"], "zero denominator"),
+        (["certify", "--A", 'entries:[[["1/0",0],0],[0,1]]', "--B", "pauli:1"], "zero denominator"),
+        (["certify", "--A", "entries:[[1e999,0],[0,1]]", "--B", "pauli:1"], "Fraction"),
     ):
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
@@ -225,6 +235,14 @@ def test_certify_command(capsys):
     code, doc = run_json(capsys, "certify", "--pair", "pauli:0,pauli:2")
     assert doc["summary"] == "IdenticallyZero"
     assert doc["results"]["certificate"]["structural"]["both_bases"] is True
+
+    # bare JSON decimals are the exact decimals they spell, as in [re, im] pairs
+    half = [
+        run_json(capsys, "certify", "--A", spec, "--B", "pauli:1")
+        for spec in ("entries:[[0.5,0],[0,1]]", 'entries:[["1/2",0],[0,1]]', "entries:[[[0.5,0],0],[0,1]]")
+    ]
+    assert [code for code, _ in half] == [0, 0, 0]
+    assert len({results_bytes(doc) for _, doc in half}) == 1
 
 
 def test_certify_sector_command(capsys):

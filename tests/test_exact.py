@@ -1,9 +1,13 @@
 """Exact scalar rings and the sparse multivariate polynomial."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entloc import DegreeOverflowError, GaussianRational, MultiPoly, RootTwoRational
 from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2
@@ -44,6 +48,93 @@ def test_root_two_ring_ops():
     assert abs(x.to_complex() - (1 + 2**0.5)) < 1e-15
     z = RootTwoRational(gr(0, 1), gr(1, -1))
     assert z.conjugate() == RootTwoRational(gr(0, -1), gr(1, 1))
+
+
+# --- both rings against a plain-Fraction reference ---------------------------
+# A reference element is a tuple of Fractions: (re, im) for GaussianRational,
+# (re, im, sqrt2-re, sqrt2-im) for RootTwoRational.
+
+def ref_gauss_mul(x, y):
+    (a, b), (c, e) = x, y
+    return (a * c - b * e, a * e + b * c)
+
+
+def ref_mul(x, y):
+    if len(x) == 2:
+        return ref_gauss_mul(x, y)
+    rat = ref_gauss_mul(x[:2], y[:2])
+    irr2 = ref_gauss_mul(x[2:], y[2:])
+    cross = ref_gauss_mul(x[:2], y[2:]), ref_gauss_mul(x[2:], y[:2])
+    return (rat[0] + 2 * irr2[0], rat[1] + 2 * irr2[1], cross[0][0] + cross[1][0], cross[0][1] + cross[1][1])
+
+
+def ref_str(x):
+    text = f"({x[0]})+({x[1]})i"
+    return text if len(x) == 2 else f"{text}+[{ref_str(x[2:])}]sqrt2"
+
+
+def ref_complex(x):
+    z = complex(x[0]) + 1j * complex(x[1])
+    return z if len(x) == 2 else z + (2.0**0.5) * ref_complex(x[2:])
+
+
+def build(x):
+    if len(x) == 2:
+        return GaussianRational(*x)
+    return RootTwoRational(GaussianRational(*x[:2]), GaussianRational(*x[2:]))
+
+
+def parts(v):
+    if isinstance(v, GaussianRational):
+        return (v.re, v.im)
+    return parts(v.rat) + parts(v.irr)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    size=st.sampled_from([2, 4]),
+    xs=st.lists(small_fractions, min_size=4, max_size=4),
+    ys=st.lists(small_fractions, min_size=4, max_size=4),
+)
+def test_rings_match_fraction_reference(size, xs, ys):
+    x, y = tuple(xs[:size]), tuple(ys[:size])
+    X, Y = build(x), build(y)
+    assert parts(X) == x and str(X) == ref_str(x)
+    assert X.is_zero == (not any(x))
+    assert X.to_complex() == ref_complex(x)
+    expected = {
+        "+": tuple(a + b for a, b in zip(x, y)),
+        "-": tuple(a - b for a, b in zip(x, y)),
+        "*": ref_mul(x, y),
+    }
+    for op, got in (("+", X + Y), ("-", X - Y), ("*", X * Y)):
+        assert parts(got) == expected[op]
+        assert str(got) == ref_str(expected[op])
+        assert got.is_zero == (not any(expected[op]))
+        assert got == build(expected[op]) and hash(got) == hash(build(expected[op]))
+    conj = tuple(-v if k % 2 else v for k, v in enumerate(x))
+    assert parts(X.conjugate()) == conj and str(X.conjugate()) == ref_str(conj)
+    assert parts(-X) == tuple(-v for v in x)
+    # equality is value equality, whatever path built the element
+    assert (X == Y) == (x == y)
+    assert (X == build(tuple(v / 2 for v in x))) == X.is_zero
+    assert X + Y - Y == X and hash(X + Y - Y) == hash(X)
+    assert parts(2 * X) == parts(X + X) and parts(1 - X) == tuple(
+        (1 if k == 0 else 0) - v for k, v in enumerate(x)
+    )
+
+
+def test_rings_are_immutable_values():
+    for v in (gr("1/2", 3), SQRT2):
+        with pytest.raises(AttributeError):
+            v.re = Fraction(1)
+        with pytest.raises(AttributeError):
+            v._d = 2
+        assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+    assert gr(1) != RootTwoRational(gr(1)) and gr(1) != 1
 
 
 VARS = ("c0", "c0*", "c1", "c1*")
@@ -116,4 +207,4 @@ def test_canonical_text_is_sorted_and_stable():
 
 def test_leading_monomial_order():
     p = var("c1") * var("c1") + var("c0")
-    assert p.leading_monomial()[0] == (0, 0, 2, 0)
+    assert p.sorted_terms()[0][0] == (0, 0, 2, 0)
