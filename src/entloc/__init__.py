@@ -34,7 +34,6 @@ from .hilbert import (
     SECTORS,
     FockSpace,
     embed_tensor_square,
-    fock_build,
     map_first_to_second,
     map_second_to_first,
     number_level_operator,

@@ -126,18 +126,17 @@ def _coerce_entry(v, exact: bool):
     return complex(v)
 
 
-def _split_top_level(text: str, separators: str) -> list[str]:
+def _split_top_level(text: str) -> list[str]:
+    """Split at commas outside brackets and parentheses."""
     parts, depth, current = [], 0, []
     for ch in text:
         if ch in "[(":
             depth += 1
         elif ch in "])":
             depth -= 1
-        if depth == 0 and ch in separators and current:
+        if depth == 0 and ch == "," and current:
             parts.append("".join(current))
             current = []
-            if ch in "+-":
-                current.append(ch)
         else:
             current.append(ch)
     parts.append("".join(current))
@@ -195,7 +194,7 @@ def _parse_atom(spec: str, ctx: OperatorContext):
             raise ValueError("pauli index must be 0..3")
         mat = PAULI_EXACT[k] if ctx.exact else PAULI[k].copy()
     elif head == "diag":
-        entries = [(_coerce_entry(s, ctx.exact)) for s in _split_top_level(rest, ",")]
+        entries = [(_coerce_entry(s, ctx.exact)) for s in _split_top_level(rest)]
         if ctx.exact:
             zero = GaussianRational.coerce(0)
             mat = tuple(
@@ -237,11 +236,10 @@ def _parse_atom(spec: str, ctx: OperatorContext):
         mat = construct_sep_I_preserver(inner)
     else:
         raise ValueError(f"unknown operator atom {spec!r}")
-    if ctx.exact:
-        if sign < 0:
-            mat = tuple(tuple(-v for v in row) for row in mat)
+    if sign > 0:
         return mat
-    return sign * mat
+    # negation is exact; a product with a float sign gives an infinite entry a NaN part
+    return tuple(tuple(-v for v in row) for row in mat) if ctx.exact else -mat
 
 
 def parse_operator(spec: str, ctx: OperatorContext):
@@ -291,7 +289,7 @@ def _parse_pair(args, set_name: str | None = None, exact: bool = False, fock=Non
     if args.A and args.B:
         specs = [args.A, args.B]
     elif args.pair:
-        specs = _split_top_level(args.pair, ",")
+        specs = _split_top_level(args.pair)
         if len(specs) != 2:
             raise ValueError("--pair needs exactly two comma-separated operator specs")
     else:
@@ -314,7 +312,7 @@ def _verdict_json(v) -> dict:
 
 def _parse_amps(text: str) -> np.ndarray:
     try:
-        return np.asarray([parse_scalar(s) for s in _split_top_level(text, ",")], dtype=complex)
+        return np.asarray([parse_scalar(s) for s in _split_top_level(text)], dtype=complex)
     except Exception as exc:
         raise ValueError(f"malformed amplitudes {text!r}: {exc}") from None
 
@@ -454,7 +452,7 @@ def cmd_preserve_check(args, config: RunConfig) -> tuple[dict, str]:
     results: dict = {}
     if args.pair or (args.A and args.B):
         specs = (
-            [args.A, args.B] if args.A and args.B else _split_top_level(args.pair, ",")
+            [args.A, args.B] if args.A and args.B else _split_top_level(args.pair)
         )
         O = parse_operator(specs[0], OperatorContext("raw2"))
         Q = parse_operator(specs[1], OperatorContext("raw2"))

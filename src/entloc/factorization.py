@@ -44,25 +44,28 @@ AUDIT_BLOCK = 1024
 
 
 def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Normalized connected correlators ``<AB> - <A><B>``, one per row of ``S``.
+    """Normalized connected correlators ``<AB> - <A><B>``, one per state of ``S``.
 
-    ``S`` is an ``(n, d)`` stack of states (not necessarily normalized);
-    operators and states must be finite, and so must the results.
+    ``S`` is a ``(..., d)`` stack of states (not necessarily normalized);
+    operators and states must be finite, and so must the results.  numpy
+    rounds the rows of an ``(m, d)`` stack as one matrix product and a
+    one-row stack as a vector product; the states of an ``(m, 1, d)`` stack
+    are vector products, so each rounds bit for bit as a one-row call.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     S = np.asarray(S, dtype=complex)
     d = S.shape[-1]
-    if S.ndim != 2 or A.shape != (d, d) or B.shape != (d, d):
+    if S.ndim < 2 or A.shape != (d, d) or B.shape != (d, d):
         raise ValueError("operator and state dimensions do not match")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("operators contain non-finite entries")
     n = check_state(S)
     conj = S.conj()
     BS = S @ B.T
-    ab = np.einsum("ij,ij->i", conj, BS @ A.T)
-    a = np.einsum("ij,ij->i", conj, S @ A.T)
-    b = np.einsum("ij,ij->i", conj, BS)
+    ab = np.einsum("...j,...j->...", conj, BS @ A.T)
+    a = np.einsum("...j,...j->...", conj, S @ A.T)
+    b = np.einsum("...j,...j->...", conj, BS)
     r = (ab - a * b / n) / n
     if not np.isfinite(r).all():
         raise ValueError("residual overflowed: operator entries are too large")
@@ -190,10 +193,12 @@ def find_violation_witness(
     matter: an earlier one has hit, or the least the earlier ones can spend
     plus its own evaluations reaches the budget.  The round is then replayed
     in draw order: the first hit at a global evaluation index below
-    ``budget`` wins.  A one-row batch rounds differently from a larger one,
-    so each start state is evaluated alone, as the sequential search does,
-    and the answer is taken from the batch that search evaluates last: the
-    start state, or the sweep cut to the remaining budget.
+    ``budget`` wins, and the answer is taken from the batch the sequential
+    search evaluates last: the start state, or the sweep cut to the
+    remaining budget.  The sequential search evaluates each start state
+    alone, and a one-row batch rounds differently from a larger one; so a
+    round's start states are evaluated in one ``(n, 1, d)`` stack, whose
+    states round bit for bit as one-row batches (see :func:`residuals`).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -203,12 +208,17 @@ def find_violation_witness(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def evaluate(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """States of the rows of ``P`` and their |residual| (0 if degenerate)."""
+        """``(n, d)`` states of the rows of ``P`` and their |residual| (0 if degenerate).
+
+        ``P`` is ``(n, 1 + k)``, or ``(n, 1, 1 + k)`` to round each row as a
+        one-row batch; masking by an ``(n,)`` vector keeps that stack's shape.
+        """
         S = fam.build(P)
-        ok = np.linalg.norm(S, axis=1) > EPS_STATE
+        rows = S.reshape(len(P), -1)
+        ok = np.linalg.norm(rows, axis=1) > EPS_STATE
         r = np.zeros(len(P))
-        r[ok] = np.abs(residuals(A, B, S[ok]))
-        return S, r
+        r[ok] = np.abs(residuals(A, B, S[ok])).ravel()
+        return rows, r
 
     def first_hit(S: np.ndarray, r: np.ndarray) -> Witness | None:
         hits = np.flatnonzero(r > threshold)
@@ -239,8 +249,8 @@ def find_violation_witness(
     while evals < budget:
         # one draw per restart keeps the generator stream of the sequential search
         P = np.vstack([fam.draw(rng, 1) for _ in range(n)])
-        starts = [evaluate(P[j : j + 1]) for j in range(n)]
-        r = np.array([rj[0] for _, rj in starts])
+        S0, r0 = evaluate(P[:, None, :])
+        r = r0.copy()
         hit = np.where(r > threshold, 0, -1)  # restart-local index of the first hit
         spent = np.ones(n, dtype=int)
         step = np.full(n, 0.5)
@@ -275,7 +285,7 @@ def find_violation_witness(
             # restart j decides: rebuild the last batch the sequential search evaluates
             last = budget - evals - 1 if hit[j] < 0 else min(hit[j], budget - evals - 1)
             if last == 0:
-                return first_hit(*starts[j])
+                return first_hit(S0[j : j + 1], r0[j : j + 1])
             # live sets only shrink, so sweep s of restart j is lockstep sweep s
             s = (last - 1) // width
             P_s, step_s = trail[s]

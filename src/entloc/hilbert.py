@@ -89,14 +89,14 @@ def symmetrizer(dim: int) -> np.ndarray:
 def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float | np.ndarray:
     """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``eps**2``.
 
-    A stack of states (one per row) gives an array of squared norms and
-    fails if any row does.
+    A ``(..., d)`` stack of states gives an array of squared norms and
+    fails if any state does.
     """
     psi = np.asarray(psi)
     if psi.ndim == 1:
         norm2 = float(np.vdot(psi, psi).real)
     else:
-        norm2 = np.einsum("ij,ij->i", psi.conj(), psi).real
+        norm2 = np.einsum("...j,...j->...", psi.conj(), psi).real
     small = np.asarray(norm2 <= eps * eps)
     if small.any():
         raise ZeroNormError(f"state norm {np.sqrt(np.nanmin(norm2)):.3e} below {eps:.1e}")
@@ -332,11 +332,6 @@ class FockSpace:
 
     def vacuum(self) -> np.ndarray:
         return self.occupation_state((0,) * len(self.modes))
-
-
-def fock_build(modes: tuple[str, ...], n_max: int) -> FockSpace:
-    """Construct a truncated Fock space (convenience wrapper)."""
-    return FockSpace(modes, n_max)
 
 
 def map_first_to_second(psi: np.ndarray, space: FockSpace) -> np.ndarray:

@@ -281,7 +281,7 @@ class Family:
     branches: int
     n_real: int
     pieces: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    """``(branches (n,), coefficients (n, k/2))`` -> ``(n, d)`` unnormalized states."""
+    """``(branches (...,), coefficients (..., k/2))`` -> ``(..., d)`` unnormalized states."""
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` parameter rows: uniform branches, standard normal coordinates."""
@@ -290,8 +290,14 @@ class Family:
         )
 
     def build(self, P: np.ndarray) -> np.ndarray:
-        """``(n, 1 + n_real)`` parameter rows -> ``(n, d)`` unnormalized states."""
-        return self.pieces(P[:, 0].astype(int), P[:, 1::2] + 1j * P[:, 2::2])
+        """``(..., 1 + n_real)`` parameter rows -> ``(..., d)`` unnormalized states.
+
+        numpy rounds the rows of an ``(n, 1 + n_real)`` batch one way (a
+        matrix product) and a one-row batch another (a vector product).  The
+        rows of an ``(n, 1, 1 + n_real)`` stack are vector products, so each
+        builds bit for bit as a one-row batch.
+        """
+        return self.pieces(P[..., 0].astype(int), P[..., 1::2] + 1j * P[..., 2::2])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``(n, d)`` normalized states from one draw of ``n`` parameter rows.
@@ -308,22 +314,26 @@ class Family:
 
 
 def _by_branch(branch: np.ndarray, *pieces: np.ndarray) -> np.ndarray:
-    """Row ``i`` of ``pieces[branch[i]]``."""
-    return np.stack(pieces, axis=1)[np.arange(len(branch)), branch]
+    """State ``i`` of ``pieces[branch[i]]``, over any leading axes."""
+    shape = pieces[0].shape
+    rows = np.stack(pieces, axis=-2).reshape(branch.size, len(pieces), shape[-1])
+    return rows[np.arange(branch.size), branch.ravel()].reshape(shape)
 
 
 def _in_slots(slots: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    psi = np.zeros((len(amps), 10), dtype=complex)
-    psi[:, list(slots)] = amps
+    psi = np.zeros((*amps.shape[:-1], 10), dtype=complex)
+    psi[..., list(slots)] = amps
     return psi
 
 
 def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
     # one sector per state: sector-coherent superpositions are separable too,
     # but they carry classical inter-sector correlations
-    zero = np.zeros((len(c), 2), dtype=complex)
-    lr = symmetrize_product(np.hstack([c[:, 0:2], zero]), np.hstack([zero, c[:, 2:4]]))
-    ll, rr = (_in_slots(SECTOR_SLOTS[X], c[:, :3]) for X in ("LL", "RR"))
+    zero = np.zeros((*c.shape[:-1], 2), dtype=complex)
+    lr = symmetrize_product(
+        np.concatenate([c[..., 0:2], zero], axis=-1), np.concatenate([zero, c[..., 2:4]], axis=-1)
+    )
+    ll, rr = (_in_slots(SECTOR_SLOTS[X], c[..., :3]) for X in ("LL", "RR"))
     return _by_branch(branch, ll, lr, rr)
 
 
@@ -333,11 +343,13 @@ def _occupation_family(states: np.ndarray) -> Family:
 
 
 FAMILIES = {
-    "I": Family(1, 4, lambda branch, c: sep_I_state(c[:, 0], c[:, 1])),
+    "I": Family(1, 4, lambda branch, c: sep_I_state(c[..., 0], c[..., 1])),
     "II": Family(2, 4, lambda branch, c: _by_branch(
-        branch, sep_I_state(c[:, 0], c[:, 1]), sep_II_orthogonal_state(c[:, 0], c[:, 1])
+        branch, sep_I_state(c[..., 0], c[..., 1]), sep_II_orthogonal_state(c[..., 0], c[..., 1])
     )),
-    "III": Family(1, 16, lambda branch, c: sep_III_state(c[:, 0:2], c[:, 2], c[:, 3:5], c[:, 5:8])),
+    "III": Family(1, 16, lambda branch, c: sep_III_state(
+        c[..., 0:2], c[..., 2], c[..., 3:5], c[..., 5:8]
+    )),
     "mode": _occupation_family(np.eye(3)),
     "ssr": Family(3, 8, _ssr_states),
 }

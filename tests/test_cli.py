@@ -98,8 +98,6 @@ def test_classify_family_input(capsys):
     assert doc["results"]["verdicts"]["sep_I"]["set"] == "SepI"
 
 
-# 1e999 parses to inf, and numpy warns when the parser scales it by its sign
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_classify_error_exits(capsys):
     assert main(["classify", "--amps", "1,0"]) == EXIT_INPUT  # wrong dimension
     assert main(["classify", "--amps", "0,0,0"]) == EXIT_INPUT  # zero norm

@@ -109,6 +109,17 @@ def test_residuals_match_per_state_residual(kind):
     assert np.max(np.abs(residuals(A, B, S) - scalar)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [3, 10])
+def test_stacked_residuals_round_as_one_row_calls(d):
+    # the witness search evaluates its start states as one (n, 1, d) stack
+    rng = np.random.default_rng(30 + d)
+    A, B = (rand_vec(d * d, rng).reshape(d, d) for _ in range(2))
+    S = rand_vec(40 * d, rng).reshape(40, d)
+    stacked = residuals(A, B, S[:, None, :])[:, 0]
+    for j in range(len(S)):
+        assert stacked[j].tobytes() == residuals(A, B, S[j : j + 1])[0].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_residuals_reject_non_finite_input():
     S = np.eye(3, dtype=complex)
@@ -294,13 +305,15 @@ def test_witness_batches_stay_within_the_block(monkeypatch):
     sizes = []
 
     def counting(A, B, S):
-        sizes.append(len(S))
+        sizes.append(S.size // S.shape[-1])
         return residuals(A, B, S)
 
     monkeypatch.setattr(factorization, "residuals", counting)
     A = project_symmetric(embed_tensor_square(PAULI[0]))
     assert find_violation_witness(A, B_PAIR, "I", budget=100_000, seed=12) is None
     assert max(sizes) == AUDIT_BLOCK
+    # start states are batched per round: only the first round's lone start is one state
+    assert sizes.count(1) == 1
 
 
 # --- sector expectation triple ------------------------------------------------------

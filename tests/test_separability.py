@@ -204,6 +204,16 @@ def test_sampler_is_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", ["I", "II", "III", "ssr"])
+def test_stacked_build_rounds_as_one_row_builds(kind):
+    # the witness search builds its start states as one (n, 1, 1 + k) stack
+    fam = family(kind)
+    P = fam.draw(np.random.default_rng(SAMPLER_SEEDS[kind]), 40)
+    stacked = fam.build(P[:, None, :])[:, 0]
+    for j in range(len(P)):
+        assert stacked[j].tobytes() == fam.build(P[j : j + 1])[0].tobytes()
+
+
 def test_orthogonal_branch_purity_is_half():
     rng = np.random.default_rng(8)
     for _ in range(50):
