@@ -25,7 +25,6 @@ from .factorization import (
     positive_control,
     residual,
     residuals,
-    ssr_constrain,
 )
 from .hilbert import (
     EPS_STATE,
@@ -49,7 +48,6 @@ from .hilbert import (
     sym_one_body,
     sym_pairs,
     symmetrize_product,
-    symmetrizer,
 )
 from .invariance import (
     BlockScalarReport,

@@ -63,10 +63,6 @@ def _ring_sum(items, ring):
     return acc
 
 
-def _is_zero_matrix(M) -> bool:
-    return all(v.is_zero for row in M for v in row)
-
-
 SEP_I_VARIABLES = ("c0", "c0*", "c1", "c1*")
 
 

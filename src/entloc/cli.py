@@ -35,6 +35,7 @@ from .certificates import (
 from .errors import ConsistencyError, ConvergenceError, ZeroNormError
 from .exact import GaussianRational
 from .factorization import (
+    CONTROL_THRESHOLD,
     WITNESS_THRESHOLD,
     audit,
     find_violation_witness,
@@ -392,7 +393,8 @@ def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
         if set_name not in ("mode", "ssr"):
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
         rep = positive_control(
-            set_name, int(count), args.states, seed=args.seed, n_max=args.n_max
+            set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
+            threshold=args.threshold,
         )
         return {"audit": _audit_results(rep, None, None)}, rep.verdict
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
@@ -515,7 +517,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--tol-class", dest="tol_class", type=float, default=1e-9)
     p.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8)
-    p.add_argument("--threshold", type=float, default=WITNESS_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=None)  # resolved in main
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=4)
@@ -584,6 +586,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threshold is None:  # the default of what the command runs
+        args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
     core = {
         "command", "seed", "samples", "budget", "tol_class", "tol_rank",
         "threshold", "fmt", "out", "n_max",

@@ -19,8 +19,6 @@ import numpy as np
 
 from .hilbert import (
     EPS_STATE,
-    SECTOR_SLOTS,
-    SECTORS,
     FockSpace,
     check_state,
     number_level_operator,
@@ -28,6 +26,7 @@ from .hilbert import (
 )
 from .separability import (
     DEFAULT_TOL,
+    Family,
     SeparabilityVerdict,
     Tolerances,
     canonical_set_name,
@@ -38,16 +37,22 @@ from .separability import (
 WITNESS_THRESHOLD = 1e-6
 """A separable state with |residual| above this counts as a violation witness."""
 
+CONTROL_THRESHOLD = 1e-10
+"""A local pair with |residual| above this on a separable state fails its positive control."""
+
 AUDIT_BLOCK = 1024
-"""Most states one ``residuals`` call of :func:`audit` or
-:func:`find_violation_witness` evaluates: bounds their working memory."""
+"""Most states one ``residuals`` call of :func:`audit`, :func:`positive_control`
+or :func:`find_violation_witness` evaluates: bounds their working memory."""
 
 
 def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Normalized connected correlators ``<AB> - <A><B>``, one per state of ``S``.
 
-    ``S`` is a ``(..., d)`` stack of states (not necessarily normalized);
-    operators and states must be finite, and so must the results.  numpy
+    ``S`` is a ``(..., m, d)`` stack of states (not necessarily normalized);
+    ``A`` and ``B`` are ``(d, d)`` or ``(..., d, d)`` stacks broadcast
+    against it, so ``(p, d, d)`` pairs with ``(p, m, d)`` states give each
+    pair its own ``m`` states, rounded bit for bit as its own 2-D call.
+    Operators and states must be finite, and so must the results.  numpy
     rounds the rows of an ``(m, d)`` stack as one matrix product and a
     one-row stack as a vector product; the states of an ``(m, 1, d)`` stack
     are vector products, so each rounds bit for bit as a one-row call.
@@ -56,15 +61,15 @@ def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     S = np.asarray(S, dtype=complex)
     d = S.shape[-1]
-    if S.ndim < 2 or A.shape != (d, d) or B.shape != (d, d):
+    if S.ndim < 2 or A.shape[-2:] != (d, d) or B.shape[-2:] != (d, d):
         raise ValueError("operator and state dimensions do not match")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("operators contain non-finite entries")
     n = check_state(S)
     conj = S.conj()
-    BS = S @ B.T
-    ab = np.einsum("...j,...j->...", conj, BS @ A.T)
-    a = np.einsum("...j,...j->...", conj, S @ A.T)
+    BS = S @ np.swapaxes(B, -1, -2)
+    ab = np.einsum("...j,...j->...", conj, BS @ np.swapaxes(A, -1, -2))
+    a = np.einsum("...j,...j->...", conj, S @ np.swapaxes(A, -1, -2))
     b = np.einsum("...j,...j->...", conj, BS)
     r = (ab - a * b / n) / n
     if not np.isfinite(r).all():
@@ -103,6 +108,35 @@ class AuditReport:
         return abs(abs(residual(A, B, self.argmax_state)) - abs(self.argmax_residual))
 
 
+def _audit_pairs(
+    A: np.ndarray, B: np.ndarray, rngs: list[np.random.Generator], fam: Family, n_samples: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair of the ``(p, d, d)`` stacks: max |residual|, its residual and
+    state, and the sum of |residual| over ``n_samples`` states of its generator.
+
+    Each ``AUDIT_BLOCK`` block draws from every generator in turn and
+    evaluates all draws in one ``residuals`` call, so each pair gets the
+    numbers of its own one-pair run.
+    """
+    p = len(rngs)
+    rows = np.arange(p)
+    best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
+    best_s = np.zeros((p, A.shape[-1]), dtype=complex)
+    for start in range(0, n_samples, AUDIT_BLOCK):
+        m = min(AUDIT_BLOCK, n_samples - start)
+        states = fam.build_normalized(np.stack([fam.draw(rng, m) for rng in rngs]))
+        values = residuals(A, B, states)
+        mags = np.abs(values)
+        k = np.argmax(mags, axis=-1)
+        total += np.sum(mags, axis=-1)
+        # strict: a later block wins only above the best so far, as in one run
+        better = mags[rows, k] > best
+        best[better] = mags[rows, k][better]
+        best_r[better] = values[rows, k][better]
+        best_s[better] = states[rows, k][better]
+    return best, best_r, best_s, total
+
+
 def audit(
     A: np.ndarray,
     B: np.ndarray,
@@ -118,37 +152,31 @@ def audit(
 
     One generator seeded with ``seed`` draws the samples in blocks of
     ``AUDIT_BLOCK``, each evaluated as one batch, so the report is a pure
-    function of the inputs.  ``fock`` makes the mode family the headroom
-    occupation states of that space (see :func:`entloc.separability.family`).
+    function of the inputs; it is the one-pair case of the core that
+    :func:`positive_control` runs on groups of pairs.  ``fock`` makes the
+    mode family the headroom occupation states of that space (see
+    :func:`entloc.separability.family`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
-    fam = family(set_name, fock)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total, best = 0.0, None
-    for start in range(0, n_samples, AUDIT_BLOCK):
-        states = fam.sample(rng, min(AUDIT_BLOCK, n_samples - start))
-        values = residuals(A, B, states)
-        mags = np.abs(values)
-        k = int(np.argmax(mags))
-        total += float(np.sum(mags))
-        if best is None or mags[k] > best[0]:
-            best = (float(mags[k]), complex(values[k]), states[k])
-    max_abs, argmax_residual, argmax_state = best
-    verdict = "ViolationFound" if max_abs > threshold else "FactorizesOnSamples"
+    best, best_r, best_s, total = _audit_pairs(
+        np.asarray(A)[None], np.asarray(B)[None], [rng], family(set_name, fock), n_samples
+    )
+    max_abs = float(best[0])
     return AuditReport(
         pair=pair,
         set_name=set_name,
         n_samples=n_samples,
         seed=seed,
         max_abs_residual=max_abs,
-        mean_abs_residual=total / n_samples,
-        argmax_state=argmax_state,
-        argmax_residual=argmax_residual,
+        mean_abs_residual=float(total[0]) / n_samples,
+        argmax_state=best_s[0],
+        argmax_residual=complex(best_r[0]),
         threshold=threshold,
-        verdict=verdict,
+        verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
         tolerances=tol,
     )
 
@@ -330,35 +358,35 @@ def occupation_imbalance_expectations(
     return ab, a, b
 
 
-def ssr_constrain(A: np.ndarray) -> np.ndarray:
-    """Zero all off-diagonal sector blocks of a 10x10 operator (idempotent)."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (10, 10):
-        raise ValueError("expected a 10x10 operator")
-    out = np.zeros_like(A)
-    for X in SECTORS:
-        slots = list(SECTOR_SLOTS[X])
-        out[np.ix_(slots, slots)] = A[np.ix_(slots, slots)]
-    return out
-
-
 # --- positive controls ------------------------------------------------------
 
-def _mode_polynomial(space: FockSpace, mode: str, rng: np.random.Generator) -> np.ndarray:
-    """Random degree-<=2 polynomial in the ladder operators of one mode."""
-    a = space.annihilate(mode)
-    ad = space.create(mode)
-    basis = [np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad]
-    coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    return sum(c * m for c, m in zip(coeff, basis))
+def _local_pairs(
+    kind: str, g: int, rng: np.random.Generator, terms: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, d, d)`` stacks of ``g`` random local pairs ``A`` (side 0), ``B`` (side 1).
 
-
-def _one_body_sector_op(side: str, h: np.ndarray) -> np.ndarray:
-    """Symmetrized one-body operator supported on the L or R level block."""
-    H = np.zeros((4, 4), dtype=complex)
-    ofs = 0 if side == "L" else 2
-    H[ofs : ofs + 2, ofs : ofs + 2] = h
-    return sym_one_body(H)
+    Per pair the draws are A's real then imaginary coefficients, then B's.
+    mode: polynomials in the ladder monomials ``terms`` of each mode, summed
+    one by one from ``0`` (``0 + x`` turns ``-0.0`` into ``0.0``), so every
+    operator keeps its bytes from the one-pair releases.  ssr: symmetrized
+    one-body operators of Hermitian 2x2 blocks on the L and R levels.
+    """
+    c = rng.normal(size=(g, 2, 2, 6) if kind == "mode" else (g, 2, 2, 2, 2))
+    ops = []
+    for side in (0, 1):
+        coeff = c[:, side, 0] + 1j * c[:, side, 1]
+        if kind == "mode":
+            op = 0
+            for i, term in enumerate(terms[side]):
+                op = op + coeff[:, i, None, None] * term
+        else:
+            H = np.zeros((g, 4, 4), dtype=complex)
+            H[:, 2 * side : 2 * side + 2, 2 * side : 2 * side + 2] = (
+                coeff + np.swapaxes(coeff.conj(), -1, -2)
+            ) / 2
+            op = sym_one_body(H)
+        ops.append(op)
+    return ops[0], ops[1]
 
 
 def positive_control(
@@ -367,7 +395,7 @@ def positive_control(
     n_states: int = 100,
     seed: int = 0,
     n_max: int = 4,
-    threshold: float = 1e-10,
+    threshold: float = CONTROL_THRESHOLD,
 ) -> AuditReport:
     """Residual audit of local pairs on the matching separable samples.
 
@@ -377,49 +405,48 @@ def positive_control(
     ``kind='ssr'``: one-body L-side against R-side operators (sector
     block-diagonal by construction) on single-sector separable states.
     The expected outcome is ``max |residual| <= 1e-10``.
+
+    Pair ``j`` gets the states and numbers a one-pair :func:`audit` seeded
+    from ``(seed, 2, j)`` gives it.  Groups of pairs, as many as fit in
+    ``AUDIT_BLOCK`` states (at least one), share one ``residuals`` call; a
+    group's operators and generators are built only when it runs.
     """
     if kind not in ("mode", "ssr"):
         raise ValueError("positive controls exist for 'mode' and 'ssr' only")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1")
+    _check_threshold(threshold)
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
-    worst: AuditReport | None = None
-    mean_acc = 0.0
-    for j in range(n_pairs):
-        if kind == "mode":
-            A = _mode_polynomial(space, "0", rng_ops)
-            B = _mode_polynomial(space, "1", rng_ops)
-        else:
-            hA = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
-            hB = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
-            A = _one_body_sector_op("L", (hA + hA.conj().T) / 2)
-            B = _one_body_sector_op("R", (hB + hB.conj().T) / 2)
-        rep = audit(
-            A,
-            B,
-            kind,
-            n_states,
-            seed=int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0]),
-            threshold=threshold,
-            pair=f"{kind}-local random pair {j}",
-            fock=space,
-        )
-        mean_acc += rep.mean_abs_residual
-        if worst is None or rep.max_abs_residual > worst.max_abs_residual:
-            worst = rep
+    # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
+    ladders = [(space.annihilate(m), space.create(m)) for m in space.modes] if space else []
+    terms = [[np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad] for a, ad in ladders]
+    fam = family(kind, space)
+    per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
+    worst, mean_acc = None, 0.0
+    for first in range(0, n_pairs, per_call):
+        group = range(first, min(first + per_call, n_pairs))
+        A, B = _local_pairs(kind, len(group), rng_ops, terms)
+        seeds = (int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0]) for j in group)
+        rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+        best, best_r, best_s, total = _audit_pairs(A, B, rngs, fam, n_states)
+        for i in range(len(group)):
+            # per-pair means added in pair order, as the one-pair audits were
+            mean_acc += float(total[i]) / n_states
+            if worst is None or best[i] > worst[0]:
+                worst = (float(best[i]), complex(best_r[i]), best_s[i])
+    max_abs, argmax_residual, argmax_state = worst
     return AuditReport(
         pair=f"{kind}-local random pairs x{n_pairs}",
         set_name=kind,
         n_samples=n_pairs * n_states,
         seed=seed,
-        max_abs_residual=worst.max_abs_residual,
+        max_abs_residual=max_abs,
         mean_abs_residual=mean_acc / n_pairs,
-        argmax_state=worst.argmax_state,
-        argmax_residual=worst.argmax_residual,
+        argmax_state=argmax_state,
+        argmax_residual=argmax_residual,
         threshold=threshold,
-        verdict="FactorizesOnSamples"
-        if worst.max_abs_residual <= threshold
-        else "ViolationFound",
-        tolerances=worst.tolerances,
+        verdict="FactorizesOnSamples" if max_abs <= threshold else "ViolationFound",
     )

@@ -80,12 +80,6 @@ def sym_embedding(dim: int) -> np.ndarray:
     return E
 
 
-def symmetrizer(dim: int) -> np.ndarray:
-    """Projector onto permutation-symmetric vectors of the product space."""
-    E = sym_embedding(dim)
-    return E @ E.conj().T
-
-
 def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float | np.ndarray:
     """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``eps**2``.
 
@@ -132,21 +126,33 @@ def embed_tensor_square(O: np.ndarray) -> np.ndarray:
 
 
 def project_symmetric(M: np.ndarray) -> np.ndarray:
-    """Compress a product-basis operator to the symmetric basis: ``E† M E``."""
+    """Compress a product-basis operator to the symmetric basis: ``E† M E``.
+
+    A ``(..., d*d, d*d)`` stack gives one compressed operator per matrix.
+    """
     M = np.asarray(M, dtype=complex)
-    d2 = M.shape[0]
+    d2 = M.shape[-1]
     dim = int(round(np.sqrt(d2)))
-    if M.shape != (d2, d2) or dim * dim != d2:
+    if M.ndim < 2 or M.shape[-2:] != (d2, d2) or dim * dim != d2:
         raise ValueError("operator must act on a two-particle product space")
     E = sym_embedding(dim)
     return E.conj().T @ M @ E
 
 
 def sym_one_body(h: np.ndarray) -> np.ndarray:
-    """Symmetric-basis matrix of the symmetrized one-body operator h x 1 + 1 x h."""
+    """Symmetric-basis matrix of the symmetrized one-body operator h x 1 + 1 x h.
+
+    A ``(..., d, d)`` stack gives one operator per matrix.  The Kronecker
+    products are formed by broadcasting, exactly as ``np.kron`` forms them,
+    so each operator of a stack equals its own call bit for bit.
+    """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    return project_symmetric(np.kron(h, np.eye(d)) + np.kron(np.eye(d), h))
+    d = h.shape[-1]
+    one = np.eye(d)
+    # kron(a, b)[i*d + k, j*d + l] = a[i, j] * b[k, l]
+    M = h[..., :, None, :, None] * one[:, None, :]
+    M = M + one[:, None, :, None] * h[..., None, :, None, :]
+    return project_symmetric(M.reshape(*h.shape[:-2], d * d, d * d))
 
 
 def number_level_operator(level: int, dim: int = 4) -> np.ndarray:

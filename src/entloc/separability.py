@@ -299,18 +299,22 @@ class Family:
         """
         return self.pieces(P[..., 0].astype(int), P[..., 1::2] + 1j * P[..., 2::2])
 
+    def build_normalized(self, P: np.ndarray) -> np.ndarray:
+        """:meth:`build`, each state scaled to unit norm; degenerate states raise."""
+        states = self.build(P)
+        norms = np.linalg.norm(states, axis=-1, keepdims=True)
+        if np.any(norms <= EPS_STATE):
+            raise ZeroNormError("sampler produced a degenerate draw")
+        states /= norms
+        return states
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``(n, d)`` normalized states from one draw of ``n`` parameter rows.
 
         The draw is deterministic given the generator state, and every
         state passes its family's classifier.
         """
-        states = self.build(self.draw(rng, n))
-        norms = np.linalg.norm(states, axis=1, keepdims=True)
-        if np.any(norms <= EPS_STATE):
-            raise ZeroNormError("sampler produced a degenerate draw")
-        states /= norms
-        return states
+        return self.build_normalized(self.draw(rng, n))
 
 
 def _by_branch(branch: np.ndarray, *pieces: np.ndarray) -> np.ndarray:

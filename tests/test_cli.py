@@ -110,6 +110,9 @@ def test_classify_error_exits(capsys):
         (["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--threshold", "nan"], "threshold"),
         (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--threshold", "-1"], "threshold"),
         (["audit", "--set", "ssr", "--pairs", "random:0"], "n_pairs"),
+        (["audit", "--set", "ssr", "--pairs", "random:2", "--states", "0"], "n_states"),
+        (["audit", "--set", "mode", "--pairs", "random:2", "--threshold", "nan"], "threshold"),
+        (["audit", "--set", "ssr", "--pairs", "random:2", "--threshold", "-1"], "threshold"),
         (["audit", "--set", "mode", "--n-max", "1", "--pair", "number:0,number:1"], "n_max >= 2"),
         (["sample", "--set", "I", "--n", "-1"], "--n must be non-negative"),
         (["audit", "--set", "I", "--pair", 'entries:[["1e999",0],[0,1]],pauli:1'], "non-finite"),
@@ -140,6 +143,7 @@ def test_audit_command_and_determinism(capsys):
     code, doc1 = run_json(capsys, *args)
     assert code == 0
     assert doc1["results"]["audit"]["verdict"] == "ViolationFound"
+    assert doc1["config"]["witness_threshold"] == doc1["results"]["audit"]["threshold"] == 1e-6
     _, doc2 = run_json(capsys, *args)
     assert results_bytes(doc1) == results_bytes(doc2)
 
@@ -151,6 +155,13 @@ def test_audit_positive_control_command(capsys):
     assert code == 0
     assert doc["results"]["audit"]["max_abs_residual"] <= 1e-10
     assert doc["summary"] == "FactorizesOnSamples"
+    # the config echoes the threshold the control used, its own 1e-10 by default
+    assert doc["config"]["witness_threshold"] == doc["results"]["audit"]["threshold"] == 1e-10
+    _, doc = run_json(
+        capsys, "audit", "--set", "ssr", "--pairs", "random:2", "--states", "10",
+        "--threshold", "1e-3",
+    )
+    assert doc["config"]["witness_threshold"] == doc["results"]["audit"]["threshold"] == 1e-3
     # --n-max sets the Fock space: dimension 10 for n_max 3, 15 for the default 4
     _, doc = run_json(
         capsys, "audit", "--set", "mode", "--pairs", "random:2", "--states", "10", "--n-max", "3"

@@ -23,11 +23,10 @@ from entloc import (
     residuals,
     sep_I_state,
     sep_II_orthogonal_state,
-    ssr_constrain,
 )
 from entloc import factorization
 from entloc.factorization import AUDIT_BLOCK, Witness
-from entloc.hilbert import EPS_STATE
+from entloc.hilbert import EPS_STATE, sym_embedding
 from entloc.separability import canonical_set_name, classify, family
 
 RNG = np.random.default_rng(777)
@@ -118,6 +117,20 @@ def test_stacked_residuals_round_as_one_row_calls(d):
     stacked = residuals(A, B, S[:, None, :])[:, 0]
     for j in range(len(S)):
         assert stacked[j].tobytes() == residuals(A, B, S[j : j + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("m", [1, 100])
+@pytest.mark.parametrize("d", [10, 15])
+def test_operator_stacks_round_as_per_pair_calls(p, m, d):
+    rng = np.random.default_rng(31 * p + m + d)
+    A = rand_vec(p * d * d, rng).reshape(p, d, d)
+    B = rand_vec(p * d * d, rng).reshape(p, d, d)
+    S = rand_vec(p * m * d, rng).reshape(p, m, d)
+    got = residuals(A, B, S)
+    assert got.shape == (p, m)
+    for j in range(p):
+        assert got[j].tobytes() == residuals(A[j], B[j], S[j]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -342,20 +355,6 @@ def test_imbalance_triple_closed_form_on_random_draws():
         assert np.allclose([ab, a, b], want, atol=1e-12)
 
 
-# --- sector constraint ----------------------------------------------------------------
-
-def test_ssr_constrain():
-    assert np.allclose(ssr_constrain(np.eye(10, dtype=complex)), np.eye(10))
-    coherence = np.zeros((10, 10), dtype=complex)
-    coherence[0, 9] = 1.0
-    assert np.allclose(ssr_constrain(coherence), 0)
-    imbalance = number_level_operator(0) - number_level_operator(1)
-    assert np.allclose(ssr_constrain(imbalance), imbalance)
-    arbitrary = rand_vec(100).reshape(10, 10)
-    once = ssr_constrain(arbitrary)
-    assert np.allclose(ssr_constrain(once), once)
-
-
 # --- positive controls ------------------------------------------------------------------
 
 def test_mode_eigenstate_factorization_by_hand():
@@ -384,3 +383,120 @@ def test_positive_controls_small():
 def test_positive_control_rejects_other_kinds():
     with pytest.raises(ValueError):
         positive_control("I")
+
+
+# the per-pair loop the batched control replaced, kept as its reference: one
+# audit per pair, each drawing its own blocks from its own generator
+
+def _mode_polynomial(space, mode, rng):
+    """Random degree-<=2 polynomial in the ladder operators of one mode."""
+    a = space.annihilate(mode)
+    ad = space.create(mode)
+    basis = [np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad]
+    coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    return sum(c * m for c, m in zip(coeff, basis))
+
+
+def _one_body_sector_op(side, h):
+    """Symmetrized one-body operator supported on the L or R level block."""
+    H = np.zeros((4, 4), dtype=complex)
+    ofs = 0 if side == "L" else 2
+    H[ofs : ofs + 2, ofs : ofs + 2] = h
+    E = sym_embedding(4)
+    return E.conj().T @ (np.kron(H, np.eye(4)) + np.kron(np.eye(4), H)) @ E
+
+
+def per_pair_audit(A, B, fam, n_samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    total, best = 0.0, None
+    for start in range(0, n_samples, AUDIT_BLOCK):
+        states = fam.sample(rng, min(AUDIT_BLOCK, n_samples - start))
+        values = residuals(A, B, states)
+        mags = np.abs(values)
+        k = int(np.argmax(mags))
+        total += float(np.sum(mags))
+        if best is None or mags[k] > best[0]:
+            best = (float(mags[k]), complex(values[k]), states[k])
+    return best, total / n_samples
+
+
+def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e-10):
+    rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
+    fam = family(kind, space)
+    worst, mean_acc = None, 0.0
+    for j in range(n_pairs):
+        if kind == "mode":
+            A = _mode_polynomial(space, "0", rng_ops)
+            B = _mode_polynomial(space, "1", rng_ops)
+        else:
+            hA = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
+            hB = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
+            A = _one_body_sector_op("L", (hA + hA.conj().T) / 2)
+            B = _one_body_sector_op("R", (hB + hB.conj().T) / 2)
+        pair_seed = int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0])
+        best, mean = per_pair_audit(A, B, fam, n_states, pair_seed)
+        mean_acc += mean
+        if worst is None or best[0] > worst[0]:
+            worst = best
+    return {
+        "pair": f"{kind}-local random pairs x{n_pairs}",
+        "n_samples": n_pairs * n_states,
+        "max_abs_residual": worst[0],
+        "mean_abs_residual": mean_acc / n_pairs,
+        "argmax_residual": worst[1],
+        "argmax_state": worst[2].tobytes(),
+        "verdict": "FactorizesOnSamples" if worst[0] <= threshold else "ViolationFound",
+    }
+
+
+# (pairs, states): single pairs and states, partial and full groups, and
+# the block edge, where each call holds one pair of up to AUDIT_BLOCK states
+CONTROL_SHAPES = [(1, 1), (1, 100), (3, 1), (7, 33), (10, 100), (11, 100), (100, 100),
+                  (3, 1030), (5, 2049)]
+
+
+@pytest.mark.parametrize("kind", ["mode", "ssr"])
+def test_batched_control_matches_per_pair_audits(kind):
+    cases = 0
+    for seed in (0, 7, 13):
+        for n_max in (2, 4, 5) if kind == "mode" else (4,):
+            for n_pairs, n_states in CONTROL_SHAPES:
+                want = per_pair_positive_control(kind, n_pairs, n_states, seed, n_max)
+                rep = positive_control(kind, n_pairs, n_states, seed=seed, n_max=n_max)
+                got = {
+                    "pair": rep.pair,
+                    "n_samples": rep.n_samples,
+                    "max_abs_residual": rep.max_abs_residual,
+                    "mean_abs_residual": rep.mean_abs_residual,
+                    "argmax_residual": rep.argmax_residual,
+                    "argmax_state": rep.argmax_state.tobytes(),
+                    "verdict": rep.verdict,
+                }
+                assert got == want, (seed, n_max, n_pairs, n_states)
+                cases += 1
+    assert cases == (81 if kind == "mode" else 27)
+
+
+def test_control_calls_stay_within_the_block(monkeypatch):
+    sizes = []
+
+    def counting(A, B, S):
+        sizes.append(S.size // S.shape[-1])
+        return residuals(A, B, S)
+
+    monkeypatch.setattr(factorization, "residuals", counting)
+    positive_control("mode", 100, 100)
+    # ten pairs of 100 states per call, where one call per pair was made before
+    assert sizes == [1000] * 10
+    sizes.clear()
+    positive_control("ssr", 3, 1030)
+    assert sizes == [AUDIT_BLOCK, 6] * 3
+
+
+def test_control_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="n_states"):
+        positive_control("ssr", 2, 0)
+    for threshold in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="threshold"):
+            positive_control("mode", 2, 10, threshold=threshold)

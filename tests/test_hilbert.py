@@ -20,8 +20,9 @@ from entloc import (
     project_symmetric,
     reduced_single_particle_dm,
     sym_pairs,
+    sym_embedding,
+    sym_one_body,
     symmetrize_product,
-    symmetrizer,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -74,7 +75,8 @@ def test_sym_basis_order_is_pinned():
 
 def test_symmetrizer_is_projector():
     for dim in (2, 4):
-        S = symmetrizer(dim)
+        E = sym_embedding(dim)
+        S = E @ E.conj().T
         assert np.allclose(S, S.conj().T)
         assert np.allclose(S @ S, S)
         assert np.allclose(S, product_symmetrizer(dim))
@@ -134,6 +136,19 @@ def test_project_symmetric_identity_and_swap():
 def test_project_symmetric_pauli_square():
     got = project_symmetric(embed_tensor_square(PAULI[1]))
     assert np.allclose(got, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_sym_one_body_stack_matches_kron_per_matrix(dim):
+    rng = np.random.default_rng(dim)
+    h = rand_vec(3 * dim * dim, rng).reshape(3, dim, dim)
+    h[0, 0] = -0.0  # signed zeros take the same path as np.kron
+    stack = sym_one_body(h)
+    E = sym_embedding(dim)
+    for j in range(3):
+        one = np.eye(dim)
+        want = E.conj().T @ (np.kron(h[j], one) + np.kron(one, h[j])) @ E
+        assert stack[j].tobytes() == sym_one_body(h[j]).tobytes() == want.tobytes()
 
 
 # --- first <-> second quantization ------------------------------------------
