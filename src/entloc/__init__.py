@@ -34,10 +34,8 @@ from .hilbert import (
     FockSpace,
     embed_tensor_square,
     map_first_to_second,
-    map_second_to_first,
     number_level_operator,
     partial_trace_second_particle,
-    pauli_compose,
     pauli_decompose,
     pi_reduction,
     project_symmetric,

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,8 @@ def _coerce_entry(v, exact: bool):
         if exact:
             return GaussianRational(_exact_rational(str(v[0])), _exact_rational(str(v[1])))
         return complex(float(v[0]), float(v[1]))
+    if not isinstance(v, (int, float)):
+        raise ValueError(f"operator entry {v!r} is not a number")
     if exact:
         # JSON numbers are read as the exact decimals they spell, like pairs
         return GaussianRational(v if type(v) is int else _exact_rational(str(v)))
@@ -171,16 +174,16 @@ def _split_terms(text: str) -> list[str]:
     return [p for p in parts if p.strip()]
 
 
+@dataclass(frozen=True)
 class OperatorContext:
-    """Resolution rules for operator specs under one command/space."""
+    """How specs resolve: exact ring entries or complex ones, and the Fock
+    space that ``ladder:`` and mode ``number:`` atoms act on."""
 
-    def __init__(self, space: str, exact: bool = False, fock: FockSpace | None = None):
-        self.space = space  # "pair2" | "pair4" | "fock" | "raw2"
-        self.exact = exact
-        self.fock = fock
+    exact: bool = False
+    fock: FockSpace | None = None
 
 
-def _parse_atom(spec: str, ctx: OperatorContext):
+def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
     spec = spec.strip()
     sign = 1.0
     while spec and spec[0] in "+-":
@@ -193,30 +196,18 @@ def _parse_atom(spec: str, ctx: OperatorContext):
         k = int(rest)
         if not 0 <= k <= 3:
             raise ValueError("pauli index must be 0..3")
-        mat = PAULI_EXACT[k] if ctx.exact else PAULI[k].copy()
+        mat = PAULI_EXACT[k] if ctx.exact else PAULI[k]
     elif head == "diag":
-        entries = [(_coerce_entry(s, ctx.exact)) for s in _split_top_level(rest)]
-        if ctx.exact:
-            zero = GaussianRational.coerce(0)
-            mat = tuple(
-                tuple(entries[i] if i == j else zero for j in range(len(entries)))
-                for i in range(len(entries))
-            )
-        else:
-            mat = np.diag(np.asarray(entries, dtype=complex))
+        mat = np.diag([_coerce_entry(s, ctx.exact) for s in _split_top_level(rest)])
     elif head == "entries":
         rows = json.loads(rest)
-        mat_rows = [[_coerce_entry(v, ctx.exact) for v in row] for row in rows]
-        mat = tuple(tuple(r) for r in mat_rows) if ctx.exact else np.asarray(mat_rows, dtype=complex)
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("entries: needs a JSON list of rows")
+        mat = [[_coerce_entry(v, ctx.exact) for v in row] for row in rows]
     elif head == "number":
         if rest in SINGLE_PARTICLE_LABELS:
-            level = SINGLE_PARTICLE_LABELS.index(rest)
-            num = number_level_operator(level)
-            mat = (
-                tuple(tuple(GaussianRational.coerce(int(v.real)) for v in row) for row in num)
-                if ctx.exact
-                else num
-            )
+            # integer counts, exact in either mode
+            mat = number_level_operator(SINGLE_PARTICLE_LABELS.index(rest)).real.astype(int)
         else:
             if ctx.fock is None:
                 raise ValueError(f"number:{rest} needs a Fock-space context")
@@ -233,33 +224,31 @@ def _parse_atom(spec: str, ctx: OperatorContext):
     elif head == "oxo":
         if ctx.exact:
             raise ValueError("oxo wrapping is not supported in exact mode")
-        inner = _parse_atom(rest, OperatorContext("raw2", exact=False))
-        mat = construct_sep_I_preserver(inner)
+        mat = construct_sep_I_preserver(_parse_atom(rest, OperatorContext()))
     else:
         raise ValueError(f"unknown operator atom {spec!r}")
-    if sign > 0:
-        return mat
+    # exact entries stay ring elements (or the integers the rings coerce)
+    mat = np.array(mat, dtype=object if ctx.exact else complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"operator atom {spec!r} is not a square matrix")
     # negation is exact; a product with a float sign gives an infinite entry a NaN part
-    return tuple(tuple(-v for v in row) for row in mat) if ctx.exact else -mat
+    return mat if sign > 0 else -mat
 
 
-def parse_operator(spec: str, ctx: OperatorContext):
-    """Parse an operator spec, summing top-level ``+``/``-`` terms."""
+def parse_operator(spec: str, ctx: OperatorContext) -> np.ndarray:
+    """Parse an operator spec, summing top-level ``+``/``-`` terms.
+
+    The result is a complex array, or under ``ctx.exact`` an object array
+    of exact entries.
+    """
     terms = [_parse_atom(part, ctx) for part in _split_terms(spec)]
     if not terms:
         raise ValueError("empty operator spec")
     acc = terms[0]
     for t in terms[1:]:
-        if ctx.exact:
-            if len(t) != len(acc):
-                raise ValueError("operator terms have mismatched dimensions")
-            acc = tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(acc, t)
-            )
-        else:
-            if np.shape(t) != np.shape(acc):
-                raise ValueError("operator terms have mismatched dimensions")
-            acc = acc + t
+        if t.shape != acc.shape:
+            raise ValueError("operator terms have mismatched dimensions")
+        acc = acc + t
     if not ctx.exact and not np.all(np.isfinite(acc)):
         raise ValueError(f"operator {spec!r} has non-finite entries")
     return acc
@@ -267,38 +256,30 @@ def parse_operator(spec: str, ctx: OperatorContext):
 
 def _resolve_for_set(spec: str, set_name: str, fock: FockSpace | None = None) -> np.ndarray:
     """Resolve a numeric operator against the sample space of one family."""
-    set_name = canonical_set_name(set_name)
+    op = parse_operator(spec, OperatorContext(fock=fock))
     if set_name in ("I", "II"):
-        op = parse_operator(spec, OperatorContext("pair2"))
         if op.shape == (2, 2):
             op = construct_sep_I_preserver(op)
         if op.shape != (3, 3):
             raise ValueError("family I/II operators must be 2x2 generators or 3x3 matrices")
-        return op
-    if set_name in ("III", "ssr"):
-        op = parse_operator(spec, OperatorContext("pair4"))
+    elif set_name in ("III", "ssr"):
         if op.shape != (10, 10):
             raise ValueError("family III/ssr operators must be 10x10")
-        return op
-    op = parse_operator(spec, OperatorContext("fock", fock=fock))
-    if op.shape != (fock.dim, fock.dim):
+    elif op.shape != (fock.dim, fock.dim):
         raise ValueError("mode operators must act on the truncated Fock space")
     return op
 
 
-def _parse_pair(args, set_name: str | None = None, exact: bool = False, fock=None):
+def _pair_specs(args) -> list[str]:
+    """The two operator specs of ``--A``/``--B`` or else ``--pair A,B``."""
     if args.A and args.B:
-        specs = [args.A, args.B]
-    elif args.pair:
-        specs = _split_top_level(args.pair)
-        if len(specs) != 2:
-            raise ValueError("--pair needs exactly two comma-separated operator specs")
-    else:
+        return [args.A, args.B]
+    if not args.pair:
         raise ValueError("provide --pair A,B or both --A and --B")
-    if exact:
-        ctx = OperatorContext("pair4" if set_name == "sector" else "raw2", exact=True)
-        return [parse_operator(s, ctx) for s in specs]
-    return [_resolve_for_set(s, set_name, fock) for s in specs]
+    specs = _split_top_level(args.pair)
+    if len(specs) != 2:
+        raise ValueError("--pair needs exactly two comma-separated operator specs")
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +299,7 @@ def _parse_amps(text: str) -> np.ndarray:
         raise ValueError(f"malformed amplitudes {text!r}: {exc}") from None
 
 
-def cmd_classify(args, config: RunConfig) -> tuple[dict, str]:
-    tol = Tolerances(args.tol_class, args.tol_rank)
+def cmd_classify(args, tol: Tolerances) -> tuple[dict, str]:
     if args.family:
         coeffs = _parse_amps(args.coeffs or "")
         fam = canonical_set_name(args.family)
@@ -360,7 +340,7 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict, str]:
     return results, summary
 
 
-def cmd_reproduce(args, config: RunConfig) -> tuple[dict, str]:
+def cmd_reproduce(args, tol: Tolerances) -> tuple[dict, str]:
     lines, ok = reference_suite()
     for line in lines:
         print(("PASS" if line["pass"] else "FAIL") + f"  {line['id']}: {line['description']}")
@@ -368,7 +348,7 @@ def cmd_reproduce(args, config: RunConfig) -> tuple[dict, str]:
     return results, "PASS" if ok else "FAIL"
 
 
-def _audit_results(rep, A, B) -> dict:
+def _audit_results(rep) -> dict:
     return {
         "pair": rep.pair,
         "set": rep.set_name,
@@ -380,11 +360,10 @@ def _audit_results(rep, A, B) -> dict:
         "argmax_residual": complex_pair(rep.argmax_residual),
         "threshold": rep.threshold,
         "verdict": rep.verdict,
-        "recheck_error": float(rep.recheck(A, B)) if A is not None else 0.0,
     }
 
 
-def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
+def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
     if args.pairs:
         kind, _, count = args.pairs.partition(":")
@@ -396,9 +375,9 @@ def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
             set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
             threshold=args.threshold,
         )
-        return {"audit": _audit_results(rep, None, None)}, rep.verdict
+        return {"audit": _audit_results(rep)}, rep.verdict
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
-    A, B = _parse_pair(args, set_name, fock=fock)
+    A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
     rep = audit(
         A,
         B,
@@ -409,15 +388,18 @@ def cmd_audit(args, config: RunConfig) -> tuple[dict, str]:
         pair=args.pair or f"{args.A},{args.B}",
         fock=fock,
     )
-    return {"audit": _audit_results(rep, A, B)}, rep.verdict
+    results = _audit_results(rep)
+    results["recheck_error"] = float(rep.recheck(A, B))
+    return {"audit": results}, rep.verdict
 
 
-def cmd_witness(args, config: RunConfig) -> tuple[dict, str]:
+def cmd_witness(args, tol: Tolerances) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
-    A, B = _parse_pair(args, set_name, fock=fock)
+    A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
     w = find_violation_witness(
-        A, B, set_name, budget=args.budget, seed=args.seed, threshold=args.threshold, fock=fock
+        A, B, set_name, budget=args.budget, seed=args.seed, threshold=args.threshold, tol=tol,
+        fock=fock,
     )
     if w is None:
         return {"found": False, "budget": args.budget, "threshold": args.threshold}, "NotFound"
@@ -433,31 +415,25 @@ def cmd_witness(args, config: RunConfig) -> tuple[dict, str]:
     return results, "ViolationFound"
 
 
-def cmd_certify(args, config: RunConfig) -> tuple[dict, str]:
+def cmd_certify(args, tol: Tolerances) -> tuple[dict, str]:
+    A, B = (parse_operator(s, OperatorContext(exact=True)) for s in _pair_specs(args))
     if args.sectors:
         sectors = [s.strip().upper() for s in args.sectors.split(",")]
         if len(sectors) != 2:
             raise ValueError("--sectors needs X,Y")
-        A, B = _parse_pair(args, "sector", exact=True)
         cert = certify_sector_coupling(A, B, sectors[0], sectors[1])
     else:
-        O, Q = _parse_pair(args, exact=True)
-        if len(O) != 2 or len(Q) != 2:
+        if A.shape != (2, 2) or B.shape != (2, 2):
             raise ValueError("pair certificates need 2x2 exact operators")
-        cert = certify_factorization_sep_I(O, Q)
+        cert = certify_factorization_sep_I(A, B)
     results = {"certificate": cert.to_dict(), "canonical_text": cert.canonical_text()}
     return results, cert.verdict
 
 
-def cmd_preserve_check(args, config: RunConfig) -> tuple[dict, str]:
-    tol = Tolerances(args.tol_class, args.tol_rank)
+def cmd_preserve_check(args, tol: Tolerances) -> tuple[dict, str]:
     results: dict = {}
     if args.pair or (args.A and args.B):
-        specs = (
-            [args.A, args.B] if args.A and args.B else _split_top_level(args.pair)
-        )
-        O = parse_operator(specs[0], OperatorContext("raw2"))
-        Q = parse_operator(specs[1], OperatorContext("raw2"))
+        O, Q = (parse_operator(s, OperatorContext()) for s in _pair_specs(args))
         chk = commutativity_condition(O, Q)
         results["commutativity"] = {
             "s": complex_pair(chk.s),
@@ -468,7 +444,7 @@ def cmd_preserve_check(args, config: RunConfig) -> tuple[dict, str]:
         return results, summary
     if not args.op:
         raise ValueError("provide --op or --pair")
-    op = parse_operator(args.op, OperatorContext("raw2"))
+    op = parse_operator(args.op, OperatorContext())
     if op.shape == (2, 2):
         preserver = construct_sep_I_preserver(op)
         results["generator"] = [[complex_pair(v) for v in row] for row in op]
@@ -494,14 +470,14 @@ def cmd_preserve_check(args, config: RunConfig) -> tuple[dict, str]:
     raise ValueError("preserve-check accepts 2x2, 3x3 or 10x10 operators")
 
 
-def cmd_sample(args, config: RunConfig) -> tuple[dict, str]:
+def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     states = []
     for psi in family(set_name).sample(rng, args.n):
-        verdict = classify(set_name, psi)
+        verdict = classify(set_name, psi, tol)
         states.append({"state": state_json(psi), "verdict": verdict.set.value})
     ok = all(s["verdict"] in ("SepI", "SepIIOnly", "SepIII", "ModeSep", "SsrSep") for s in states)
     return {"set": set_name, "states": states, "all_separable": ok}, (
@@ -610,7 +586,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     start = time.perf_counter()
     try:
-        results, summary = _HANDLERS[args.command](args, config)
+        tol = Tolerances(args.tol_class, args.tol_rank)
+        results, summary = _HANDLERS[args.command](args, tol)
     except (ZeroNormError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"entloc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ factorize to numerical precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class AuditReport:
     argmax_residual: complex
     threshold: float
     verdict: str
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def recheck(self, A: np.ndarray, B: np.ndarray) -> float:
         """Recompute the extremal residual; must reproduce the report."""
@@ -144,7 +143,6 @@ def audit(
     n_samples: int,
     seed: int,
     threshold: float = WITNESS_THRESHOLD,
-    tol: Tolerances = DEFAULT_TOL,
     pair: str = "",
     fock: FockSpace | None = None,
 ) -> AuditReport:
@@ -177,7 +175,6 @@ def audit(
         argmax_residual=complex(best_r[0]),
         threshold=threshold,
         verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
-        tolerances=tol,
     )
 
 

@@ -80,8 +80,8 @@ def sym_embedding(dim: int) -> np.ndarray:
     return E
 
 
-def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float | np.ndarray:
-    """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``eps**2``.
+def check_state(psi: np.ndarray) -> float | np.ndarray:
+    """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``EPS_STATE**2``.
 
     A ``(..., d)`` stack of states gives an array of squared norms and
     fails if any state does.
@@ -91,9 +91,9 @@ def check_state(psi: np.ndarray, eps: float = EPS_STATE) -> float | np.ndarray:
         norm2 = float(np.vdot(psi, psi).real)
     else:
         norm2 = np.einsum("...j,...j->...", psi.conj(), psi).real
-    small = np.asarray(norm2 <= eps * eps)
+    small = np.asarray(norm2 <= EPS_STATE * EPS_STATE)
     if small.any():
-        raise ZeroNormError(f"state norm {np.sqrt(np.nanmin(norm2)):.3e} below {eps:.1e}")
+        raise ZeroNormError(f"state norm {np.sqrt(np.nanmin(norm2)):.3e} below {EPS_STATE:.1e}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
     return norm2
@@ -185,10 +185,6 @@ def pauli_decompose(O: np.ndarray) -> tuple[complex, np.ndarray]:
     return x0, xvec
 
 
-def pauli_compose(x0: complex, xvec: np.ndarray) -> np.ndarray:
-    return x0 * PAULI[0] + sum(xvec[k] * PAULI[k + 1] for k in range(3))
-
-
 def partial_trace_second_particle(psi: np.ndarray) -> np.ndarray:
     """Reduced density matrix ``Tr_2 |psi><psi| / <psi|psi>`` of a pair state.
 
@@ -234,7 +230,7 @@ def pi_reduction(psi: np.ndarray, Psi: np.ndarray) -> np.ndarray:
 
 
 def reduced_single_particle_dm(
-    Psi: np.ndarray, k_basis: np.ndarray | None = None, eps: float = EPS_STATE
+    Psi: np.ndarray, k_basis: np.ndarray | None = None
 ) -> np.ndarray | None:
     """Reduced single-particle density matrix relative to a subspace.
 
@@ -260,7 +256,7 @@ def reduced_single_particle_dm(
         r = pi_reduction(k_basis[:, col], Psi)
         num += np.outer(r, r.conj())
         den += float(np.vdot(r, r).real)
-    if den < eps * eps * norm2:
+    if den < EPS_STATE * EPS_STATE * norm2:
         return None
     return num / den
 
@@ -325,9 +321,6 @@ class FockSpace:
         m = self._mode_index(mode)
         return np.diag(np.asarray([occ[m] for occ in self.basis], dtype=complex))
 
-    def total_number(self) -> np.ndarray:
-        return np.diag(np.asarray([sum(occ) for occ in self.basis], dtype=complex))
-
     def occupation_state(self, occ: tuple[int, ...]) -> np.ndarray:
         occ = tuple(int(n) for n in occ)
         if occ not in self.index:
@@ -360,24 +353,3 @@ def map_first_to_second(psi: np.ndarray, space: FockSpace) -> np.ndarray:
         occ[j] += 1
         out[space.index[tuple(occ)]] = psi[k]
     return out
-
-
-def map_second_to_first(vec: np.ndarray, space: FockSpace, eps: float = EPS_STATE) -> np.ndarray:
-    """Inverse of :func:`map_first_to_second` on the two-particle sector."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape[0] != space.dim:
-        raise ValueError("vector does not match the Fock space dimension")
-    d = len(space.modes)
-    psi = np.zeros(sym_dim(d), dtype=complex)
-    seen = np.zeros(space.dim, dtype=bool)
-    for k, (i, j) in enumerate(sym_pairs(d)):
-        occ = [0] * d
-        occ[i] += 1
-        occ[j] += 1
-        idx = space.index[tuple(occ)]
-        psi[k] = vec[idx]
-        seen[idx] = True
-    leak = np.linalg.norm(vec[~seen])
-    if leak > eps * max(1.0, np.linalg.norm(vec)):
-        raise ValueError("vector has support outside the two-particle sector")
-    return psi

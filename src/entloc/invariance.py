@@ -102,9 +102,7 @@ class CommutativityCheck:
     commutes: bool
 
 
-def commutativity_condition(
-    O: np.ndarray, Q: np.ndarray, tol: float = 1e-9
-) -> CommutativityCheck:
+def commutativity_condition(O: np.ndarray, Q: np.ndarray) -> CommutativityCheck:
     """Necessary condition for ``[O x O, Q x Q] = 0`` in Pauli data.
 
     With expansions ``O = x0 + x.sigma`` and ``Q = y0 + y.sigma``, returns
@@ -124,7 +122,7 @@ def commutativity_condition(
     commutes = float(np.linalg.norm(A @ B - B @ A)) <= 1e-12 * max(scale, 1e-300)
     if commutes:
         pair_scale = float(np.linalg.norm(O) * np.linalg.norm(Q))
-        if abs(s) > tol * pair_scale and float(np.linalg.norm(z)) > tol * pair_scale:
+        if abs(s) > 1e-9 * pair_scale and float(np.linalg.norm(z)) > 1e-9 * pair_scale:
             raise ConsistencyError(
                 "commuting squared pair with both s and z nonzero; "
                 "the Pauli condition is violated"

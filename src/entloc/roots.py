@@ -1,8 +1,9 @@
-"""Dense polynomial root finding by simultaneous iteration.
+"""Dense polynomial roots: companion-matrix eigenvalues, polished and checked.
 
-Small degrees only (the package needs quartics); robustness is preferred
-over speed.  Roots are refined with a final Newton pass and returned with
-normalized residuals so callers can judge convergence.
+Small degrees only (the package needs quartics).  ``np.roots`` gives the
+eigenvalues of the companion matrix (Edelman & Murakami, Math. Comp. 1995);
+one Newton pass refines them, and their normalized residuals let callers
+judge convergence.
 """
 
 from __future__ import annotations
@@ -12,37 +13,24 @@ import numpy as np
 from .errors import ConvergenceError
 
 
-def polyval(coeffs: np.ndarray, z: complex) -> complex:
-    """Evaluate a polynomial given by descending coefficients (Horner)."""
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
-    # |p(z)| measured against the naive term-magnitude sum at z
-    n = len(coeffs) - 1
-    return sum(abs(c) * abs(z) ** (n - k) for k, c in enumerate(coeffs)) + abs(coeffs[-1])
-
-
 def normalized_residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    return np.array(
-        [abs(polyval(coeffs, z)) / _residual_scale(coeffs, z) for z in roots], dtype=float
-    )
+    """``|p(z)|`` per root, against the naive term-magnitude sum at ``z`` plus ``|c_n|``.
+
+    An exact root reads 0, also where that sum vanishes (``z = 0``, ``c_n = 0``).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    z = np.abs(np.asarray(roots, dtype=complex))
+    scale = (z[:, None] ** np.arange(c.size - 1, -1, -1)) @ np.abs(c) + abs(c[-1])
+    value = np.abs(np.polyval(c, roots))
+    return np.divide(value, scale, out=np.zeros_like(value), where=value > 0)
 
 
-def all_roots(
-    coeffs,
-    max_iter: int = 200,
-    tol: float = 1e-14,
-) -> np.ndarray:
-    """All complex roots of ``sum(coeffs[k] * z**(n-k))`` (Durand-Kerner).
+def all_roots(coeffs) -> np.ndarray:
+    """All complex roots of ``sum(coeffs[k] * z**(n-k))``.
 
     ``coeffs`` is a full descending coefficient sequence with a nonzero
-    leading entry.  Starts from slightly perturbed scaled roots of unity;
-    raises :class:`ConvergenceError` if the iteration budget is exhausted
-    while residuals are still large.
+    leading entry.  Raises :class:`ConvergenceError` if a polished root
+    leaves a normalized residual above 1e-8.
     """
     p = np.asarray(coeffs, dtype=complex)
     if p.ndim != 1 or p.size < 2:
@@ -50,38 +38,13 @@ def all_roots(
     if p[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     p = p / p[0]
-    n = p.size - 1
-    if n == 1:
-        return np.array([-p[1]])
-
-    radius = 1.0 + max(abs(c) for c in p[1:])
-    # deterministic perturbation so clustered starts never coincide
-    roots = np.array(
-        [radius * np.exp(2j * np.pi * (k / n + 0.137)) * (1 + 1e-3 * (k + 1)) for k in range(n)]
-    )
-    for _ in range(max_iter):
-        moved = 0.0
-        for k in range(n):
-            denom = np.prod(roots[k] - np.delete(roots, k))
-            if denom == 0:
-                roots[k] *= 1 + 1e-8
-                continue
-            step = polyval(p, roots[k]) / denom
-            roots[k] -= step
-            moved = max(moved, abs(step))
-        if moved < tol * max(1.0, np.max(np.abs(roots))):
-            break
-
+    # np.roots gives a real array when every root is a stripped trailing zero
+    roots = np.roots(p).astype(complex)
     # one Newton polishing pass
-    dp = p[:-1] * np.arange(n, 0, -1)
-    for k in range(n):
-        d = polyval(dp, roots[k])
-        if abs(d) > 1e-14:
-            roots[k] -= polyval(p, roots[k]) / d
-
+    d = np.polyval(np.polyder(p), roots)
+    step = np.abs(d) > 1e-14
+    roots[step] -= np.polyval(p, roots[step]) / d[step]
     res = normalized_residuals(p, roots)
     if np.max(res) > 1e-8:
-        raise ConvergenceError(
-            f"root iteration left residuals up to {np.max(res):.2e} after {max_iter} iterations"
-        )
+        raise ConvergenceError(f"polished roots left residuals up to {np.max(res):.2e}")
     return roots

@@ -397,15 +397,15 @@ class QuarticRoots:
     coefficients: np.ndarray
 
 
-def solve_preservation_quartic(
-    A: np.ndarray, c0: complex, taut_tol: float = 1e-12, residual_tol: float = 1e-10
-) -> QuarticRoots:
+def solve_preservation_quartic(A: np.ndarray, c0: complex) -> QuarticRoots:
     """Roots ``c1`` for which ``A`` maps the family-I state back into family I.
 
     The membership condition is a homogeneous quartic in ``(c0, c1)``; with
-    ``c0`` fixed it is solved by simultaneous iteration plus one Newton
-    polish.  When all five coefficients vanish (relative to ``||A||^2``) the
-    condition holds identically and a tautology is reported instead.
+    ``c0`` fixed it is solved by :func:`entloc.roots.all_roots`
+    (companion-matrix eigenvalues plus one Newton polish), and every root
+    must reach a normalized residual of 1e-10.  When all five coefficients
+    vanish (to 1e-12 relative to ``||A||^2``) the condition holds
+    identically and a tautology is reported instead.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (3, 3):
@@ -422,20 +422,20 @@ def solve_preservation_quartic(
     # coefficients vanish (polymul would trim them)
     coeffs = np.convolve(u[2], u[2]) - 2.0 * np.convolve(u[0], u[1])
     scale = float(np.linalg.norm(A) ** 2) * max(1.0, abs(c0)) ** 4
-    if np.all(np.abs(coeffs) <= taut_tol * scale):
+    if np.all(np.abs(coeffs) <= 1e-12 * scale):
         empty = np.zeros(0, dtype=complex)
         return QuarticRoots(True, empty, empty.real.copy(), coeffs)
     trimmed = np.array(coeffs)
-    while trimmed.size > 1 and abs(trimmed[0]) <= taut_tol * scale:
+    while trimmed.size > 1 and abs(trimmed[0]) <= 1e-12 * scale:
         trimmed = trimmed[1:]
     if trimmed.size == 1:
         empty = np.zeros(0, dtype=complex)
         return QuarticRoots(False, empty, empty.real.copy(), coeffs)
     roots = all_roots(trimmed)
     residuals = normalized_residuals(trimmed, roots)
-    if np.max(residuals) > residual_tol:
+    if np.max(residuals) > 1e-10:
         raise ConvergenceError(
-            f"quartic roots polished to residual {np.max(residuals):.2e} > {residual_tol:.1e}"
+            f"quartic roots polished to residual {np.max(residuals):.2e} > 1.0e-10"
         )
     order = np.lexsort((roots.imag, roots.real))
     return QuarticRoots(False, roots[order], residuals[order], coeffs)

@@ -13,6 +13,7 @@ from entloc.cli import (
     parse_operator,
     parse_scalar,
 )
+from entloc.exact import GaussianRational
 from entloc.report import results_bytes
 
 
@@ -46,7 +47,7 @@ def test_parse_scalars():
 
 
 def test_parse_operator_atoms():
-    ctx = OperatorContext("raw2")
+    ctx = OperatorContext()
     assert np.allclose(parse_operator("pauli:1", ctx), [[0, 1], [1, 0]])
     assert np.allclose(parse_operator("diag:1,-1/2", ctx), [[1, 0], [0, -0.5]])
     assert np.allclose(parse_operator("entries:[[0,1],[1,0]]", ctx), [[0, 1], [1, 0]])
@@ -54,19 +55,53 @@ def test_parse_operator_atoms():
         parse_operator("pauli:1+pauli:3", ctx), [[1, 1], [1, -1]]
     )
     assert np.allclose(parse_operator("pauli:1-pauli:1", ctx), np.zeros((2, 2)))
-    combo = parse_operator("number:L0-number:L1", OperatorContext("pair4"))
+    combo = parse_operator("number:L0-number:L1", OperatorContext())
     assert combo.shape == (10, 10)
     assert np.allclose(np.diag(combo)[:3], [2, 0, 1])  # (L0,L0), (L0,L1), (L0,R0)
     assert combo[0, 0] == 2 and combo[4, 4] == -2
 
 
+# one spec per atom kind and per sum shape; sums stay on exactly representable values
+PARSE_CORPUS = (
+    *(f"pauli:{k}" for k in range(4)),
+    "diag:1,-1/2",
+    "diag:1/3,2+3j,-2j,5/7",
+    "diag:-1/2-1/4i,1e-3",
+    'entries:[[[1,2],0],[[0.5,-3],"1/3"]]',
+    'entries:[[0,[0,-1]],[[0,1],0]]',
+    *(f"number:{label}" for label in ("L0", "L1", "R0", "R1")),
+    "number:L0-number:L1",
+    "number:R0+number:R1-number:L0",
+    "pauli:1+pauli:3",
+    "-pauli:2+diag:1,1/2",
+    "pauli:0-pauli:3+pauli:1",
+)
+
+
+@pytest.mark.parametrize("spec", PARSE_CORPUS)
+def test_exact_and_numeric_parses_agree(spec):
+    numeric = parse_operator(spec, OperatorContext())
+    exact = parse_operator(spec, OperatorContext(exact=True))
+    assert exact.dtype == object and numeric.dtype == complex
+    mapped = np.array([[GaussianRational.coerce(v).to_complex() for v in row] for row in exact])
+    assert mapped.shape == numeric.shape
+    assert np.array_equal(mapped, numeric)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("spec", ["pauli:1+number:L0", "entries:[[1,2],[3]]", "diag:1,2,3-pauli:1"])
+def test_malformed_shapes_fail_in_both_modes(spec, exact):
+    with pytest.raises(ValueError):
+        parse_operator(spec, OperatorContext(exact=exact))
+
+
 def test_parse_operator_errors():
     with pytest.raises(ValueError):
-        parse_operator("pauli:7", OperatorContext("raw2"))
+        parse_operator("pauli:7", OperatorContext())
     with pytest.raises(ValueError):
-        parse_operator("mystery:1", OperatorContext("raw2"))
+        parse_operator("mystery:1", OperatorContext())
     with pytest.raises(ValueError):
-        parse_operator("ladder:0:+", OperatorContext("raw2"))  # no Fock context
+        parse_operator("ladder:0:+", OperatorContext())  # no Fock context
 
 
 # --- classify -------------------------------------------------------------------
@@ -121,6 +156,12 @@ def test_classify_error_exits(capsys):
         (["certify", "--A", 'entries:[["1/0",0],[0,1]]', "--B", "pauli:1"], "zero denominator"),
         (["certify", "--A", 'entries:[[["1/0",0],0],[0,1]]', "--B", "pauli:1"], "zero denominator"),
         (["certify", "--A", "entries:[[1e999,0],[0,1]]", "--B", "pauli:1"], "Fraction"),
+        (["preserve-check", "--pair", "pauli:1"], "exactly two"),
+        (["preserve-check", "--pair", "pauli:1,pauli:2,pauli:3"], "exactly two"),
+        (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--tol-class", "-1"], "tolerances"),
+        (["sample", "--set", "I", "--tol-class", "0"], "tolerances"),
+        (["preserve-check", "--op", "entries:5"], "list of rows"),
+        (["preserve-check", "--op", "entries:[[1,null],[3,4]]"], "not a number"),
     ):
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
@@ -167,6 +208,9 @@ def test_audit_positive_control_command(capsys):
         capsys, "audit", "--set", "mode", "--pairs", "random:2", "--states", "10", "--n-max", "3"
     )
     assert len(doc["results"]["audit"]["argmax_state"]) == 10
+    # nothing is rechecked for random pairs, so no recheck_error is reported
+    _, doc = run_json(capsys, "audit", "--pairs", "random:3", "--states", "5", "--set", "ssr")
+    assert "recheck_error" not in doc["results"]["audit"]
 
 
 def test_audit_mode_with_explicit_ladder_pair(capsys):

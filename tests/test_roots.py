@@ -1,9 +1,9 @@
-"""Simultaneous-iteration root finder."""
+"""Polynomial roots: companion-matrix eigenvalues, polished and checked."""
 
 import numpy as np
 import pytest
 
-from entloc.roots import all_roots, normalized_residuals, polyval
+from entloc.roots import all_roots, normalized_residuals
 
 
 def coeffs_from_roots(roots):
@@ -47,10 +47,6 @@ def test_linear_and_invalid_inputs():
         all_roots([3.0])
 
 
-def test_polyval_horner():
-    assert polyval(np.array([1, 2, 3], dtype=complex), 2.0) == 11.0
-
-
 def test_roots_reconstruct_polynomial():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -59,3 +55,19 @@ def test_roots_reconstruct_polynomial():
         got = np.array(sorted(all_roots(c), key=lambda z: (z.real, z.imag)))
         want = np.array(sorted(true_roots, key=lambda z: (z.real, z.imag)))
         assert np.allclose(got, want, atol=1e-7)
+
+
+def test_normalized_residuals_match_scalar_formula():
+    # |p(z)| / (sum_k |c_k| |z|^(n-k) + |c_n|), root by root in Python arithmetic
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        want = []
+        for x in z:
+            value = 0j
+            for ck in c:
+                value = value * x + ck
+            scale = sum(abs(ck) * abs(x) ** (4 - k) for k, ck in enumerate(c)) + abs(c[-1])
+            want.append(abs(value) / scale)
+        assert np.allclose(normalized_residuals(c, z), want, rtol=1e-14, atol=0)

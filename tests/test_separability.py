@@ -313,6 +313,14 @@ def test_quartic_with_no_roots():
     assert out.roots.size == 0
 
 
+def test_quartic_double_root_at_zero():
+    # the membership polynomial is -2 c0^2 c1^2: c1 = 0 twice, both exact
+    out = solve_preservation_quartic(np.diag([1.0, 1.0, 0.0]).astype(complex), 1.0)
+    assert not out.tautology
+    assert out.roots.tolist() == [0j, 0j]
+    assert out.residuals.tolist() == [0.0, 0.0]
+
+
 def test_quartic_requires_nonzero_c0():
     with pytest.raises(ValueError):
         solve_preservation_quartic(np.eye(3, dtype=complex), 0.0)
