@@ -117,11 +117,13 @@ def _coerce_entry(v, exact: bool):
     if isinstance(v, str):
         return parse_exact_scalar(v) if exact else parse_scalar(v)
     if isinstance(v, list):
-        if len(v) != 2:
+        if len(v) != 2 or any(isinstance(part, list) for part in v):
             raise ValueError("complex entries as [re, im] pairs")
-        if exact:
-            return GaussianRational(_exact_rational(str(v[0])), _exact_rational(str(v[1])))
-        return complex(float(v[0]), float(v[1]))
+        # each part is read as a lone entry, and must be real
+        re, im = (_coerce_entry(part, exact) for part in v)
+        if (re.im or im.im) if exact else (re.imag or im.imag):
+            raise ValueError(f"[re, im] parts must be real, got {v!r}")
+        return GaussianRational(re.re, im.re) if exact else complex(re.real, im.real)
     if not isinstance(v, (int, float)):
         raise ValueError(f"operator entry {v!r} is not a number")
     if exact:
@@ -220,7 +222,9 @@ def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
         if ctx.exact:
             raise ValueError("ladder operators are not supported in exact mode")
         mode, _, kind = rest.partition(":")
-        mat = ctx.fock.ladder(mode, {"+": "create", "-": "annihilate"}[kind])
+        if kind not in ("+", "-"):
+            raise ValueError(f"ladder direction must be + or -, got {kind!r}")
+        mat = ctx.fock.ladder(mode, "create" if kind == "+" else "annihilate")
     elif head == "oxo":
         if ctx.exact:
             raise ValueError("oxo wrapping is not supported in exact mode")

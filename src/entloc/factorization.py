@@ -203,27 +203,20 @@ def find_violation_witness(
     Random restarts draw fresh family parameters; each restart is refined
     by coordinate sweeps (perturbations act on the defining coefficients,
     so every visited state stays exactly inside the family).  A sweep
-    evaluates ``2k`` probes: the first probe above threshold in sweep order
-    is the witness, else the restart moves to the best improving probe,
-    else it halves the step.  Every probe counts against ``budget``; the
-    search returns ``None`` once it is spent.  A discrete family (mode) is
-    evaluated once, all its states in one batch.
+    evaluates ``2k`` probes, +step then -step on each coordinate; the
+    restart moves to the best probe if it improves on its current state,
+    else it halves the step, and it stops once the step is below 1e-3.
 
-    The answer is that of running the restarts one after another, but they
-    run in lockstep rounds.  The first round is the first restart alone;
-    each later round draws as many restarts as the remaining budget could
-    start (a restart without a hit spends at least ``1 + 9*2k``
-    evaluations), at most ``AUDIT_BLOCK // 2k``, and evaluates the current
-    sweep of all of them in one batch.  A restart stops once it cannot
-    matter: an earlier one has hit, or the least the earlier ones can spend
-    plus its own evaluations reaches the budget.  The round is then replayed
-    in draw order: the first hit at a global evaluation index below
-    ``budget`` wins, and the answer is taken from the batch the sequential
-    search evaluates last: the start state, or the sweep cut to the
-    remaining budget.  The sequential search evaluates each start state
-    alone, and a one-row batch rounds differently from a larger one; so a
-    round's start states are evaluated in one ``(n, 1, d)`` stack, whose
-    states round bit for bit as one-row batches (see :func:`residuals`).
+    Restarts run in lockstep rounds.  A round draws
+    ``min(AUDIT_BLOCK // 2k, budget left)`` restarts in one call, evaluates
+    their start states as one batch (sweep 0), then evaluates each sweep
+    of all its live restarts as one batch, until none is live.  The witness
+    is the first state above threshold in the order round, sweep, restart,
+    probe.  Every evaluated state counts against ``budget``, and the last
+    batch is cut to what is left of it, so a search that returns ``None``
+    has evaluated exactly ``budget`` states.  A discrete family (mode) is
+    evaluated once: its first ``min(branches, budget)`` states, in batches
+    of ``AUDIT_BLOCK``.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -232,91 +225,55 @@ def find_violation_witness(
     fam = family(set_name, fock)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    def evaluate(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(n, d)`` states of the rows of ``P`` and their |residual| (0 if degenerate).
-
-        ``P`` is ``(n, 1 + k)``, or ``(n, 1, 1 + k)`` to round each row as a
-        one-row batch; masking by an ``(n,)`` vector keeps that stack's shape.
-        """
+    def evaluate(P: np.ndarray) -> tuple[np.ndarray, Witness | None]:
+        """|residual| of the states of the ``(n, 1 + k)`` rows ``P`` (0 if
+        degenerate), and the witness at the first one above threshold."""
         S = fam.build(P)
-        rows = S.reshape(len(P), -1)
-        ok = np.linalg.norm(rows, axis=1) > EPS_STATE
+        ok = np.linalg.norm(S, axis=1) > EPS_STATE
         r = np.zeros(len(P))
-        r[ok] = np.abs(residuals(A, B, S[ok])).ravel()
-        return rows, r
-
-    def first_hit(S: np.ndarray, r: np.ndarray) -> Witness | None:
+        r[ok] = np.abs(residuals(A, B, S[ok]))
         hits = np.flatnonzero(r > threshold)
         if not hits.size:
-            return None
+            return r, None
         psi = S[hits[0]] / np.linalg.norm(S[hits[0]])
-        return Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi, tol))
+        return r, Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi, tol))
 
     if fam.n_real == 0:
-        return first_hit(*evaluate(np.arange(min(fam.branches, budget), dtype=float)[:, None]))
+        for first in range(0, min(fam.branches, budget), AUDIT_BLOCK):
+            last = min(first + AUDIT_BLOCK, fam.branches, budget)
+            found = evaluate(np.arange(first, last, dtype=float)[:, None])[1]
+            if found is not None:
+                return found
+        return None
 
     width = 2 * fam.n_real
     coords = np.arange(1, fam.n_real + 1)
     rows = 2 * np.arange(fam.n_real)
-
-    def probes(P: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """``(n, 2k, 1 + k)`` sweep probes: +step then -step on each coordinate."""
-        Q = np.repeat(P[:, None, :], width, axis=1)
-        Q[:, rows, coords] += step[:, None]
-        Q[:, rows + 1, coords] -= step[:, None]
-        return Q
-
-    def least_spend(spent: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Evaluations a restart spends at least if it never hits: one sweep per halving left."""
-        return spent + width * np.maximum(np.ceil(np.log2(step / 1e-3)), 0).astype(int)
-
-    evals, n = 0, 1  # evaluations of the finished rounds; restarts per round
+    evals = 0
     while evals < budget:
-        # one draw per restart keeps the generator stream of the sequential search
-        P = np.vstack([fam.draw(rng, 1) for _ in range(n)])
-        S0, r0 = evaluate(P[:, None, :])
-        r = r0.copy()
-        hit = np.where(r > threshold, 0, -1)  # restart-local index of the first hit
-        spent = np.ones(n, dtype=int)
-        step = np.full(n, 0.5)
-        trail = []  # (points, steps) before each lockstep sweep
-        while True:
-            # restart j matters only if no earlier one hits, and then it starts
-            # after the least spend of the earlier ones; past the budget it stops
-            hit_before = np.cumsum(hit >= 0) - (hit >= 0) > 0
-            least = least_spend(spent, step)
-            earliest = evals + np.cumsum(least) - least
-            live = (hit < 0) & (step > 1e-3) & ~hit_before & (earliest + spent < budget)
-            idx = np.flatnonzero(live)
-            if not idx.size:
-                break
-            trail.append((P.copy(), step.copy()))
-            Q = probes(P[idx], step[idx])
-            rq = evaluate(Q.reshape(-1, P.shape[1]))[1].reshape(len(idx), width)
-            over = rq > threshold
-            found = over.any(axis=1)
-            hit[idx[found]] = spent[idx[found]] + np.argmax(over[found], axis=1)
+        P = fam.draw(rng, min(AUDIT_BLOCK // width, budget - evals))
+        r, found = evaluate(P)
+        evals += len(P)
+        step = np.full(len(P), 0.5)
+        live = np.arange(len(P))
+        while found is None and live.size and evals < budget:
+            Q = np.repeat(P[live, None, :], width, axis=1)
+            Q[:, rows, coords] += step[live, None]
+            Q[:, rows + 1, coords] -= step[live, None]
+            rq, found = evaluate(Q.reshape(-1, P.shape[1])[: budget - evals])
+            evals += len(rq)
+            if len(rq) < Q.shape[0] * width:
+                break  # the budget ran out mid-sweep
+            rq = rq.reshape(len(live), width)
             best = np.argmax(rq, axis=1)
-            top = rq[np.arange(len(idx)), best]
-            better = top > r[idx]
-            P[idx[better]] = Q[better, best[better]]
-            r[idx[better]] = top[better]
-            step[idx[~better]] /= 2.0
-            spent[idx] += width
-        for j in range(n):
-            if hit[j] < 0 and evals + spent[j] < budget:
-                evals += spent[j]
-                continue
-            # restart j decides: rebuild the last batch the sequential search evaluates
-            last = budget - evals - 1 if hit[j] < 0 else min(hit[j], budget - evals - 1)
-            if last == 0:
-                return first_hit(S0[j : j + 1], r0[j : j + 1])
-            # live sets only shrink, so sweep s of restart j is lockstep sweep s
-            s = (last - 1) // width
-            P_s, step_s = trail[s]
-            Q = probes(P_s[j : j + 1], step_s[j : j + 1])[0]
-            return first_hit(*evaluate(Q[: budget - evals - 1 - s * width]))
-        n = min(-(-(budget - evals) // least_spend(1, 0.5)), AUDIT_BLOCK // width)
+            top = rq[np.arange(len(live)), best]
+            better = top > r[live]
+            P[live[better]] = Q[better, best[better]]
+            r[live[better]] = top[better]
+            step[live[~better]] /= 2.0
+            live = live[step[live] > 1e-3]
+        if found is not None:
+            return found
     return None
 
 

@@ -290,13 +290,7 @@ class Family:
         )
 
     def build(self, P: np.ndarray) -> np.ndarray:
-        """``(..., 1 + n_real)`` parameter rows -> ``(..., d)`` unnormalized states.
-
-        numpy rounds the rows of an ``(n, 1 + n_real)`` batch one way (a
-        matrix product) and a one-row batch another (a vector product).  The
-        rows of an ``(n, 1, 1 + n_real)`` stack are vector products, so each
-        builds bit for bit as a one-row batch.
-        """
+        """``(..., 1 + n_real)`` parameter rows -> ``(..., d)`` unnormalized states."""
         return self.pieces(P[..., 0].astype(int), P[..., 1::2] + 1j * P[..., 2::2])
 
     def build_normalized(self, P: np.ndarray) -> np.ndarray:

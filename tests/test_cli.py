@@ -69,6 +69,7 @@ PARSE_CORPUS = (
     "diag:-1/2-1/4i,1e-3",
     'entries:[[[1,2],0],[[0.5,-3],"1/3"]]',
     'entries:[[0,[0,-1]],[[0,1],0]]',
+    'entries:[[["1/3",0],0],[0,1]]',
     *(f"number:{label}" for label in ("L0", "L1", "R0", "R1")),
     "number:L0-number:L1",
     "number:R0+number:R1-number:L0",
@@ -162,6 +163,10 @@ def test_classify_error_exits(capsys):
         (["sample", "--set", "I", "--tol-class", "0"], "tolerances"),
         (["preserve-check", "--op", "entries:5"], "list of rows"),
         (["preserve-check", "--op", "entries:[[1,null],[3,4]]"], "not a number"),
+        (["preserve-check", "--op", "entries:[[[1,null],0],[0,1]]"], "not a number"),
+        (["certify", "--A", "entries:[[[1,null],0],[0,1]]", "--B", "pauli:1"], "not a number"),
+        (["preserve-check", "--op", 'entries:[[["1j",0],0],[0,1]]'], "must be real"),
+        (["witness", "--set", "mode", "--pair", "ladder:0:x,number:1"], "must be + or -"),
     ):
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err

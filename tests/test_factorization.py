@@ -110,7 +110,7 @@ def test_residuals_match_per_state_residual(kind):
 
 @pytest.mark.parametrize("d", [3, 10])
 def test_stacked_residuals_round_as_one_row_calls(d):
-    # the witness search evaluates its start states as one (n, 1, d) stack
+    # the states of an (n, 1, d) stack round as n separate one-row calls
     rng = np.random.default_rng(30 + d)
     A, B = (rand_vec(d * d, rng).reshape(d, d) for _ in range(2))
     S = rand_vec(40 * d, rng).reshape(40, d)
@@ -289,6 +289,9 @@ def differential_pairs(kind, rng):
 
 @pytest.mark.parametrize("kind", ["I", "II", "III", "ssr", "mode"])
 def test_witness_matches_sequential_search(kind):
+    # the lockstep search spends a round's budget on its start states where the
+    # sequential one climbs from one start, so only verdicts at budgets that
+    # leave room for both are compared; every witness must be genuine
     rng = np.random.default_rng(["I", "II", "III", "ssr", "mode"].index(kind) + 40)
     width = 2 * family(kind).n_real
     budgets = sorted({1, max(width, 2), max(width, 2) + 1, 150, 10_000})
@@ -301,10 +304,18 @@ def test_witness_matches_sequential_search(kind):
     ):
         found = []
         for budget in budgets:
-            want = sequential_witness(A, B, kind, budget, seed, threshold)
             got = find_violation_witness(A, B, kind, budget=budget, seed=seed, threshold=threshold)
-            assert witness_bytes(got) == witness_bytes(want), (threshold, seed, budget)
-            found.append(want is not None)
+            again = find_violation_witness(A, B, kind, budget=budget, seed=seed, threshold=threshold)
+            assert witness_bytes(again) == witness_bytes(got), (threshold, seed, budget)
+            if budget >= 150:
+                want = sequential_witness(A, B, kind, budget, seed, threshold)
+                assert (got is None) == (want is None), (threshold, seed, budget)
+            if got is not None:
+                r = residual(A, B, got.state)
+                assert abs(r) > threshold
+                assert abs(r - got.residual) <= 1e-12
+                assert classify(kind, got.state).separable
+            found.append(got is not None)
         seen.add("NotFound" if not found[-1] else "at start" if found[0] else "in a sweep")
         if found[-1] and not all(found):
             seen.add("cut by budget")
@@ -314,7 +325,8 @@ def test_witness_matches_sequential_search(kind):
     assert seen == want_seen
 
 
-def test_witness_batches_stay_within_the_block(monkeypatch):
+def counting_residuals(monkeypatch):
+    """Sizes of the state batches of every ``residuals`` call from here on."""
     sizes = []
 
     def counting(A, B, S):
@@ -322,11 +334,51 @@ def test_witness_batches_stay_within_the_block(monkeypatch):
         return residuals(A, B, S)
 
     monkeypatch.setattr(factorization, "residuals", counting)
+    return sizes
+
+
+def test_witness_batches_stay_within_the_block(monkeypatch):
+    sizes = counting_residuals(monkeypatch)
     A = project_symmetric(embed_tensor_square(PAULI[0]))
     assert find_violation_witness(A, B_PAIR, "I", budget=100_000, seed=12) is None
-    assert max(sizes) == AUDIT_BLOCK
-    # start states are batched per round: only the first round's lone start is one state
-    assert sizes.count(1) == 1
+    assert max(sizes) <= AUDIT_BLOCK
+    assert sum(sizes) == 100_000
+
+
+def test_mode_witness_batches_stay_within_the_block(monkeypatch):
+    sizes = counting_residuals(monkeypatch)
+    monkeypatch.setattr(factorization, "AUDIT_BLOCK", 4)
+    space = FockSpace(("0", "1"), 4)
+    n0, n1 = space.number("0"), space.number("1")
+    # six headroom occupation states, on which number operators factorize
+    assert find_violation_witness(n0, n1, "mode", budget=100, fock=space) is None
+    assert sizes == [4, 2]
+    sizes.clear()
+    assert find_violation_witness(n0, n1, "mode", budget=5, fock=space) is None
+    assert sizes == [4, 1]
+
+
+def budget_pairs(kind):
+    """A pair that factorizes on the family, and one with a witness on it."""
+    if kind == "ssr":
+        n0 = number_level_operator(0)
+        return (n0, number_level_operator(2)), (n0, n0)
+    if kind == "III":
+        return (np.eye(10), occupation_imbalance_pair()[1]), occupation_imbalance_pair()
+    return (np.eye(3), B_PAIR), (A_PAIR, B_PAIR)
+
+
+@pytest.mark.parametrize("kind", ["I", "II", "III", "ssr"])
+def test_witness_spends_exactly_the_budget(kind, monkeypatch):
+    local, violating = budget_pairs(kind)
+    sizes = counting_residuals(monkeypatch)
+    assert find_violation_witness(*local, kind, budget=10_000, seed=0) is None
+    assert sum(sizes) == 10_000
+    sizes.clear()
+    w = find_violation_witness(*violating, kind, budget=150, seed=0)
+    assert w is not None
+    # the witness recheck is one more one-state call
+    assert sum(sizes) - 1 <= 150
 
 
 # --- sector expectation triple ------------------------------------------------------
