@@ -81,4 +81,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +36,9 @@ from .certificates import (
 from .errors import ConsistencyError, ConvergenceError, ZeroNormError
 from .exact import GaussianRational
 from .factorization import (
+    CONTROL_STATES,
     CONTROL_THRESHOLD,
+    WITNESS_BUDGET,
     WITNESS_THRESHOLD,
     audit,
     find_violation_witness,
@@ -44,6 +46,7 @@ from .factorization import (
     residual,
 )
 from .hilbert import (
+    N_MAX,
     PAULI,
     SINGLE_PARTICLE_LABELS,
     FockSpace,
@@ -59,6 +62,7 @@ from .invariance import (
 from .reference import reference_suite
 from .report import RunConfig, build_report, complex_pair, emit, state_json
 from .separability import (
+    DEFAULT_TOL,
     Tolerances,
     canonical_set_name,
     classify,
@@ -124,7 +128,7 @@ def _coerce_entry(v, exact: bool):
         if (re.im or im.im) if exact else (re.imag or im.imag):
             raise ValueError(f"[re, im] parts must be real, got {v!r}")
         return GaussianRational(re.re, im.re) if exact else complex(re.real, im.real)
-    if not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):  # a bool is an int
         raise ValueError(f"operator entry {v!r} is not a number")
     if exact:
         # JSON numbers are read as the exact decimals they spell, like pairs
@@ -212,7 +216,8 @@ def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
             mat = number_level_operator(SINGLE_PARTICLE_LABELS.index(rest)).real.astype(int)
         else:
             if ctx.fock is None:
-                raise ValueError(f"number:{rest} needs a Fock-space context")
+                levels = ", ".join(SINGLE_PARTICLE_LABELS)
+                raise ValueError(f"number:{rest}: unknown level {rest!r}, the levels are {levels}")
             if ctx.exact:
                 raise ValueError("Fock number operators are not supported in exact mode")
             mat = ctx.fock.number(rest)
@@ -330,7 +335,7 @@ def cmd_classify(args, tol: Tolerances) -> tuple[dict, str]:
         verdicts["sep_II"] = _verdict_json(classify_sep_II(psi, tol))
         verdicts["mode"] = _verdict_json(classify_mode(psi, tol))
     else:
-        verdicts["sep_III"] = _verdict_json(classify_sep_III(psi, tol=tol))
+        verdicts["sep_III"] = _verdict_json(classify_sep_III(psi, tol))
         verdicts["ssr"] = _verdict_json(classify_ssr(psi, tol))
     results = {
         "basis": basis,
@@ -479,119 +484,93 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    states = []
+    states, ok = [], True
     for psi in family(set_name).sample(rng, args.n):
         verdict = classify(set_name, psi, tol)
         states.append({"state": state_json(psi), "verdict": verdict.set.value})
-    ok = all(s["verdict"] in ("SepI", "SepIIOnly", "SepIII", "ModeSep", "SsrSep") for s in states)
+        ok = ok and verdict.separable
     return {"set": set_name, "states": states, "all_separable": ok}, (
         "OK" if ok else "ClassifierMismatch"
     )
 
 
 # ---------------------------------------------------------------------------
+# every flag once, with its default; a command takes only the flags its
+# handler or ``main`` reads
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--tol-class", dest="tol_class", type=float, default=1e-9)
-    p.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8)
-    p.add_argument("--threshold", type=float, default=None)  # resolved in main
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=4)
+_OPTIONS = {
+    "--amps": dict(help="comma-separated amplitudes"),
+    "--basis": dict(choices=("sym3", "sym10"), default="sym3"),
+    "--family": dict(help="build the state from a family (I or II)"),
+    "--coeffs": dict(help="family coefficients c0,c1"),
+    "--set": dict(required=True),
+    "--pairs": dict(help="random:<n> for the positive controls"),
+    "--states": dict(type=int, default=CONTROL_STATES),
+    "--samples": dict(type=int, default=1000),
+    "--budget": dict(type=int, default=WITNESS_BUDGET),
+    "--seed": dict(type=int, default=42),
+    "--threshold": dict(type=float),  # resolved in main
+    "--n-max": dict(type=int, default=N_MAX),
+    "--tol-class": dict(type=float, default=DEFAULT_TOL.eps_class),
+    "--tol-rank": dict(type=float, default=DEFAULT_TOL.eps_rank),
+    "--sectors": dict(help="X,Y sector pair for 10x10 certificates"),
+    "--op": dict(),
+    "--n": dict(type=int, default=5),
+    "--pair": dict(help="two operator specs separated by a comma"),
+    "--A": dict(),
+    "--B": dict(),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--out": dict(),
+}
 
-
-def _add_pair_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair", default=None, help="two operator specs separated by a comma")
-    p.add_argument("--A", default=None)
-    p.add_argument("--B", default=None)
+# command: (handler, help, flags besides --format and --out)
+_COMMANDS = {
+    "classify": (cmd_classify, "run all applicable membership tests on a state",
+                 "--amps --basis --family --coeffs --tol-class --tol-rank"),
+    "reproduce-paper": (cmd_reproduce, "re-derive the built-in reference checks", ""),
+    "audit": (cmd_audit, "residual statistics over separable samples",
+              "--set --pairs --states --samples --seed --threshold --n-max --pair --A --B"),
+    "witness": (cmd_witness, "search a separable family for a violation",
+                "--set --budget --seed --threshold --n-max --tol-class --tol-rank --pair --A --B"),
+    "certify": (cmd_certify, "exact polynomial certificate for a pair", "--sectors --pair --A --B"),
+    "preserve-check": (cmd_preserve_check, "recognize invariance structure of an operator",
+                       "--op --pair --A --B --tol-class"),
+    "sample": (cmd_sample, "draw separable states and verify membership",
+               "--set --n --seed --tol-class --tol-rank"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="entloc", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="run all applicable membership tests on a state")
-    p.add_argument("--amps", default=None, help="comma-separated amplitudes")
-    p.add_argument("--basis", choices=("sym3", "sym10"), default="sym3")
-    p.add_argument("--family", default=None, help="build the state from a family (I or II)")
-    p.add_argument("--coeffs", default=None, help="family coefficients c0,c1")
-    _add_common(p)
-
-    p = sub.add_parser("reproduce-paper", help="re-derive the built-in reference checks")
-    _add_common(p)
-
-    p = sub.add_parser("audit", help="residual statistics over separable samples")
-    p.add_argument("--set", required=True)
-    p.add_argument("--pairs", default=None, help="random:<n> for the positive controls")
-    p.add_argument("--states", type=int, default=100)
-    _add_pair_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("witness", help="search a separable family for a violation")
-    p.add_argument("--set", required=True)
-    _add_pair_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("certify", help="exact polynomial certificate for a pair")
-    p.add_argument("--sectors", default=None, help="X,Y sector pair for 10x10 certificates")
-    _add_pair_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("preserve-check", help="recognize invariance structure of an operator")
-    p.add_argument("--op", default=None)
-    _add_pair_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="draw separable states and verify membership")
-    p.add_argument("--set", required=True)
-    p.add_argument("--n", type=int, default=5)
-    _add_common(p)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags.split(), "--format", "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
-_HANDLERS = {
-    "classify": cmd_classify,
-    "reproduce-paper": cmd_reproduce,
-    "audit": cmd_audit,
-    "witness": cmd_witness,
-    "certify": cmd_certify,
-    "preserve-check": cmd_preserve_check,
-    "sample": cmd_sample,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threshold is None:  # the default of what the command runs
+    args = build_parser().parse_args(argv)
+    if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
         args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
-    core = {
-        "command", "seed", "samples", "budget", "tol_class", "tol_rank",
-        "threshold", "fmt", "out", "n_max",
-    }
-    # command-specific inputs (pair specs, amplitudes, ...) are echoed so a
-    # report is re-verifiable without the original invocation
-    extra = {k: v for k, v in vars(args).items() if k not in core and v is not None}
-    extra["n_max"] = args.n_max
+    inputs = dict(vars(args))
+    inputs["witness_threshold"] = inputs.pop("threshold", None)
+    # a knob the command does not take echoes null; every other input (pair
+    # specs, amplitudes, ...) is echoed so a report is re-verifiable without
+    # the original invocation
+    knobs = [f.name for f in fields(RunConfig) if f.name != "extra"]
     config = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        tol_class=args.tol_class,
-        tol_rank=args.tol_rank,
-        witness_threshold=args.threshold,
-        samples=args.samples,
-        budget=args.budget,
-        fmt=args.fmt,
-        out=args.out,
-        extra=extra,
+        **{k: inputs.pop(k, None) for k in knobs},
+        extra={k: v for k, v in inputs.items() if v is not None},
     )
     start = time.perf_counter()
     try:
-        tol = Tolerances(args.tol_class, args.tol_rank)
-        results, summary = _HANDLERS[args.command](args, tol)
+        tol = Tolerances(
+            getattr(args, "tol_class", DEFAULT_TOL.eps_class),
+            getattr(args, "tol_rank", DEFAULT_TOL.eps_rank),
+        )
+        results, summary = _COMMANDS[args.command][0](args, tol)
     except (ZeroNormError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"entloc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,6 +19,7 @@ import numpy as np
 
 from .hilbert import (
     EPS_STATE,
+    N_MAX,
     FockSpace,
     check_state,
     number_level_operator,
@@ -39,6 +40,12 @@ WITNESS_THRESHOLD = 1e-6
 
 CONTROL_THRESHOLD = 1e-10
 """A local pair with |residual| above this on a separable state fails its positive control."""
+
+WITNESS_BUDGET = 10_000
+"""States :func:`find_violation_witness` evaluates by default."""
+
+CONTROL_STATES = 100
+"""Samples per pair :func:`positive_control` draws by default."""
 
 AUDIT_BLOCK = 1024
 """Most states one ``residuals`` call of :func:`audit`, :func:`positive_control`
@@ -192,7 +199,7 @@ def find_violation_witness(
     A: np.ndarray,
     B: np.ndarray,
     set_name: str,
-    budget: int = 10_000,
+    budget: int = WITNESS_BUDGET,
     seed: int = 0,
     threshold: float = WITNESS_THRESHOLD,
     tol: Tolerances = DEFAULT_TOL,
@@ -346,9 +353,9 @@ def _local_pairs(
 def positive_control(
     kind: str,
     n_pairs: int = 100,
-    n_states: int = 100,
+    n_states: int = CONTROL_STATES,
     seed: int = 0,
-    n_max: int = 4,
+    n_max: int = N_MAX,
     threshold: float = CONTROL_THRESHOLD,
 ) -> AuditReport:
     """Residual audit of local pairs on the matching separable samples.

@@ -28,6 +28,9 @@ EPS_STATE = 1e-12
 
 SINGLE_PARTICLE_LABELS = ("L0", "L1", "R0", "R1")
 
+N_MAX = 4
+"""Default total-occupation cutoff of a :class:`FockSpace`."""
+
 PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -270,7 +273,7 @@ class FockSpace:
     exactly on states with total number at most ``n_max - k``.
     """
 
-    def __init__(self, modes: tuple[str, ...] = ("0", "1"), n_max: int = 4):
+    def __init__(self, modes: tuple[str, ...] = ("0", "1"), n_max: int = N_MAX):
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         self.modes = tuple(str(m) for m in modes)

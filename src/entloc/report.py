@@ -22,16 +22,20 @@ SCHEMA = "entloc-report/v1"
 
 @dataclass
 class RunConfig:
-    """Serializable knobs of one CLI invocation (echoed into every report)."""
+    """Serializable knobs of one CLI invocation (echoed into every report).
+
+    A knob the command does not take is ``None``; the command's other
+    inputs go in ``extra``.
+    """
 
     command: str
-    seed: int = 42
-    tol_class: float = 1e-9
-    tol_rank: float = 1e-8
-    witness_threshold: float = 1e-6
-    samples: int = 1000
-    budget: int = 10_000
-    fmt: str = "json"
+    seed: int | None = None
+    tol_class: float | None = None
+    tol_rank: float | None = None
+    witness_threshold: float | None = None
+    samples: int | None = None
+    budget: int | None = None
+    fmt: str | None = None
     out: str | None = None
     extra: dict = field(default_factory=dict)
 

@@ -203,17 +203,15 @@ def classify_sep_II(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Separabil
     return SeparabilityVerdict(SepClass.ENTANGLED_II, None, diag)
 
 
-def classify_sep_III(
-    psi: np.ndarray, k_basis: np.ndarray | None = None, tol: Tolerances = DEFAULT_TOL
-) -> SeparabilityVerdict:
+def classify_sep_III(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
     """Family-III membership: the reduced matrix is a one-dimensional projector.
 
-    States with no support reachable by subspace reductions (pure RR states
-    for the default L-span) are separable by convention.
+    States with no support reachable by the L-span reductions (pure RR
+    states) are separable by convention.
     """
     psi = np.asarray(psi, dtype=complex)
     check_state(psi)
-    rho = reduced_single_particle_dm(psi, k_basis)
+    rho = reduced_single_particle_dm(psi)
     if rho is None:
         return SeparabilityVerdict(SepClass.SEP_III, None, {"sector_only": 1.0})
     defect = float(np.linalg.norm(rho @ rho - rho, 2))

@@ -8,6 +8,7 @@ import pytest
 from entloc.cli import (
     EXIT_INPUT,
     OperatorContext,
+    build_parser,
     main,
     parse_exact_scalar,
     parse_operator,
@@ -167,9 +168,72 @@ def test_classify_error_exits(capsys):
         (["certify", "--A", "entries:[[[1,null],0],[0,1]]", "--B", "pauli:1"], "not a number"),
         (["preserve-check", "--op", 'entries:[[["1j",0],0],[0,1]]'], "must be real"),
         (["witness", "--set", "mode", "--pair", "ladder:0:x,number:1"], "must be + or -"),
+        (["preserve-check", "--op", "entries:[[true,0],[0,1]]"], "operator entry True is not a number"),
+        (["certify", "--A", "entries:[[true,0],[0,1]]", "--B", "pauli:1"], "operator entry True is not a number"),
+        (["witness", "--set", "ssr", "--pair", "number:X0,number:R0"], "'X0', the levels are L0, L1, R0, R1"),
     ):
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+
+# --- options ----------------------------------------------------------------------
+
+PAIR = ["--pair", "--A", "--B"]
+TOL = ["--tol-class", "--tol-rank"]
+COMMAND_FLAGS = {
+    "classify": ["--amps", "--basis", "--family", "--coeffs", *TOL],
+    "reproduce-paper": [],
+    "audit": ["--set", "--pairs", "--states", "--samples", "--seed", "--threshold", "--n-max", *PAIR],
+    "witness": ["--set", "--budget", "--seed", "--threshold", "--n-max", *TOL, *PAIR],
+    "certify": ["--sectors", *PAIR],
+    "preserve-check": ["--op", *PAIR, "--tol-class"],
+    "sample": ["--set", "--n", "--seed", *TOL],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (commands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    taken = {
+        name: {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert taken == {name: {*flags, "--format", "--out"} for name, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, taken.values())) == 54
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--pair", "pauli:1,pauli:2", "--seed", "9"],
+        ["classify", "--amps", "0,0,1", "--budget", "5"],
+        ["reproduce-paper", "--seed", "1"],
+        ["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--tol-class", "5"],
+        ["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "3"],
+        ["sample", "--set", "I", "--threshold", "1"],
+        ["preserve-check", "--op", "pauli:2", "--tol-rank", "1e-3"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
+    _, doc = run_json(capsys, "classify", "--amps", "0,0,1", "--tol-class", "1e-7")
+    config = doc["config"]
+    assert [config[k] for k in ("seed", "samples", "budget", "witness_threshold")] == [None] * 4
+    assert (config["tol_class"], config["tol_rank"]) == (1e-7, 1e-8)
+    assert config["extra"] == {"amps": "0,0,1", "basis": "sym3"}
+    _, doc = run_json(
+        capsys, "witness", "--set", "I", "--pair", "pauli:0,pauli:3", "--budget", "200",
+        "--seed", "5", "--threshold", "0.5", "--n-max", "3",
+    )
+    config = doc["config"]
+    assert (config["budget"], config["seed"], config["witness_threshold"]) == (200, 5, 0.5)
+    assert (config["samples"], config["fmt"]) == (None, "json")
+    assert config["extra"] == {"set": "I", "pair": "pauli:0,pauli:3", "n_max": 3}
 
 
 # --- reproduce-paper ---------------------------------------------------------------
