@@ -34,13 +34,18 @@ for name, psi in gallery3.items():
     v2 = classify_sep_II(psi)
     vm = classify_mode(psi)
     print(f"{name:32s} {v1.set.value:12s} {v2.set.value:12s} {vm.set.value:8s}"
-          f"   purity={v2.diagnostics['purity']:.4f}")
+          f"   I margin={v2.diagnostics['discriminant']:.4f}"
+          f"   II margin={v2.diagnostics['margin']:.4f}")
 
 print("""
-Notice the orderings: the squared family sits inside the orthogonal-pair
-family (purity 1 vs 1/2), and (|00>+|11>)/sqrt2 is secretly an
-orthogonal-pair state, while (|00>+pair)/sqrt2 is entangled in both senses
-(purity 7/8).  Mode separability only accepts single occupation vectors.
+Each margin is a linear distance from its family, and a state is a member
+when it is at most 1e-9.  The I margin is the discriminant; the II margin
+is 2||rho - 1/2||, 0 on the orthogonal-pair branch.  Notice the orderings:
+the squared family sits inside family II (I margin 0), and
+(|00>+|11>)/sqrt2 is secretly an orthogonal-pair state (II margin 0),
+while (|00>+pair)/sqrt2 is entangled in both senses (II margin
+sqrt3/2 = 0.8660).  Mode separability only accepts single occupation
+vectors.
 """)
 
 print("=== four-level pair states (levels L0, L1, R0, R1) ===\n")
@@ -61,7 +66,8 @@ gallery10 = {
 for name, psi in gallery10.items():
     v3 = classify_sep_III(psi)
     vs = classify_ssr(psi)
-    print(f"{name:28s} {v3.set.value:14s} {vs.set.value:8s}")
+    print(f"{name:28s} {v3.set.value:14s} {vs.set.value:8s}"
+          f"   III margin={v3.diagnostics['margin']:.4f}   ssr margin={vs.diagnostics['margin']:.4f}")
 
 print("""
 pair(L0,L1) is the instructive case: it is entangled in the reduced-matrix

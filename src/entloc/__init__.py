@@ -71,6 +71,7 @@ from .separability import (
     classify_sep_II,
     classify_sep_III,
     classify_ssr,
+    classify_states,
     embed_ll,
     lr_block,
     sample_separable,
@@ -81,4 +82,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -38,29 +38,20 @@ PAULI_EXACT = (
 
 def exact_matrix(entries, ring=GaussianRational) -> tuple[tuple, ...]:
     """Coerce a nested sequence (or object array) into exact ring entries."""
-    rows = []
-    for row in entries:
-        rows.append(tuple(ring.coerce(v) for v in row))
+    rows = tuple(tuple(ring.coerce(v) for v in row) for row in entries)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    return tuple(rows)
+    return rows
 
 
 def _matmul(A, B, ring):
     n = len(A)
     return tuple(
         tuple(
-            _ring_sum((A[i][k] * B[k][j] for k in range(n)), ring) for j in range(n)
+            sum((A[i][k] * B[k][j] for k in range(n)), ring.coerce(0)) for j in range(n)
         )
         for i in range(n)
     )
-
-
-def _ring_sum(items, ring):
-    acc = ring.coerce(0)
-    for v in items:
-        acc = acc + v
-    return acc
 
 
 SEP_I_VARIABLES = ("c0", "c0*", "c1", "c1*")

@@ -13,14 +13,17 @@ Operators are given in a small spec language::
 
 Atoms may be combined with top-level ``+``/``-`` (e.g.
 ``number:L0-number:L1``).  Scalars accept rationals (``-3/2``) and complex
-literals (``1+2j``).  Exit codes: 0 success, 2 input error, 3 reference
-check failed, 4 internal consistency error.
+literals (``1+2j``).  Exit codes: 0 success, 1 stdout closed before the
+report was written (e.g. piped into ``head``; nothing is printed), 2 input
+error, 3 reference check failed, 4 internal consistency error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -66,17 +69,14 @@ from .separability import (
     Tolerances,
     canonical_set_name,
     classify,
-    classify_mode,
-    classify_sep_I,
-    classify_sep_II,
-    classify_sep_III,
-    classify_ssr,
+    classify_states,
     family,
     sep_I_state,
     sep_II_orthogonal_state,
 )
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_INPUT = 2
 EXIT_REFERENCE_FAIL = 3
 EXIT_INTERNAL = 4
@@ -324,19 +324,12 @@ def cmd_classify(args, tol: Tolerances) -> tuple[dict, str]:
             raise ValueError("provide --amps or --family/--coeffs")
         psi = _parse_amps(args.amps)
         basis = args.basis
-        expected = {"sym3": 3, "sym10": 10}.get(basis)
-        if expected is None:
-            raise ValueError(f"unknown basis {basis!r}")
+        expected = {"sym3": 3, "sym10": 10}[basis]  # argparse admits only these
         if psi.size != expected:
             raise ValueError(f"wrong dimension: basis {basis} needs {expected} amplitudes")
-    verdicts = {}
-    if psi.size == 3:
-        verdicts["sep_I"] = _verdict_json(classify_sep_I(psi, tol))
-        verdicts["sep_II"] = _verdict_json(classify_sep_II(psi, tol))
-        verdicts["mode"] = _verdict_json(classify_mode(psi, tol))
-    else:
-        verdicts["sep_III"] = _verdict_json(classify_sep_III(psi, tol))
-        verdicts["ssr"] = _verdict_json(classify_ssr(psi, tol))
+    sets = (("sep_I", "I"), ("sep_II", "II"), ("mode", "mode"), ("sep_III", "III"), ("ssr", "ssr"))
+    applicable = sets[:3] if psi.size == 3 else sets[3:]
+    verdicts = {name: _verdict_json(classify(kind, psi, tol)) for name, kind in applicable}
     results = {
         "basis": basis,
         "state": state_json(psi),
@@ -484,11 +477,10 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    states, ok = [], True
-    for psi in family(set_name).sample(rng, args.n):
-        verdict = classify(set_name, psi, tol)
-        states.append({"state": state_json(psi), "verdict": verdict.set.value})
-        ok = ok and verdict.separable
+    psis = family(set_name).sample(rng, args.n)
+    verdicts = classify_states(set_name, psis, tol)
+    ok = all(v.separable for v in verdicts)
+    states = [{"state": state_json(psi), "verdict": v.set.value} for psi, v in zip(psis, verdicts)]
     return {"set": set_name, "states": states, "all_separable": ok}, (
         "OK" if ok else "ClassifierMismatch"
     )
@@ -551,7 +543,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # report them with the subcommand's usage, which lists its flags
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # interpreter exit does not raise into the closed pipe again
+        with contextlib.suppress(OSError, ValueError):  # a stdout without a descriptor
+            out = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out)
+        return EXIT_CLOSED_OUTPUT
+
+
+def _run(args: argparse.Namespace) -> int:
     if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
         args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
     inputs = dict(vars(args))
@@ -582,6 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     report = build_report(config, results, summary, time.perf_counter() - start)
     emit(report, args.out, args.fmt)
+    sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     if args.command == "reproduce-paper" and summary != "PASS":
         return EXIT_REFERENCE_FAIL
     return EXIT_OK

@@ -8,8 +8,8 @@ class ZeroNormError(ValueError):
 class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree.
 
-    Raised e.g. when the discriminant and purity membership tests diverge,
-    or when a commuting operator pair violates the commutativity condition.
+    Raised e.g. when the discriminant and singular-value routes to family I
+    diverge, or when a commuting operator pair violates the commutativity condition.
     """
 
 

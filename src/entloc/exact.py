@@ -288,11 +288,8 @@ class MultiPoly:
         return MultiPoly(self.variables, terms, self._merge_degree(other))
 
     def _merge_degree(self, other: "MultiPoly") -> int | None:
-        if self.max_degree is None:
-            return other.max_degree
-        if other.max_degree is None:
-            return self.max_degree
-        return max(self.max_degree, other.max_degree)
+        bounds = [b for b in (self.max_degree, other.max_degree) if b is not None]
+        return max(bounds, default=None)
 
     def conjugate(self) -> "MultiPoly":
         order = []

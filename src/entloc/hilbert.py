@@ -238,30 +238,23 @@ def reduced_single_particle_dm(
     """Reduced single-particle density matrix relative to a subspace.
 
     ``k_basis`` holds an orthonormal basis of the subspace as columns; the
-    default is the L-span ``{|L0>, |L1>}``.  Returns the normalized sum of
-    reduced projections, or ``None`` when the state has no support reachable
-    by reductions along the subspace (pure other-sector states).
-    The result does not depend on the orthonormal basis chosen.
+    default is the L-span ``{|L0>, |L1>}``.  Returns ``R R^dagger / tr``,
+    ``R`` the reductions of ``Psi`` along the basis vectors as columns, or
+    ``None`` when the state has no support reachable by reductions along the
+    subspace (pure other-sector states).  The result does not depend on the
+    orthonormal basis chosen.
     """
     Psi = np.asarray(Psi, dtype=complex)
     d = {3: 2, 10: 4}.get(Psi.shape[0])
     if d is None:
         raise ValueError("expected a symmetric-basis state of length 3 or 10")
     norm2 = check_state(Psi)
-    if k_basis is None:
-        k_basis = np.eye(d, dtype=complex)[:, :2]
-    k_basis = np.asarray(k_basis, dtype=complex)
-    if k_basis.ndim == 1:
-        k_basis = k_basis[:, None]
-    num = np.zeros((d, d), dtype=complex)
-    den = 0.0
-    for col in range(k_basis.shape[1]):
-        r = pi_reduction(k_basis[:, col], Psi)
-        num += np.outer(r, r.conj())
-        den += float(np.vdot(r, r).real)
+    k_basis = np.eye(d)[:, :2] if k_basis is None else np.asarray(k_basis).reshape(d, -1)
+    R = np.stack([pi_reduction(k, Psi) for k in k_basis.T], axis=-1)
+    den = float(np.vdot(R, R).real)
     if den < EPS_STATE * EPS_STATE * norm2:
         return None
-    return num / den
+    return R @ R.conj().T / den
 
 
 class FockSpace:
@@ -298,21 +291,15 @@ class FockSpace:
     def ladder(self, mode: str, kind: str) -> np.ndarray:
         """Creation or annihilation matrix for one mode (``kind`` in create/annihilate)."""
         m = self._mode_index(mode)
+        if kind not in ("create", "annihilate"):
+            raise ValueError("kind must be 'create' or 'annihilate'")
         op = np.zeros((self.dim, self.dim), dtype=complex)
         for k, occ in enumerate(self.basis):
-            if kind == "create":
-                target = list(occ)
-                target[m] += 1
-                if sum(target) <= self.n_max:
-                    op[self.index[tuple(target)], k] = np.sqrt(target[m])
-            elif kind == "annihilate":
-                if occ[m] > 0:
-                    target = list(occ)
-                    target[m] -= 1
-                    op[self.index[tuple(target)], k] = np.sqrt(occ[m])
-            else:
-                raise ValueError("kind must be 'create' or 'annihilate'")
-        return op
+            up = occ[:m] + (occ[m] + 1,) + occ[m + 1 :]
+            if up in self.index:  # within the cutoff
+                op[self.index[up], k] = np.sqrt(occ[m] + 1)
+        # annihilation is the transpose: it has the same entries, reversed
+        return op if kind == "create" else op.T.copy()
 
     def create(self, mode: str) -> np.ndarray:
         return self.ladder(mode, "create")

@@ -13,7 +13,9 @@ Separable families for two bosons:
 * ``ssr``  - sector-wise mode-separable: LL and RR blocks free, LR block a
   product of an L-side and an R-side superposition.
 
-Classifiers are scale covariant: verdicts do not change under
+Every classifier is the one-state case of :func:`classify_states`, which
+gives each state of a stack its family's margin, a linear distance from the
+family.  Classifiers are scale covariant: verdicts do not change under
 ``psi -> lambda * psi``.
 """
 
@@ -31,9 +33,8 @@ from .hilbert import (
     SECTOR_SLOTS,
     FockSpace,
     check_state,
-    partial_trace_second_particle,
-    purity,
-    reduced_single_particle_dm,
+    pi_reduction_matrix,
+    sym_dim,
     symmetrize_product,
 )
 from .roots import all_roots, normalized_residuals
@@ -126,118 +127,133 @@ def sep_III_state(
 
 
 def embed_ll(psi3: np.ndarray) -> np.ndarray:
-    """Embed a two-level pair state into the LL sector of the four-level space."""
+    """Embed a two-level pair state (or a stack) into the LL sector of the four-level space."""
     psi3 = np.asarray(psi3, dtype=complex)
-    out = np.zeros(10, dtype=complex)
-    out[0] = psi3[0]  # (L0,L0)
-    out[4] = psi3[1]  # (L1,L1)
-    out[1] = psi3[2]  # (L0,L1) pair
-    return out
+    # (0,0), (1,1), (0,1) go to (L0,L0), (L1,L1), (L0,L1)
+    return _in_slots((0, 4, 1), psi3)
 
 
 def lr_block(psi10: np.ndarray) -> np.ndarray:
-    """2x2 matrix of LR pair amplitudes, rows = L level, cols = R level."""
-    psi10 = np.asarray(psi10, dtype=complex)
-    return np.array([[psi10[2], psi10[3]], [psi10[5], psi10[6]]], dtype=complex)
+    """2x2 matrix of LR pair amplitudes, rows = L level, cols = R level (per state of a stack)."""
+    return np.asarray(psi10, dtype=complex)[..., [[2, 3], [5, 6]]]
 
 
 # ---------------------------------------------------------------------------
-# classifiers
+# classifiers: one linear margin per family, batched
 
-def sep_I_discriminant(psi: np.ndarray) -> complex:
-    """``<pair|psi>^2 - 2 <00|psi><11|psi>``; zero exactly on family I."""
-    return psi[2] * psi[2] - 2.0 * psi[0] * psi[1]
+def sep_I_discriminant(psi: np.ndarray) -> complex | np.ndarray:
+    """``<pair|psi>^2 - 2 <00|psi><11|psi>``; zero exactly on family I (per state of a stack)."""
+    return psi[..., 2] * psi[..., 2] - 2.0 * psi[..., 0] * psi[..., 1]
+
+
+# contracting a state's slots with this gives R, its reductions along the
+# first two levels (L0, L1) as columns; the reduced state is RR^dagger / tr.
+# For two levels R = 2C, C = [[psi0, psi2/sqrt2], [psi2/sqrt2, psi1]].
+_REDUCTIONS = {
+    sym_dim(d): np.stack([pi_reduction_matrix(e) for e in np.eye(d)[:2]], axis=-1) for d in (2, 4)
+}
+_STATE_DIM = {"I": 3, "II": 3, "III": 10, "ssr": 10}
+# SepClass lists each family's member class, then its non-member class
+_SETS = dict(zip(("I", "II", "III", "mode", "ssr"), zip(*[iter(SepClass)] * 2)))
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values ``s1 >= s2 >= ...`` of each matrix of a stack."""
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def _sep_I_parameters(psi: np.ndarray) -> tuple[complex, complex]:
+    """``(c0, c1)`` of a family-I state, canonical up to a global sign."""
+    c0, c1 = np.sqrt(complex(psi[0])), np.sqrt(complex(psi[1]))
+    # the cross amplitude carries the relative sign the square roots lose
+    if abs(c0) >= abs(c1) and abs(c0) > 0:
+        c1 = psi[2] / (np.sqrt(2.0) * c0)
+    elif abs(c1) > abs(c0):
+        c0 = psi[2] / (np.sqrt(2.0) * c1)
+    return complex(c0), complex(c1)
+
+
+def classify_states(
+    kind: str, states: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> list[SeparabilityVerdict]:
+    """Verdicts of one family's classifier for an ``(n, d)`` stack of states.
+
+    A verdict's diagnostics are its deciding margins: scale-free distances,
+    0 on the family, linear off it, at most 1 (up to rounding); a member's
+    margin is at most ``tol.eps_rank`` (ssr) or ``tol.eps_class``.  With
+    ``s1 >= s2`` the singular values of C (I, II), R (III) or the LR block
+    (ssr), III's and ssr's ``margin`` is ``2 s1 s2 / (s1^2 + s2^2)`` (0 if
+    ``s1 <= EPS_STATE ||psi||``), which for C equals the ``discriminant``
+    ``|disc| / ||psi||^2`` deciding I and, first, II; II's orthogonal-pair
+    ``margin`` is ``(s1^2 - s2^2) / (s1^2 + s2^2) = 2 ||rho - 1/2||_2``;
+    mode's is the second-largest amplitude modulus over the largest.  II
+    raises :class:`~entloc.errors.ConsistencyError` if its two family-I
+    routes split across ``eps_class`` by over ten times.  Row ``i`` gets the
+    verdict of a one-state call on ``states[i]``, bit for bit.
+    """
+    kind = canonical_set_name(kind)
+    psi = np.asarray(states, dtype=complex)
+    dim = _STATE_DIM.get(kind, psi.shape[-1])
+    if psi.ndim != 2 or psi.shape[1] != dim:
+        raise ValueError(f"family {kind} classifies an (n, {dim}) stack of states, got {psi.shape}")
+    norm2 = check_state(psi)
+    eps = tol.eps_class
+    margins = {}
+    if kind in ("I", "II"):
+        margins["discriminant"] = disc = np.abs(sep_I_discriminant(psi)) / norm2
+    if kind in ("II", "III", "ssr"):
+        M = lr_block(psi) if kind == "ssr" else np.einsum("nk,mkl->nml", psi, _REDUCTIONS[dim])
+        s = _singular_values(M)
+        s1, s2 = s[:, 0], s[:, 1]
+        live = s1 > EPS_STATE * np.sqrt(norm2)
+        rank_one = np.divide(2 * s1 * s2, s1 * s1 + s2 * s2, out=np.zeros_like(s1), where=live)
+        margins["margin"] = rank_one
+    if kind == "II":
+        # a clear pass on one family-I route with a clear fail on the other is a bug
+        split = ((disc <= eps) & (rank_one > 10 * eps)) | ((rank_one <= eps) & (disc > 10 * eps))
+        if split.any():
+            i = int(np.argmax(split))
+            raise ConsistencyError(f"family-I routes diverged: discriminant {disc[i]:.3e}, "
+                                   f"singular values {rank_one[i]:.3e}, eps_class {eps:.1e}")
+        margins["margin"] = (s1 * s1 - s2 * s2) / (s1 * s1 + s2 * s2)
+    elif kind == "mode":
+        amps = np.sort(np.abs(psi), axis=-1)
+        margins["margin"] = amps[:, -2] / amps[:, -1] if dim > 1 else np.zeros(len(psi))
+    member, other = _SETS[kind]
+    verdicts = []
+    for row, values in zip(psi, zip(*(m.tolist() for m in margins.values()))):
+        diag = dict(zip(margins, values))
+        if diag.get("discriminant", np.inf) <= eps:
+            verdicts.append(SeparabilityVerdict(SepClass.SEP_I, _sep_I_parameters(row), diag))
+        else:
+            ok = diag.get("margin", np.inf) <= (tol.eps_rank if kind == "ssr" else eps)
+            verdicts.append(SeparabilityVerdict(member if ok else other, None, diag))
+    return verdicts
 
 
 def classify_sep_I(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Family-I membership via the discriminant, recovering ``(c0, c1)``.
-
-    The recovered parameters are canonical up to a global sign.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    norm2 = check_state(psi)
-    disc = sep_I_discriminant(psi)
-    rel = abs(disc) / norm2
-    if rel > tol.eps_class:
-        return SeparabilityVerdict(SepClass.ENTANGLED_I, None, {"discriminant": rel})
-    c0 = np.sqrt(complex(psi[0]))
-    c1 = np.sqrt(complex(psi[1]))
-    # the cross amplitude carries the relative sign the square roots lose
-    if abs(c0) >= abs(c1):
-        if abs(c0) > 0:
-            c1 = psi[2] / (np.sqrt(2.0) * c0)
-    elif abs(c1) > 0:
-        c0 = psi[2] / (np.sqrt(2.0) * c1)
-    return SeparabilityVerdict(SepClass.SEP_I, (complex(c0), complex(c1)), {"discriminant": rel})
+    """Family-I membership by the discriminant, recovering ``(c0, c1)``."""
+    return classify_states("I", np.asarray(psi)[None], tol)[0]
 
 
 def classify_sep_II(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Family-II membership via reduced-state purity, cross-checked.
-
-    Purity 1 means family I, purity 1/2 the orthogonal-pair branch,
-    anything else is entangled-II.  The purity and discriminant routes must
-    agree on family-I membership; divergence raises
-    :class:`~entloc.errors.ConsistencyError`.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    check_state(psi)
-    p = purity(partial_trace_second_particle(psi))
-    by_disc = classify_sep_I(psi, tol)
-    diag = {"purity": p, "discriminant": by_disc.diagnostics["discriminant"]}
-    if by_disc.set is SepClass.SEP_I:
-        if abs(p - 1.0) > tol.eps_class:
-            raise ConsistencyError(
-                f"discriminant passes family I but purity is {p!r}; the two tests diverged"
-            )
-        return SeparabilityVerdict(SepClass.SEP_I, by_disc.parameters, diag)
-    # purity relates to the discriminant by 1 - p = disc^2/2 on normalized
-    # states, so a clear pass on one side with a clear fail on the other is a
-    # convention bug, not boundary noise
-    if abs(p - 1.0) <= tol.eps_class and diag["discriminant"] > 10.0 * np.sqrt(2.0 * tol.eps_class):
-        raise ConsistencyError(
-            f"purity {p!r} indicates family I but the discriminant is "
-            f"{diag['discriminant']:.3e}; the two tests diverged"
-        )
-    if abs(p - 0.5) <= tol.eps_class:
-        return SeparabilityVerdict(SepClass.SEP_II_ONLY, None, diag)
-    return SeparabilityVerdict(SepClass.ENTANGLED_II, None, diag)
+    """Family I, else the orthogonal-pair branch, with both family-I routes cross-checked."""
+    return classify_states("II", np.asarray(psi)[None], tol)[0]
 
 
 def classify_sep_III(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Family-III membership: the reduced matrix is a one-dimensional projector.
-
-    States with no support reachable by the L-span reductions (pure RR
-    states) are separable by convention.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    check_state(psi)
-    rho = reduced_single_particle_dm(psi)
-    if rho is None:
-        return SeparabilityVerdict(SepClass.SEP_III, None, {"sector_only": 1.0})
-    defect = float(np.linalg.norm(rho @ rho - rho, 2))
-    cls = SepClass.SEP_III if defect <= tol.eps_class else SepClass.ENTANGLED_III
-    return SeparabilityVerdict(cls, None, {"idempotency_defect": defect, "sector_only": 0.0})
+    """Family-III membership: the L0/L1 reduction matrix has rank one."""
+    return classify_states("III", np.asarray(psi)[None], tol)[0]
 
 
 def classify_mode(amps: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Mode separability: a single occupation-basis amplitude dominates."""
-    amps = np.asarray(amps, dtype=complex)
-    norm2 = check_state(amps)
-    significant = int(np.sum(np.abs(amps) > tol.eps_class * np.sqrt(norm2)))
-    dominant = float(np.max(np.abs(amps)) ** 2 / norm2)
-    cls = SepClass.MODE_SEP if significant == 1 else SepClass.MODE_ENT
-    return SeparabilityVerdict(cls, None, {"significant": float(significant), "dominant_weight": dominant})
+    """Mode separability: a single occupation-basis amplitude."""
+    return classify_states("mode", np.asarray(amps)[None], tol)[0]
 
 
 def classify_ssr(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparabilityVerdict:
     """Sector-superselected separability: the LR amplitude block has rank one."""
-    psi = np.asarray(psi, dtype=complex)
-    norm2 = check_state(psi)
-    s = np.linalg.svd(lr_block(psi), compute_uv=False)
-    diag = {"lr_sv_1": float(s[0]), "lr_sv_2": float(s[1])}
-    if s[0] <= EPS_STATE * np.sqrt(norm2) or s[1] <= tol.eps_rank * s[0]:
-        return SeparabilityVerdict(SepClass.SSR_SEP, None, diag)
-    return SeparabilityVerdict(SepClass.SSR_ENT, None, diag)
+    return classify_states("ssr", np.asarray(psi)[None], tol)[0]
 
 
 CLASSIFIERS = {
@@ -414,15 +430,13 @@ def solve_preservation_quartic(A: np.ndarray, c0: complex) -> QuarticRoots:
     # coefficients vanish (polymul would trim them)
     coeffs = np.convolve(u[2], u[2]) - 2.0 * np.convolve(u[0], u[1])
     scale = float(np.linalg.norm(A) ** 2) * max(1.0, abs(c0)) ** 4
-    if np.all(np.abs(coeffs) <= 1e-12 * scale):
+    # drop leading coefficients that vanish; none left is the tautology, one
+    # left (a nonzero constant) has no roots
+    big = np.flatnonzero(np.abs(coeffs) > 1e-12 * scale)
+    trimmed = coeffs[big[0]:] if big.size else coeffs[:0]
+    if trimmed.size <= 1:
         empty = np.zeros(0, dtype=complex)
-        return QuarticRoots(True, empty, empty.real.copy(), coeffs)
-    trimmed = np.array(coeffs)
-    while trimmed.size > 1 and abs(trimmed[0]) <= 1e-12 * scale:
-        trimmed = trimmed[1:]
-    if trimmed.size == 1:
-        empty = np.zeros(0, dtype=complex)
-        return QuarticRoots(False, empty, empty.real.copy(), coeffs)
+        return QuarticRoots(not big.size, empty, empty.real.copy(), coeffs)
     roots = all_roots(trimmed)
     residuals = normalized_residuals(trimmed, roots)
     if np.max(residuals) > 1e-10:

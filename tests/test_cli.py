@@ -1,11 +1,17 @@
 """CLI surface: commands, spec language, exit codes, report determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entloc.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
     OperatorContext,
     build_parser,
@@ -116,11 +122,11 @@ def test_classify_reference_states(capsys):
     assert verdicts["mode"]["set"] == "ModeSep"
 
     # pinned golden value: equal-weight doubly occupied superposition is the
-    # orthogonal-pair member with purity exactly 1/2
+    # orthogonal-pair member, at margin 2 ||rho - 1/2|| = 0
     code, doc = run_json(capsys, "classify", "--amps", "0.7071067811865476,0.7071067811865476,0")
     verdicts = doc["results"]["verdicts"]
     assert verdicts["sep_II"]["set"] == "SepIIOnly"
-    assert abs(verdicts["sep_II"]["diagnostics"]["purity"] - 0.5) < 1e-12
+    assert abs(verdicts["sep_II"]["diagnostics"]["margin"]) < 1e-12
     assert verdicts["mode"]["set"] == "ModeEnt"
 
     code, doc = run_json(capsys, "classify", "--basis", "sym10", "--amps", "1,0,0,0,0,0,0,0,0,0")
@@ -217,7 +223,10 @@ def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_INPUT
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage is the subcommand's, which lists the flags it does take
+    assert err.startswith(f"usage: entloc {argv[0]} ")
+    assert f"entloc {argv[0]}: error: unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
@@ -429,3 +438,30 @@ def test_json_out_file_roundtrip(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"] == "ViolationFound"
     capsys.readouterr()
+
+
+# --- closed stdout ------------------------------------------------------------------
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--amps", "0,0,1"], ["reproduce-paper"]])
+def test_closed_stdout_ends_quietly_with_exit_1(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == EXIT_CLOSED_OUTPUT == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_is_quiet_at_interpreter_exit(tmp_path):
+    # the reader is gone before the first write, so every write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entloc.cli", "reproduce-paper"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_OUTPUT
+    assert err == b""

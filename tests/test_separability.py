@@ -17,6 +17,7 @@ from entloc import (
     classify_sep_II,
     classify_sep_III,
     classify_ssr,
+    classify_states,
     construct_sep_I_preserver,
     embed_ll,
     lr_block,
@@ -100,7 +101,7 @@ def test_sep_II_verdicts_with_pinned_purities():
     phi2 = np.array([0, 0, 1], dtype=complex)
     v = classify_sep_II(phi2)
     assert v.set is SepClass.SEP_II_ONLY
-    assert abs(v.diagnostics["purity"] - 0.5) < 1e-12
+    assert abs(v.diagnostics["margin"]) < 1e-12  # 2 ||rho - 1/2||
     assert abs(brute_purity(phi2) - 0.5) < 1e-12
 
     v = classify_sep_II(np.array([1, 0, 0], dtype=complex))
@@ -109,15 +110,16 @@ def test_sep_II_verdicts_with_pinned_purities():
     mixed = np.array([1, 0, 1], dtype=complex) / np.sqrt(2)
     v = classify_sep_II(mixed)
     assert v.set is SepClass.ENTANGLED_II
-    assert abs(v.diagnostics["purity"] - 7 / 8) < 1e-12
+    assert abs(v.diagnostics["margin"] - np.sqrt(3) / 2) < 1e-12
     assert abs(brute_purity(mixed) - 7 / 8) < 1e-12
 
 
 def test_sep_II_purity_matches_brute_force_on_random_states():
+    # the margin is the eigenvalue gap of rho, so margin^2 = 2 purity - 1
     for _ in range(50):
         psi = rand_vec(3)
         v = classify_sep_II(psi)
-        assert abs(v.diagnostics["purity"] - brute_purity(psi)) < 1e-12
+        assert abs(v.diagnostics["margin"] ** 2 - (2 * brute_purity(psi) - 1)) < 1e-12
 
 
 def test_sep_I_subset_of_sep_II():
@@ -135,7 +137,7 @@ def test_sep_III_examples():
     rr_only = symmetrize_product(R0, R0) + 0.5 * symmetrize_product(R0, R1)
     v = classify_sep_III(rr_only)
     assert v.set is SepClass.SEP_III
-    assert v.diagnostics.get("sector_only") == 1.0
+    assert v.diagnostics == {"margin": 0.0}  # no L-span reduction: separable by convention
 
 
 def test_ll_embedding_maps_family_I_to_family_III():
@@ -194,8 +196,7 @@ def test_samplers_pass_their_classifiers(kind):
         assert classify(kind, psi).separable
     states = family(kind).sample(rng, 200)
     assert np.allclose(np.linalg.norm(states, axis=1), 1, atol=1e-12)
-    for psi in states:
-        assert classify(kind, psi).separable
+    assert all(v.separable for v in classify_states(kind, states))
 
 
 def test_sampler_is_deterministic_per_seed():
@@ -232,8 +233,7 @@ def test_family_III_states_have_rank_one_reductions():
         psi = sep_III_state(sigma, rand_vec(1, rng)[0], rand_vec(2, rng), rand_vec(3, rng))
         v = classify_sep_III(psi / np.linalg.norm(psi))
         assert v.separable
-        if "idempotency_defect" in v.diagnostics:
-            assert v.diagnostics["idempotency_defect"] < 1e-10
+        assert v.diagnostics["margin"] < 1e-10
 
 
 def test_full_family_ssr_sampler_is_still_separable():
@@ -269,18 +269,14 @@ def test_classifier_scale_covariance(scale, phase, seed):
 
 
 def test_cross_check_guard_fires_on_divergent_routes(monkeypatch):
-    # the two membership routes agree for every actual state, so exercise the
-    # guard by faking a purity-1 reduction for a clearly non-member state
+    # the two family-I routes agree for every actual state, so exercise the
+    # guard by faking rank-one singular values for a clearly non-member state
     import entloc.separability as sepmod
 
-    monkeypatch.setattr(
-        sepmod, "partial_trace_second_particle", lambda psi: np.diag([1.0, 0.0])
-    )
+    monkeypatch.setattr(sepmod, "_singular_values", lambda M: np.array([[1.0, 0.0]]))
     with pytest.raises(ConsistencyError):
         classify_sep_II(np.array([0, 0, 1], dtype=complex))
-    monkeypatch.setattr(
-        sepmod, "partial_trace_second_particle", lambda psi: np.diag([0.5, 0.5])
-    )
+    monkeypatch.setattr(sepmod, "_singular_values", lambda M: np.array([[1.0, 1.0]]) / np.sqrt(2))
     with pytest.raises(ConsistencyError):
         classify_sep_II(np.array([1, 0, 0], dtype=complex))
 
@@ -352,3 +348,86 @@ def test_quartic_solutions_span_the_space_small():
         stack = np.array(states)
         s = np.linalg.svd(stack, compute_uv=False)
         assert s.size >= 3 and s[2] / s[0] > 1e-6
+
+
+# --- margins ---------------------------------------------------------------------
+
+FAMILY_KINDS = ["I", "II", "III", "mode", "ssr"]
+
+
+def boundary_states(kind, rng, n):
+    """``n`` members of ``kind`` on its hardest boundary, and unit directions off it."""
+    fam = family(kind)
+    P = fam.draw(rng, n)
+    if kind in ("II", "ssr"):
+        P[:, 0] = 1  # the orthogonal-pair branch; the LR sector
+    psi = fam.build_normalized(P)
+    delta = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+    return psi, delta / np.linalg.norm(delta, axis=1, keepdims=True)
+
+
+def test_boundary_defects_flip():
+    # both quadratic diagnostics read about 2e-11 here, below eps_class
+    rng = np.random.default_rng(2024)
+    delta = rand_vec(3, rng)
+    delta /= np.linalg.norm(delta)
+    pair = sep_II_orthogonal_state(0.6, 0.8) / np.linalg.norm(sep_II_orthogonal_state(0.6, 0.8))
+    assert classify_sep_II(pair).set is SepClass.SEP_II_ONLY
+    v = classify_sep_II(pair + 1e-5 * delta)
+    assert v.set is SepClass.ENTANGLED_II
+    assert 1e-6 < v.diagnostics["margin"] < 1e-4
+    square = sep_I_state(0.6, 0.8) + 1e-5 * delta
+    assert classify_sep_I(square).set is SepClass.ENTANGLED_I
+    v = classify_sep_III(embed_ll(square))
+    assert v.set is SepClass.ENTANGLED_III
+    assert 1e-6 < v.diagnostics["margin"] < 1e-4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # log-uniform eps over [1e-13, 1e-3], on a grid of 1e-4 decades so that
+    # neighbouring eps differ by far more than the margins' rounding
+    exponents=st.lists(st.integers(-130_000, -30_000), min_size=2, max_size=16, unique=True),
+)
+def test_verdicts_are_monotone_across_each_family_boundary(seed, exponents):
+    rng = np.random.default_rng(seed)
+    eps = np.sort(10.0 ** (np.asarray(exponents) / 1e4))[:, None]
+    for kind in FAMILY_KINDS:
+        psi, delta = boundary_states(kind, rng, 1)
+        states = psi + eps * delta
+        verdicts = classify_states(kind, states)
+        members = [v.separable for v in verdicts]
+        assert members == sorted(members, reverse=True), (kind, members)
+        if kind == "I":
+            in_I = [v.set is SepClass.SEP_I for v in verdicts]
+            assert in_I == [v.set is SepClass.SEP_I for v in classify_states("II", states)]
+            # embed_ll maps the I verdict to the III verdict away from the cut
+            disc = np.array([v.diagnostics["discriminant"] for v in verdicts])
+            lifted = classify_states("III", embed_ll(states))
+            margin = np.array([v.diagnostics["margin"] for v in lifted])
+            clear = (np.abs(disc / 1e-9 - 1) > 0.01) & (np.abs(margin / 1e-9 - 1) > 0.01)
+            assert np.array_equal(np.array(in_I)[clear], np.array([v.separable for v in lifted])[clear])
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_batched_margins_equal_one_row_calls_bit_for_bit(kind):
+    rng = np.random.default_rng(SAMPLER_SEEDS[kind] + 100)
+    sampled = family(kind).sample(rng, 200)
+    generic = rand_vec(sampled.size, rng).reshape(sampled.shape)
+    for states in (sampled, generic):
+        batch = classify_states(kind, states)
+        for psi, v in zip(states, batch):
+            one = classify(kind, psi)
+            assert (one.set, one.parameters) == (v.set, v.parameters)
+            assert one.diagnostics.keys() == v.diagnostics.keys()
+            for key, x in one.diagnostics.items():
+                assert np.float64(x).tobytes() == np.float64(v.diagnostics[key]).tobytes()
+
+
+def test_margins_stay_at_rounding_level_on_sampled_members():
+    rng = np.random.default_rng(4711)
+    for kind in FAMILY_KINDS:
+        for v in classify_states(kind, family(kind).sample(rng, 2000)):
+            deciding = "discriminant" if v.set is SepClass.SEP_I else "margin"
+            assert v.diagnostics[deciding] <= 1e-14
