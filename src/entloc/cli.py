@@ -564,6 +564,10 @@ def _run(args: argparse.Namespace) -> int:
         args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
     inputs = dict(vars(args))
     inputs["witness_threshold"] = inputs.pop("threshold", None)
+    if args.command == "audit":  # each audit mode echoes only the knobs it reads
+        inputs["samples" if args.pairs else "states"] = None
+        if str(args.set).lower() != "mode":
+            inputs["n_max"] = None  # only the mode family lives on a Fock space
     # a knob the command does not take echoes null; every other input (pair
     # specs, amplitudes, ...) is echoed so a report is re-verifiable without
     # the original invocation

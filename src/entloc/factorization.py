@@ -64,21 +64,36 @@ def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     one-row stack as a vector product; the states of an ``(m, 1, d)`` stack
     are vector products, so each rounds bit for bit as a one-row call.
     """
+    S = np.asarray(S, dtype=complex)
+    if S.ndim < 2:
+        raise ValueError("operator and state dimensions do not match")
+    At, Bt = _transposed_pair(A, B, S.shape[-1])
+    return _connected(At, Bt, S, S.conj(), check_state(S))
+
+
+def _transposed_pair(A: np.ndarray, B: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A^T, B^T`` (views) of an operator pair checked to be finite and ``d x d``."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    d = S.shape[-1]
-    if S.ndim < 2 or A.shape[-2:] != (d, d) or B.shape[-2:] != (d, d):
+    if A.shape[-2:] != (d, d) or B.shape[-2:] != (d, d):
         raise ValueError("operator and state dimensions do not match")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("operators contain non-finite entries")
-    n = check_state(S)
-    conj = S.conj()
-    BS = S @ np.swapaxes(B, -1, -2)
-    ab = np.einsum("...j,...j->...", conj, BS @ np.swapaxes(A, -1, -2))
-    a = np.einsum("...j,...j->...", conj, S @ np.swapaxes(A, -1, -2))
-    b = np.einsum("...j,...j->...", conj, BS)
-    r = (ab - a * b / n) / n
+    return np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+
+
+def _connected(
+    At: np.ndarray, Bt: np.ndarray, S: np.ndarray, conj: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """The kernel of :func:`residuals`: states ``S``, their conjugates and
+    positive squared norms ``n``, and a checked pair given as ``A^T, B^T``."""
+    # an overflow shows as a non-finite result, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        BS = S @ Bt
+        ab = np.einsum("...j,...j->...", conj, BS @ At)
+        a = np.einsum("...j,...j->...", conj, S @ At)
+        b = np.einsum("...j,...j->...", conj, BS)
+        r = (ab - a * b / n) / n
     if not np.isfinite(r).all():
         raise ValueError("residual overflowed: operator entries are too large")
     return r
@@ -231,14 +246,20 @@ def find_violation_witness(
     set_name = canonical_set_name(set_name)
     fam = family(set_name, fock)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    At, Bt = _transposed_pair(A, B, fam.dim)
 
     def evaluate(P: np.ndarray) -> tuple[np.ndarray, Witness | None]:
         """|residual| of the states of the ``(n, 1 + k)`` rows ``P`` (0 if
         degenerate), and the witness at the first one above threshold."""
         S = fam.build(P)
-        ok = np.linalg.norm(S, axis=1) > EPS_STATE
-        r = np.zeros(len(P))
-        r[ok] = np.abs(residuals(A, B, S[ok]))
+        conj = S.conj()
+        n = np.einsum("...j,...j->...", conj, S).real
+        ok = n > EPS_STATE * EPS_STATE
+        if ok.all():
+            r = np.abs(_connected(At, Bt, S, conj, n))
+        else:
+            r = np.zeros(len(P))
+            r[ok] = np.abs(_connected(At, Bt, S[ok], conj[ok], n[ok]))
         hits = np.flatnonzero(r > threshold)
         if not hits.size:
             return r, None
@@ -254,8 +275,9 @@ def find_violation_witness(
         return None
 
     width = 2 * fam.n_real
-    coords = np.arange(1, fam.n_real + 1)
-    rows = 2 * np.arange(fam.n_real)
+    # probe j of a restart moves coordinate j // 2 by +step (j even) or -step (j odd)
+    moves = np.zeros((width, 1 + fam.n_real))
+    moves[np.arange(width), 1 + np.arange(width) // 2] = np.tile([1.0, -1.0], fam.n_real)
     evals = 0
     while evals < budget:
         P = fam.draw(rng, min(AUDIT_BLOCK // width, budget - evals))
@@ -264,19 +286,18 @@ def find_violation_witness(
         step = np.full(len(P), 0.5)
         live = np.arange(len(P))
         while found is None and live.size and evals < budget:
-            Q = np.repeat(P[live, None, :], width, axis=1)
-            Q[:, rows, coords] += step[live, None]
-            Q[:, rows + 1, coords] -= step[live, None]
+            Q = P[live, None, :] + step[live, None, None] * moves
             rq, found = evaluate(Q.reshape(-1, P.shape[1])[: budget - evals])
             evals += len(rq)
             if len(rq) < Q.shape[0] * width:
                 break  # the budget ran out mid-sweep
             rq = rq.reshape(len(live), width)
             best = np.argmax(rq, axis=1)
-            top = rq[np.arange(len(live)), best]
+            top = rq.max(axis=1)
             better = top > r[live]
-            P[live[better]] = Q[better, best[better]]
-            r[live[better]] = top[better]
+            moved = live[better]
+            P[moved] = Q[better, best[better]]
+            r[moved] = top[better]
             step[live[~better]] /= 2.0
             live = live[step[live] > 1e-3]
         if found is not None:

@@ -87,18 +87,22 @@ def check_state(psi: np.ndarray) -> float | np.ndarray:
     """Return ``||psi||^2``, raising :class:`ZeroNormError` below ``EPS_STATE**2``.
 
     A ``(..., d)`` stack of states gives an array of squared norms and
-    fails if any state does.
+    fails if any state does.  A squared norm that is not finite raises
+    ``ValueError``: an amplitude is not finite, or the norm overflowed.
     """
     psi = np.asarray(psi)
     if psi.ndim == 1:
         norm2 = float(np.vdot(psi, psi).real)
     else:
         norm2 = np.einsum("...j,...j->...", psi.conj(), psi).real
+    # a sum of squared moduli is finite exactly when every amplitude is and none overflows
+    if not np.isfinite(norm2).all():
+        if not np.isfinite(psi).all():
+            raise ValueError("state contains non-finite amplitudes")
+        raise ValueError("state norm overflowed: amplitudes are too large")
     small = np.asarray(norm2 <= EPS_STATE * EPS_STATE)
     if small.any():
-        raise ZeroNormError(f"state norm {np.sqrt(np.nanmin(norm2)):.3e} below {EPS_STATE:.1e}")
-    if not np.isfinite(psi).all():
-        raise ValueError("state contains non-finite amplitudes")
+        raise ZeroNormError(f"state norm {np.sqrt(np.min(norm2)):.3e} below {EPS_STATE:.1e}")
     return norm2
 
 

@@ -31,6 +31,7 @@ from .errors import ConsistencyError, ConvergenceError, ZeroNormError
 from .hilbert import (
     EPS_STATE,
     SECTOR_SLOTS,
+    SECTORS,
     FockSpace,
     check_state,
     pi_reduction_matrix,
@@ -129,8 +130,10 @@ def sep_III_state(
 def embed_ll(psi3: np.ndarray) -> np.ndarray:
     """Embed a two-level pair state (or a stack) into the LL sector of the four-level space."""
     psi3 = np.asarray(psi3, dtype=complex)
+    psi = np.zeros((*psi3.shape[:-1], 10), dtype=complex)
     # (0,0), (1,1), (0,1) go to (L0,L0), (L1,L1), (L0,L1)
-    return _in_slots((0, 4, 1), psi3)
+    psi[..., [0, 4, 1]] = psi3
+    return psi
 
 
 def lr_block(psi10: np.ndarray) -> np.ndarray:
@@ -289,13 +292,20 @@ class Family:
     of II, the spatial sector of ssr, the occupation state of mode) and the
     ``k = n_real`` real coordinates pair up into the complex coefficients of
     that piece, so every row with an integer branch builds a state exactly
-    inside the family.
+    inside the family.  Each branch is built only on its own rows: its
+    amplitudes go straight into its slots, and no row builds a piece it
+    does not keep.
     """
 
     branches: int
     n_real: int
     pieces: Callable[[np.ndarray, np.ndarray], np.ndarray]
     """``(branches (...,), coefficients (..., k/2))`` -> ``(..., d)`` unnormalized states."""
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the family's states."""
+        return self.build(np.zeros((1, 1 + self.n_real))).shape[-1]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` parameter rows: uniform branches, standard normal coordinates."""
@@ -325,28 +335,35 @@ class Family:
         return self.build_normalized(self.draw(rng, n))
 
 
-def _by_branch(branch: np.ndarray, *pieces: np.ndarray) -> np.ndarray:
-    """State ``i`` of ``pieces[branch[i]]``, over any leading axes."""
-    shape = pieces[0].shape
-    rows = np.stack(pieces, axis=-2).reshape(branch.size, len(pieces), shape[-1])
-    return rows[np.arange(branch.size), branch.ravel()].reshape(shape)
-
-
-def _in_slots(slots: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    psi = np.zeros((*amps.shape[:-1], 10), dtype=complex)
-    psi[..., list(slots)] = amps
+def _sep_II_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # the orthogonal piece is one embedding product over the whole batch: on
+    # a one-row subset numpy would round it as a vector product instead
+    psi = sep_II_orthogonal_state(c[..., 0], c[..., 1])
+    on_I = branch == 0
+    c_I = c[on_I]
+    psi[on_I] = sep_I_state(c_I[:, 0], c_I[:, 1])
     return psi
+
+
+_LR_WEIGHT = 1.0 / np.sqrt(2.0)
+"""Weight of ``|i>|j>`` in the pair vector ``|i,j>``, as in :func:`~entloc.hilbert.sym_embedding`."""
 
 
 def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
     # one sector per state: sector-coherent superpositions are separable too,
     # but they carry classical inter-sector correlations
-    zero = np.zeros((*c.shape[:-1], 2), dtype=complex)
-    lr = symmetrize_product(
-        np.concatenate([c[..., 0:2], zero], axis=-1), np.concatenate([zero, c[..., 2:4]], axis=-1)
-    )
-    ll, rr = (_in_slots(SECTOR_SLOTS[X], c[..., :3]) for X in ("LL", "RR"))
-    return _by_branch(branch, ll, lr, rr)
+    psi = np.zeros((branch.size, 10), dtype=complex)
+    c = c.reshape(branch.size, -1)
+    for b, sector in enumerate(SECTORS):
+        rows = np.flatnonzero(branch.ravel() == b)
+        cb = c[rows]
+        if sector == "LR":
+            # S(c_L, c_R) for c_L on L0, L1 and c_R on R0, R1: slot (i, j) is c_i c_j / sqrt2
+            amps = (cb[:, 0:2, None] * cb[:, None, 2:4]).reshape(-1, 4) * _LR_WEIGHT
+        else:
+            amps = cb[:, :3]
+        psi[rows[:, None], SECTOR_SLOTS[sector]] = amps
+    return psi.reshape(*branch.shape, 10)
 
 
 def _occupation_family(states: np.ndarray) -> Family:
@@ -356,9 +373,7 @@ def _occupation_family(states: np.ndarray) -> Family:
 
 FAMILIES = {
     "I": Family(1, 4, lambda branch, c: sep_I_state(c[..., 0], c[..., 1])),
-    "II": Family(2, 4, lambda branch, c: _by_branch(
-        branch, sep_I_state(c[..., 0], c[..., 1]), sep_II_orthogonal_state(c[..., 0], c[..., 1])
-    )),
+    "II": Family(2, 4, _sep_II_states),
     "III": Family(1, 16, lambda branch, c: sep_III_state(
         c[..., 0:2], c[..., 2], c[..., 3:5], c[..., 5:8]
     )),

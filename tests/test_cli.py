@@ -182,6 +182,25 @@ def test_classify_error_exits(capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--amps", "1e154,0,1e154"], "state norm overflowed"),
+        (["classify", "--amps", "1e200,0,1e200"], "state norm overflowed"),
+        (["classify", "--basis", "sym10", "--amps", "1e200,0,0,0,0,0,0,0,0,1"], "state norm overflowed"),
+        (["witness", "--set", "I", "--A", "entries:[[1e200,0,0],[0,1,0],[0,0,1]]",
+          "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]"], "residual overflowed"),
+        (["audit", "--set", "I", "--A", "entries:[[1e200,0,0],[0,1,0],[0,0,1]]",
+          "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]", "--samples", "10"], "residual overflowed"),
+    ],
+)
+def test_overflow_exits_2_with_one_line_and_no_warnings(argv, message, capsys):
+    # pyproject turns a numpy RuntimeWarning into an error, which would escape main
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
+
+
 # --- options ----------------------------------------------------------------------
 
 PAIR = ["--pair", "--A", "--B"]
@@ -289,6 +308,23 @@ def test_audit_positive_control_command(capsys):
     # nothing is rechecked for random pairs, so no recheck_error is reported
     _, doc = run_json(capsys, "audit", "--pairs", "random:3", "--states", "5", "--set", "ssr")
     assert "recheck_error" not in doc["results"]["audit"]
+
+
+def test_audit_echoes_only_what_its_mode_read(capsys):
+    # a positive control reads --states, a pair audit --samples; only mode reads --n-max
+    cases = (
+        (["--set", "ssr", "--pairs", "random:2", "--states", "5"], None, {"pairs": "random:2", "states": 5}),
+        (["--set", "mode", "--pairs", "random:2", "--states", "5", "--n-max", "3"], None,
+         {"pairs": "random:2", "states": 5, "n_max": 3}),
+        (["--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "20"], 20, {"pair": "pauli:1,pauli:2"}),
+        (["--set", "mode", "--pair", "number:0,number:1", "--samples", "20"], 20,
+         {"pair": "number:0,number:1", "n_max": 4}),
+    )
+    for argv, samples, extra in cases:
+        code, doc = run_json(capsys, "audit", *argv)
+        assert code == 0
+        assert doc["config"]["samples"] == samples
+        assert doc["config"]["extra"] == {"set": argv[1], **extra}
 
 
 def test_audit_mode_with_explicit_ladder_pair(capsys):

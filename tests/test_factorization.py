@@ -27,7 +27,7 @@ from entloc import (
 from entloc import factorization
 from entloc.factorization import AUDIT_BLOCK, Witness
 from entloc.hilbert import EPS_STATE, sym_embedding
-from entloc.separability import canonical_set_name, classify, family
+from entloc.separability import Family, canonical_set_name, classify, family
 
 RNG = np.random.default_rng(777)
 
@@ -133,7 +133,6 @@ def test_operator_stacks_round_as_per_pair_calls(p, m, d):
         assert got[j].tobytes() == residuals(A[j], B[j], S[j]).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_residuals_reject_non_finite_input():
     S = np.eye(3, dtype=complex)
     bad = np.eye(3, dtype=complex)
@@ -326,14 +325,19 @@ def test_witness_matches_sequential_search(kind):
 
 
 def counting_residuals(monkeypatch):
-    """Sizes of the state batches of every ``residuals`` call from here on."""
+    """Sizes of the state batches of every residual evaluation from here on.
+
+    Every evaluation, through :func:`residuals` or inside the witness
+    search, goes through the one kernel ``factorization._connected``.
+    """
     sizes = []
+    kernel = factorization._connected
 
-    def counting(A, B, S):
+    def counting(At, Bt, S, conj, n):
         sizes.append(S.size // S.shape[-1])
-        return residuals(A, B, S)
+        return kernel(At, Bt, S, conj, n)
 
-    monkeypatch.setattr(factorization, "residuals", counting)
+    monkeypatch.setattr(factorization, "_connected", counting)
     return sizes
 
 
@@ -356,6 +360,16 @@ def test_mode_witness_batches_stay_within_the_block(monkeypatch):
     sizes.clear()
     assert find_violation_witness(n0, n1, "mode", budget=5, fock=space) is None
     assert sizes == [4, 1]
+
+
+def test_witness_skips_degenerate_states(monkeypatch):
+    # a zero state scores 0 and is never a witness; the rows after it still count
+    states = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex)
+    monkeypatch.setattr(factorization, "family", lambda kind, fock=None: Family(3, 0, lambda b, c: states[b]))
+    swap = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    w = find_violation_witness(swap, swap, "mode")
+    assert w is not None and w.state.tobytes() == states[2].tobytes() and w.residual == 1
+    assert find_violation_witness(swap, swap, "mode", budget=2) is None
 
 
 def budget_pairs(kind):

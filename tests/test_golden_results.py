@@ -1,0 +1,78 @@
+"""The ``results`` bytes of seeded audit, witness and sample runs are pinned.
+
+``golden_results.json`` holds the sha256 of the canonical ``results`` bytes
+(:func:`entloc.report.results_bytes`) of each case below.  A change that
+moves any byte of a sampled state, a residual, a verdict or a margin shows
+here.  Regenerate the file only for a change that means to move them:
+
+    PYTHONPATH=src python tests/test_golden_results.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from entloc.cli import main
+from entloc.report import results_bytes
+
+GOLDEN_PATH = Path(__file__).with_name("golden_results.json")
+TOTAL_NUMBER = "number:L0+number:L1+number:R0+number:R1"  # 2 x identity on two particles
+
+CASES = {
+    "audit/I/pauli": ["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "1500", "--seed", "3"],
+    "audit/I/identity": ["audit", "--set", "I", "--pair", "pauli:0,pauli:3", "--samples", "300", "--seed", "4"],
+    "audit/II/pauli": ["audit", "--set", "II", "--pair", "pauli:3,pauli:1", "--samples", "2100", "--seed", "5"],
+    "audit/II/identity": ["audit", "--set", "II", "--pair", "pauli:2,pauli:0", "--samples", "300", "--seed", "6"],
+    "audit/III/imbalance": [
+        "audit", "--set", "III", "--A", "number:L0-number:L1", "--B", "number:R0-number:R1",
+        "--samples", "1100", "--seed", "7",
+    ],
+    "audit/mode/control": ["audit", "--set", "mode", "--pairs", "random:7", "--states", "300", "--seed", "8"],
+    "audit/ssr/control": ["audit", "--set", "ssr", "--pairs", "random:5", "--states", "700", "--seed", "9"],
+    "witness/I/found": ["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--seed", "10"],
+    "witness/I/not-found": ["witness", "--set", "I", "--pair", "pauli:0,pauli:1", "--seed", "11"],
+    "witness/II/found": ["witness", "--set", "II", "--pair", "pauli:3,pauli:3", "--seed", "12"],
+    "witness/II/not-found": ["witness", "--set", "II", "--pair", "pauli:2,pauli:0", "--seed", "13"],
+    "witness/III/found": [
+        "witness", "--set", "III", "--A", "number:L0-number:L1", "--B", "number:R0-number:R1", "--seed", "14",
+    ],
+    "witness/III/not-found": ["witness", "--set", "III", "--A", TOTAL_NUMBER, "--B", "number:L0", "--seed", "15"],
+    "witness/ssr/found": ["witness", "--set", "ssr", "--pair", "number:L1,number:L1", "--seed", "16"],
+    "witness/ssr/not-found": ["witness", "--set", "ssr", "--A", "number:L0", "--B", "number:R1", "--seed", "17"],
+    "witness/ssr/not-found-odd-budget": [
+        "witness", "--set", "ssr", "--A", "number:L1", "--B", "number:R0", "--budget", "1237", "--seed", "18",
+    ],
+    "witness/mode/found": ["witness", "--set", "mode", "--pair", "ladder:0:-,ladder:0:+", "--seed", "19"],
+    "witness/mode/not-found": ["witness", "--set", "mode", "--pair", "number:0,number:1", "--seed", "20"],
+    **{
+        f"sample/{kind}": ["sample", "--set", kind, "--n", "40", "--seed", str(21 + i)]
+        for i, kind in enumerate(("I", "II", "III", "mode", "ssr"))
+    },
+}
+
+
+def results_sha256(argv: list[str], out: Path) -> str:
+    code = main([*argv, "--out", str(out)])
+    if code != 0:
+        raise AssertionError(f"{argv} exited {code}")
+    return hashlib.sha256(results_bytes(json.loads(out.read_text()))).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_results_bytes_match_the_golden_hashes(name, tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden[name] == results_sha256(CASES[name], tmp_path / "report.json")
+
+
+def test_golden_file_covers_exactly_the_cases():
+    assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {name: results_sha256(argv, Path(tmp) / "report.json") for name, argv in sorted(CASES.items())}
+    GOLDEN_PATH.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")

@@ -215,6 +215,53 @@ def test_stacked_build_rounds_as_one_row_builds(kind):
         assert stacked[j].tobytes() == fam.build(P[j : j + 1])[0].tobytes()
 
 
+def build_every_branch_then_select(kind, P):
+    """Reference build of 0.5.0: every piece on every row, then row i keeps piece ``branch[i]``."""
+    branch, c = P[..., 0].astype(int), P[..., 1::2] + 1j * P[..., 2::2]
+    if kind == "mode":
+        pieces = [np.broadcast_to(e, (*branch.shape, 3)) for e in np.eye(3, dtype=complex)]
+    elif kind == "ssr":
+        zero = np.zeros((*c.shape[:-1], 2), dtype=complex)
+        lr = symmetrize_product(
+            np.concatenate([c[..., 0:2], zero], axis=-1), np.concatenate([zero, c[..., 2:4]], axis=-1)
+        )
+        ll, rr = np.zeros_like(lr), np.zeros_like(lr)
+        ll[..., list(SECTOR_SLOTS["LL"])] = rr[..., list(SECTOR_SLOTS["RR"])] = c[..., :3]
+        pieces = [ll, lr, rr]
+    elif kind == "III":
+        pieces = [sep_III_state(c[..., 0:2], c[..., 2], c[..., 3:5], c[..., 5:8])]
+    else:
+        pieces = [sep_I_state(c[..., 0], c[..., 1]), sep_II_orthogonal_state(c[..., 0], c[..., 1])]
+        pieces = pieces[: 2 if kind == "II" else 1]
+    d = pieces[0].shape[-1]
+    rows = np.stack(pieces, axis=-2).reshape(branch.size, len(pieces), d)
+    return rows[np.arange(branch.size), branch.ravel()].reshape(*branch.shape, d)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["I", "II", "III", "mode", "ssr"]),
+    shape=st.one_of(
+        st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 4), st.integers(1, 12))
+    ),
+    lone=st.booleans(),
+    exponent=st.integers(-150, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_build_equals_every_branch_then_select(kind, shape, lone, exponent, seed):
+    # each branch is built only on its own rows; a branch that owns a single
+    # row (lone) must still round as in the whole-batch build
+    rng = np.random.default_rng(seed)
+    fam = family(kind)
+    P = fam.draw(rng, int(np.prod(shape))).reshape(*shape, 1 + fam.n_real)
+    P[..., 1:] *= 10.0**exponent
+    if lone and fam.branches > 1:
+        main, other = rng.choice(fam.branches, size=2, replace=False)
+        P[..., 0] = main
+        P.reshape(-1, 1 + fam.n_real)[rng.integers(P[..., 0].size), 0] = other
+    assert fam.build(P).tobytes() == build_every_branch_then_select(kind, P).tobytes()
+
+
 def test_orthogonal_branch_purity_is_half():
     rng = np.random.default_rng(8)
     for _ in range(50):
