@@ -559,25 +559,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CLOSED_OUTPUT
 
 
-def _run(args: argparse.Namespace) -> int:
-    if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
-        args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The echo of what the command reads.
+
+    A knob the command does not take echoes null; every other input (pair
+    specs, amplitudes, ...) is echoed so a report is re-verifiable without
+    the original invocation.
+    """
     inputs = dict(vars(args))
     inputs["witness_threshold"] = inputs.pop("threshold", None)
-    if args.command == "audit":  # each audit mode echoes only the knobs it reads
+    if args.command == "audit":  # a positive control reads no samples, a pair audit no states
         inputs["samples" if args.pairs else "states"] = None
-        if str(args.set).lower() != "mode":
-            inputs["n_max"] = None  # only the mode family lives on a Fock space
-    # a knob the command does not take echoes null; every other input (pair
-    # specs, amplitudes, ...) is echoed so a report is re-verifiable without
-    # the original invocation
+    if "n_max" in inputs and canonical_set_name(args.set) != "mode":
+        inputs["n_max"] = None  # only the mode family lives on a Fock space
     knobs = [f.name for f in fields(RunConfig) if f.name != "extra"]
-    config = RunConfig(
+    return RunConfig(
         **{k: inputs.pop(k, None) for k in knobs},
         extra={k: v for k, v in inputs.items() if v is not None},
     )
+
+
+def _run(args: argparse.Namespace) -> int:
+    if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
+        args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
     start = time.perf_counter()
     try:
+        config = _config(args)
         tol = Tolerances(
             getattr(args, "tol_class", DEFAULT_TOL.eps_class),
             getattr(args, "tol_rank", DEFAULT_TOL.eps_rank),

@@ -246,7 +246,8 @@ def find_violation_witness(
     set_name = canonical_set_name(set_name)
     fam = family(set_name, fock)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    At, Bt = _transposed_pair(A, B, fam.dim)
+    d = fam.build(np.zeros((1, 1 + fam.n_real))).shape[-1]  # one state gives the dimension
+    At, Bt = _transposed_pair(A, B, d)
 
     def evaluate(P: np.ndarray) -> tuple[np.ndarray, Witness | None]:
         """|residual| of the states of the ``(n, 1 + k)`` rows ``P`` (0 if
@@ -255,11 +256,8 @@ def find_violation_witness(
         conj = S.conj()
         n = np.einsum("...j,...j->...", conj, S).real
         ok = n > EPS_STATE * EPS_STATE
-        if ok.all():
-            r = np.abs(_connected(At, Bt, S, conj, n))
-        else:
-            r = np.zeros(len(P))
-            r[ok] = np.abs(_connected(At, Bt, S[ok], conj[ok], n[ok]))
+        r = np.abs(_connected(At, Bt, S, conj, np.where(ok, n, 1.0)))
+        r[~ok] = 0.0
         hits = np.flatnonzero(r > threshold)
         if not hits.size:
             return r, None

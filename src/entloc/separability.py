@@ -302,11 +302,6 @@ class Family:
     pieces: Callable[[np.ndarray, np.ndarray], np.ndarray]
     """``(branches (...,), coefficients (..., k/2))`` -> ``(..., d)`` unnormalized states."""
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the family's states."""
-        return self.build(np.zeros((1, 1 + self.n_real))).shape[-1]
-
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` parameter rows: uniform branches, standard normal coordinates."""
         return np.column_stack(

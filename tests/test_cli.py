@@ -158,6 +158,7 @@ def test_classify_error_exits(capsys):
         (["audit", "--set", "ssr", "--pairs", "random:2", "--threshold", "-1"], "threshold"),
         (["audit", "--set", "mode", "--n-max", "1", "--pair", "number:0,number:1"], "n_max >= 2"),
         (["sample", "--set", "I", "--n", "-1"], "--n must be non-negative"),
+        (["witness", "--set", "IV", "--pair", "pauli:1,pauli:2"], "unknown separable set"),
         (["audit", "--set", "I", "--pair", 'entries:[["1e999",0],[0,1]],pauli:1'], "non-finite"),
         (["certify", "--sectors", "LL,LR", "--pair", "pauli:1,pauli:2"], "10x10"),
         (["certify", "--sectors", "LL,LR", "--A", "entries:[[1,2],[3,4]]", "--B", "number:R0"], "10x10"),
@@ -261,7 +262,12 @@ def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
     config = doc["config"]
     assert (config["budget"], config["seed"], config["witness_threshold"]) == (200, 5, 0.5)
     assert (config["samples"], config["fmt"]) == (None, "json")
-    assert config["extra"] == {"set": "I", "pair": "pauli:0,pauli:3", "n_max": 3}
+    # only the mode family reads --n-max
+    assert config["extra"] == {"set": "I", "pair": "pauli:0,pauli:3"}
+    _, doc = run_json(
+        capsys, "witness", "--set", "MODE", "--pair", "number:0,number:1", "--budget", "20", "--n-max", "3"
+    )
+    assert doc["config"]["extra"] == {"set": "MODE", "pair": "number:0,number:1", "n_max": 3}
 
 
 # --- reproduce-paper ---------------------------------------------------------------
