@@ -7,6 +7,12 @@ coefficient vanishes (the pair factorizes identically) or exhibits one
 nonzero monomial, which is a finite, checkable proof of violation.  The
 four-level analogue certifies that an off-diagonal sector block of a local
 pair must vanish.
+
+Both certificates expand through one table of exact branch amplitudes,
+:func:`_amplitudes`, and one bilinear form, :func:`_forms`.  The amplitudes
+are the numeric families' formulas: family I's single-particle factor, and
+each sector's parametrization in the ssr family, LL and RR three free
+amplitudes and LR the product of an L-side and an R-side superposition.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConsistencyError
 from .exact import (
     GR_I,
     GR_ONE,
     GR_ZERO,
     HALF_SQRT2,
-    SQRT2,
     GaussianRational,
     MultiPoly,
     RootTwoRational,
@@ -44,31 +51,48 @@ def exact_matrix(entries, ring=GaussianRational) -> tuple[tuple, ...]:
     return rows
 
 
-def _matmul(A, B, ring):
-    n = len(A)
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(n)), ring.coerce(0)) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 SEP_I_VARIABLES = ("c0", "c0*", "c1", "c1*")
+_MAX_DEGREE = 8
 
 
-def _quadratic_form(M, variables, ring, max_degree) -> MultiPoly:
-    """``sum_{l,k} M[l][k] conj(c_l) c_k`` as an exact polynomial."""
-    poly = MultiPoly.zero(variables, max_degree)
-    for l in range(2):
-        for k in range(2):
-            if M[l][k].is_zero:
+def _amplitudes(branch, names, variables, ring) -> list[MultiPoly]:
+    """Exact amplitudes of one family branch in the parameter variables ``names``.
+
+    ``"I"`` is family I's single-particle factor ``(c0, c1)``: family I is
+    ``psi x psi``, so ``<O x O> = <O>^2``.  ``"LL"`` and ``"RR"`` are three
+    free amplitudes, and ``"LR"`` is ``c_i d_j / sqrt2`` for ``names =
+    (c0, c1, d0, d1)``, in ``SECTOR_SLOTS`` order: the formulas
+    ``separability._ssr_states`` builds.  Every constant is real, so the
+    bra side's amplitudes are these with starred ``names``.
+    """
+    amps = [MultiPoly.variable(variables, name, ring.coerce(1), _MAX_DEGREE) for name in names]
+    if branch != "LR":
+        return amps
+    weight = MultiPoly.const(variables, HALF_SQRT2, _MAX_DEGREE)
+    return [weight * amps[i] * amps[2 + j] for i in range(2) for j in range(2)]
+
+
+def _forms(matrices, bra, ket, rows, cols) -> list[MultiPoly]:
+    """``sum_{i,j} M[rows[i]][cols[j]] bra_i ket_j`` for every matrix ``M``.
+
+    Each product ``bra_i ket_j`` that some matrix needs is formed once; a
+    form adds its monomials into one terms dict.
+    """
+    products = [((r, c), (b * k).terms) for r, b in zip(rows, bra) for c, k in zip(cols, ket)
+                if not all(M[r][c].is_zero for M in matrices)]
+    forms = []
+    for M in matrices:
+        terms: dict = {}
+        for (r, c), product in products:
+            entry = M[r][c]
+            if entry.is_zero:
                 continue
-            exps = [0, 0, 0, 0]
-            exps[2 * l + 1] += 1  # starred variable of c_l
-            exps[2 * k] += 1
-            poly = poly + MultiPoly(variables, {tuple(exps): M[l][k]}, max_degree)
-    return poly
+            for exps, coeff in product.items():
+                term = entry * coeff
+                acc = terms.get(exps)
+                terms[exps] = term if acc is None else acc + term
+        forms.append(MultiPoly(bra[0].variables, terms, _MAX_DEGREE))
+    return forms
 
 
 def expand_residual_sep_I(O, Q) -> MultiPoly:
@@ -79,15 +103,11 @@ def expand_residual_sep_I(O, Q) -> MultiPoly:
     minus the product of the two squared expectation forms.  The zero
     polynomial means the pair factorizes on every family member.
     """
-    ring = GaussianRational
-    O = exact_matrix(O, ring)
-    Q = exact_matrix(Q, ring)
-    variables = SEP_I_VARIABLES
-    cap = 8
-    norm = _quadratic_form(PAULI_EXACT[0], variables, ring, cap)
-    cross = _quadratic_form(_matmul(O, Q, ring), variables, ring, cap)
-    form_o = _quadratic_form(O, variables, ring, cap)
-    form_q = _quadratic_form(Q, variables, ring, cap)
+    O = np.array(exact_matrix(O), dtype=object)
+    Q = np.array(exact_matrix(Q), dtype=object)
+    bra = _amplitudes("I", ("c0*", "c1*"), SEP_I_VARIABLES, GaussianRational)
+    ket = _amplitudes("I", ("c0", "c1"), SEP_I_VARIABLES, GaussianRational)
+    norm, cross, form_o, form_q = _forms((PAULI_EXACT[0], O @ Q, O, Q), bra, ket, (0, 1), (0, 1))
     return norm * norm * cross * cross - form_o * form_o * form_q * form_q
 
 
@@ -164,20 +184,10 @@ def _certificate_from_poly(poly: MultiPoly, point: dict, structural=None) -> Cer
     rendered_point = tuple((name, str(point[name])) for name in poly.variables)
     check = poly.evaluate(point) if not poly.is_zero else GaussianRational.coerce(0)
     lead = _preferred_monomial(poly)
-    if lead is None:
-        return Certificate(
-            "IdenticallyZero", poly.variables, None, None, rendered_point, check, 0, structural
-        )
-    return Certificate(
-        "NonzeroMonomial",
-        poly.variables,
-        lead[0],
-        lead[1],
-        rendered_point,
-        check,
-        len(poly.terms),
-        structural,
-    )
+    monomial, coefficient = lead or (None, None)
+    verdict = "NonzeroMonomial" if lead else "IdenticallyZero"
+    return Certificate(verdict, poly.variables, monomial, coefficient, rendered_point, check,
+                       len(poly.terms), structural)
 
 
 def _is_diagonal(M) -> bool:
@@ -190,13 +200,13 @@ def _offdiag_products_vanish(O, Q) -> bool:
     return _is_diagonal(O) or _is_diagonal(Q)
 
 
+_HADAMARD = np.array(((GR_ONE, GR_ONE), (GR_ONE, -GR_ONE)), dtype=object)
+
+
 def _hadamard_conjugate(M):
     # H M H with H = (1/sqrt2)[[1,1],[1,-1]]: rational because the two
     # 1/sqrt2 factors combine to 1/2
-    half = GaussianRational(Fraction(1, 2))
-    mix = ((GR_ONE, GR_ONE), (GR_ONE, -GR_ONE))
-    inner = _matmul(_matmul(mix, M, GaussianRational), mix, GaussianRational)
-    return tuple(tuple(half * v for v in row) for row in inner)
+    return _HADAMARD @ np.array(M, dtype=object) @ _HADAMARD * GaussianRational(Fraction(1, 2))
 
 
 def certify_factorization_sep_I(O, Q) -> Certificate:
@@ -235,37 +245,6 @@ def certify_factorization_sep_I(O, Q) -> Certificate:
 
 # --- sector coupling certificates -------------------------------------------
 
-def _sector_params(sector: str) -> int:
-    return {"LL": 2, "LR": 4, "RR": 3}[sector]
-
-
-def _sector_amplitudes(sector, names, variables, cap) -> list[MultiPoly]:
-    """Slot amplitudes of a separable sector state as exact polynomials.
-
-    ``names`` are this side's parameter variables (already starred for the
-    bra side; the parametrization constants are real, so conjugating the
-    amplitudes only renames the variables).
-    """
-
-    def var(k):
-        return MultiPoly.variable(variables, names[k], RootTwoRational.coerce(1), cap)
-
-    if sector == "LL":
-        p0, p1 = var(0), var(1)
-        root2 = MultiPoly.const(variables, SQRT2, cap)
-        return [p0 * p0, root2 * p0 * p1, p1 * p1]
-    if sector == "RR":
-        return [var(0), var(1), var(2)]
-    # LR: product of an L-side and an R-side superposition; the symmetric
-    # pair amplitude carries 1/sqrt2
-    half_root2 = MultiPoly.const(variables, HALF_SQRT2, cap)
-    out = []
-    for sig in range(2):
-        for tau in range(2):
-            out.append(half_root2 * var(sig) * var(2 + tau))
-    return out
-
-
 def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
     """Exact test that a mixed sector monomial forces a zero block.
 
@@ -281,32 +260,16 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
     B = exact_matrix(B, RootTwoRational)
     if len(A) != 10 or len(B) != 10:
         raise ValueError("sector certificates need 10x10 operators")
-    bra_names = tuple(f"c{k}*" for k in range(_sector_params(X)))
-    ket_names = tuple(f"d{k}" for k in range(_sector_params(Y)))
+    bra_names = tuple(f"c{k}*" for k in range(len(SECTOR_SLOTS[X])))
+    ket_names = tuple(f"d{k}" for k in range(len(SECTOR_SLOTS[Y])))
     variables = tuple(
-        sorted(
-            {n for base in bra_names for n in (base, conjugate_name(base))}
-            | {n for base in ket_names for n in (base, conjugate_name(base))}
-        )
+        sorted({n for base in bra_names + ket_names for n in (base, conjugate_name(base))})
     )
-    cap = 8
-    bra = _sector_amplitudes(X, bra_names, variables, cap)
-    ket = _sector_amplitudes(Y, ket_names, variables, cap)
     rows = SECTOR_SLOTS[X]
     cols = SECTOR_SLOTS[Y]
-
-    def coupling(M) -> MultiPoly:
-        poly = MultiPoly.zero(variables, cap)
-        for i, slot_i in enumerate(rows):
-            for j, slot_j in enumerate(cols):
-                entry = M[slot_i][slot_j]
-                if entry.is_zero:
-                    continue
-                poly = poly + MultiPoly.const(variables, entry, cap) * bra[i] * ket[j]
-        return poly
-
-    f = coupling(A)
-    g = coupling(B)
+    bra = _amplitudes(X, bra_names, variables, RootTwoRational)
+    ket = _amplitudes(Y, ket_names, variables, RootTwoRational)
+    f, g = _forms((A, B), bra, ket, rows, cols)
     product = f * g
     block_zero = all(A[i][j].is_zero for i in rows for j in cols) or all(
         B[i][j].is_zero for i in rows for j in cols
@@ -318,10 +281,6 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
     # one real rational value per base parameter; starred variables get the
     # same value so the point is physically consistent
     bases = sorted({n.rstrip("*") for n in variables})
-    point: dict[str, RootTwoRational] = {}
-    for k, base in enumerate(bases):
-        value = RootTwoRational.coerce(Fraction(1, k + 2))
-        point[base] = value
-        point[base + "*"] = value
-    point = {n: point[n] for n in variables}
+    point = {n: RootTwoRational.coerce(Fraction(1, bases.index(n.rstrip("*")) + 2))
+             for n in variables}
     return _certificate_from_poly(product, point)

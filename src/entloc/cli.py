@@ -312,12 +312,12 @@ def cmd_classify(args, tol: Tolerances) -> tuple[dict, str]:
     if args.family:
         coeffs = _parse_amps(args.coeffs or "")
         fam = canonical_set_name(args.family)
-        if fam == "I" and coeffs.size == 2:
-            psi = sep_I_state(coeffs[0], coeffs[1])
-        elif fam == "II" and coeffs.size == 2:
-            psi = sep_II_orthogonal_state(coeffs[0], coeffs[1])
-        else:
+        if fam not in ("I", "II") or coeffs.size != 2:
             raise ValueError("--family supports I or II with --coeffs c0,c1")
+        build = sep_I_state if fam == "I" else sep_II_orthogonal_state
+        # an overflowed amplitude is reported by check_state, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = build(coeffs[0], coeffs[1])
         basis = "sym3"
     else:
         if not args.amps:

@@ -91,10 +91,8 @@ def check_state(psi: np.ndarray) -> float | np.ndarray:
     ``ValueError``: an amplitude is not finite, or the norm overflowed.
     """
     psi = np.asarray(psi)
-    if psi.ndim == 1:
-        norm2 = float(np.vdot(psi, psi).real)
-    else:
-        norm2 = np.einsum("...j,...j->...", psi.conj(), psi).real
+    # one path for every shape, so a state's norm does not depend on how it was passed
+    norm2 = np.einsum("...j,...j->...", psi.conj(), psi).real
     # a sum of squared moduli is finite exactly when every amplitude is and none overflows
     if not np.isfinite(norm2).all():
         if not np.isfinite(psi).all():

@@ -16,8 +16,18 @@ from entloc import (
     expand_residual_sep_I,
     find_violation_witness,
     occupation_imbalance_pair,
+    residual,
+    sep_I_state,
 )
-from entloc.certificates import PAULI_EXACT, exact_matrix
+from entloc.certificates import (
+    PAULI_EXACT,
+    _amplitudes,
+    _forms,
+    exact_matrix,
+)
+from entloc.exact import RootTwoRational, conjugate_name
+from entloc.hilbert import SECTOR_SLOTS, SECTORS
+from entloc.separability import FAMILIES
 
 RNG = np.random.default_rng(555)
 
@@ -91,6 +101,26 @@ def test_expansion_matches_raw_identity_numerically():
         rhs = np.vdot(c, On @ c) ** 2 * np.vdot(c, Qn @ c) ** 2
         scale = max(1.0, abs(lhs) + abs(rhs))
         assert abs(poly.evaluate_complex(vals) - (lhs - rhs)) < 1e-9 * scale
+
+
+def test_expansion_is_norm4_times_the_numeric_residual():
+    rng = np.random.default_rng(18)
+
+    def rand_rational_2x2():
+        def q():
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+
+        return exact_matrix([[gr(q(), q()) for _ in range(2)] for _ in range(2)])
+
+    for _ in range(40):
+        O, Q = rand_rational_2x2(), rand_rational_2x2()
+        A, B = construct_sep_I_preserver(to_complex(O)), construct_sep_I_preserver(to_complex(Q))
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vals = {"c0": c[0], "c0*": c[0].conjugate(), "c1": c[1], "c1*": c[1].conjugate()}
+        norm4 = np.vdot(c, c).real ** 4  # ||psi||^2 = ||c||^4
+        want = norm4 * residual(A, B, sep_I_state(c[0], c[1]))
+        scale = norm4 * np.linalg.norm(A, 2) * np.linalg.norm(B, 2)
+        assert abs(expand_residual_sep_I(O, Q).evaluate_complex(vals) - want) <= 1e-12 * scale
 
 
 def test_conjugation_identity_general():
@@ -258,6 +288,75 @@ def test_sector_certificate_matches_numeric_coupling():
         assert cert.verdict == "NonzeroMonomial"
 
 
+def sector_point(names, c):
+    """Values of ``names`` and their partners at ``c``: each starred name gets the conjugate."""
+    values = {}
+    for k, name in enumerate(names):
+        base = name.rstrip("*")
+        values[base], values[base + "*"] = c[k], np.conj(c[k])
+    return values
+
+
+def test_exact_amplitudes_equal_the_ssr_family_build():
+    rng = np.random.default_rng(19)
+    ssr = FAMILIES["ssr"]
+    for b, sector in enumerate(SECTORS):
+        rows = ssr.draw(rng, 50)
+        rows[:, 0] = b
+        slots = list(SECTOR_SLOTS[sector])
+        n = len(slots)
+        for ket_names in (tuple(f"d{k}" for k in range(n)), tuple(f"d{k}*" for k in range(n))):
+            variables = tuple(
+                sorted({v for name in ket_names for v in (name, conjugate_name(name))})
+            )
+            amps = _amplitudes(sector, ket_names, variables, RootTwoRational)
+            for row in rows:
+                c = row[1::2] + 1j * row[2::2]
+                want = ssr.build(row)[slots]
+                if ket_names[0].endswith("*"):
+                    want = want.conj()
+                got = np.array([a.evaluate_complex(sector_point(ket_names, c)) for a in amps])
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_sector_forms_equal_the_numeric_coupling():
+    rng = np.random.default_rng(20)
+    ssr = FAMILIES["ssr"]
+    for X in SECTORS:
+        for Y in SECTORS:
+            if X == Y:
+                continue
+            A, B = (rng.integers(-3, 4, size=(10, 10)) for _ in range(2))
+            bra_names = tuple(f"c{k}*" for k in range(len(SECTOR_SLOTS[X])))
+            ket_names = tuple(f"d{k}" for k in range(len(SECTOR_SLOTS[Y])))
+            variables = tuple(
+                sorted({v for name in bra_names + ket_names for v in (name, conjugate_name(name))})
+            )
+            f, g = _forms(
+                (exact_matrix(A, RootTwoRational), exact_matrix(B, RootTwoRational)),
+                _amplitudes(X, bra_names, variables, RootTwoRational),
+                _amplitudes(Y, ket_names, variables, RootTwoRational),
+                SECTOR_SLOTS[X],
+                SECTOR_SLOTS[Y],
+            )
+            # these are the certificate's factors
+            cert = certify_sector_coupling(A, B, X, Y)
+            assert cert.variables == variables and cert.n_terms == len((f * g).terms)
+            assert (f * g).terms[cert.monomial] == cert.coefficient
+            for _ in range(10):
+                rows = ssr.draw(rng, 2)
+                rows[:, 0] = SECTORS.index(X), SECTORS.index(Y)
+                psi_x, psi_y = ssr.build(rows)
+                values = {
+                    **sector_point(bra_names, rows[0, 1::2] + 1j * rows[0, 2::2]),
+                    **sector_point(ket_names, rows[1, 1::2] + 1j * rows[1, 2::2]),
+                }
+                for form, M in ((f, A), (g, B)):
+                    want = np.vdot(psi_x, M @ psi_y)
+                    scale = np.linalg.norm(psi_x) * np.linalg.norm(M, 2) * np.linalg.norm(psi_y)
+                    assert abs(form.evaluate_complex(values) - want) <= 1e-12 * scale
+
+
 def test_sector_certificate_rejects_bad_sectors():
     with pytest.raises(ValueError):
         certify_sector_coupling(np.eye(10, dtype=int), np.eye(10, dtype=int), "LL", "LL")
@@ -288,7 +387,9 @@ def test_golden_certificate_texts():
 
     The texts in ``golden_certificates.json`` were computed with plain
     ``Fraction`` coefficients, so any change of the exact arithmetic or of
-    its text form shows here.
+    its text form shows here.  The four entries with an LL sector were
+    regenerated once, when the sector certificates took the ssr family's
+    three free LL amplitudes in place of family I's square.
     """
     golden = json.loads(GOLDEN_PATH.read_text())
     got = {

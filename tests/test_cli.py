@@ -193,6 +193,8 @@ def test_classify_error_exits(capsys):
           "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]"], "residual overflowed"),
         (["audit", "--set", "I", "--A", "entries:[[1e200,0,0],[0,1,0],[0,0,1]]",
           "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]", "--samples", "10"], "residual overflowed"),
+        (["classify", "--family", "I", "--coeffs", "1e160,1"], "non-finite amplitudes"),
+        (["classify", "--family", "II", "--coeffs", "1e160,1"], "non-finite amplitudes"),
     ],
 )
 def test_overflow_exits_2_with_one_line_and_no_warnings(argv, message, capsys):

@@ -127,6 +127,22 @@ def test_rings_match_fraction_reference(size, xs, ys):
     )
 
 
+def test_object_matmul_equals_the_triple_loop():
+    # the certificates multiply exact matrices with numpy's object-array `@`
+    rng = np.random.default_rng(21)
+
+    def entry(ring):
+        re, im, irr = (Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(3))
+        return gr(re, im) if ring is GaussianRational else RootTwoRational(gr(re, im), gr(irr))
+
+    for ring, n in ((GaussianRational, 2), (RootTwoRational, 2), (RootTwoRational, 10)):
+        for _ in range(20):
+            A, B = (np.array([[entry(ring) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+            loop = [[sum((A[i, k] * B[k, j] for k in range(n)), ring.coerce(0)) for j in range(n)]
+                    for i in range(n)]
+            assert (A @ B).tolist() == loop
+
+
 def test_rings_are_immutable_values():
     for v in (gr("1/2", 3), SQRT2):
         with pytest.raises(AttributeError):

@@ -22,6 +22,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
+from entloc.hilbert import check_state
 
 RNG = np.random.default_rng(20240811)
 
@@ -217,6 +218,13 @@ def test_partial_trace_is_a_state():
 def test_partial_trace_zero_norm():
     with pytest.raises(ZeroNormError):
         partial_trace_second_particle(np.zeros(3, dtype=complex))
+
+
+def test_one_state_norm_equals_its_row_in_a_stack_bit_for_bit():
+    rng = np.random.default_rng(2000)
+    for d in (3, 10):
+        for psi in rng.normal(size=(1000, d)) + 1j * rng.normal(size=(1000, d)):
+            assert np.float64(check_state(psi)).tobytes() == check_state(psi[None])[0].tobytes()
 
 
 # --- pair-to-single reductions -----------------------------------------------
