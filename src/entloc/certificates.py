@@ -182,7 +182,8 @@ def _preferred_monomial(poly: MultiPoly):
 
 def _certificate_from_poly(poly: MultiPoly, point: dict, structural=None) -> Certificate:
     rendered_point = tuple((name, str(point[name])) for name in poly.variables)
-    check = poly.evaluate(point) if not poly.is_zero else GaussianRational.coerce(0)
+    ring = type(next(iter(point.values())))  # the point's ring: a zero polynomial names none
+    check = poly.evaluate(point) if not poly.is_zero else ring.coerce(0)
     lead = _preferred_monomial(poly)
     monomial, coefficient = lead or (None, None)
     verdict = "NonzeroMonomial" if lead else "IdenticallyZero"

@@ -369,8 +369,8 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
     if args.pairs:
         kind, _, count = args.pairs.partition(":")
-        if kind != "random":
-            raise ValueError("--pairs accepts random:<n>")
+        if kind != "random" or not (count.isascii() and count.isdigit()):
+            raise ValueError(f"--pairs takes random:<n> with n a whole number, got {args.pairs!r}")
         if set_name not in ("mode", "ssr"):
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
         rep = positive_control(

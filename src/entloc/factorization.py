@@ -130,31 +130,45 @@ class AuditReport:
 
 
 def _audit_pairs(
-    A: np.ndarray, B: np.ndarray, rngs: list[np.random.Generator], fam: Family, n_samples: int
+    A: np.ndarray, B: np.ndarray, rng: np.random.Generator, fam: Family, n_samples: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per pair of the ``(p, d, d)`` stacks: max |residual|, its residual and
-    state, and the sum of |residual| over ``n_samples`` states of its generator.
+    state, and the sum of |residual| over ``n_samples`` states drawn from ``rng``.
 
-    Each ``AUDIT_BLOCK`` block draws from every generator in turn and
-    evaluates all draws in one ``residuals`` call, so each pair gets the
-    numbers of its own one-pair run.
+    Each ``AUDIT_BLOCK`` block of ``m`` states makes one ``fam.draw(rng, p*m)``
+    call, and pair ``j`` reads rows ``j*m`` to ``(j+1)*m`` of it, so with
+    ``p = 1`` this is one generator drawing block after block.  A block's
+    states are evaluated in one ``residuals`` call.  A discrete family
+    (mode) has only ``branches`` states: they are evaluated once per pair,
+    and a draw of more than one row picks its values and states by branch.
     """
-    p = len(rngs)
-    rows = np.arange(p)
+    p, rows = A.shape[0], np.arange(A.shape[0])
     best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
     best_s = np.zeros((p, A.shape[-1]), dtype=complex)
+    if fam.n_real == 0:
+        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
+        # numpy rounds a block of drawn rows as one matrix product, which a
+        # lone state joins as two copies; a one-row block it rounds as a
+        # vector product, so that block is evaluated as drawn
+        table = residuals(A, B, np.repeat(distinct, 1 + (fam.branches == 1), axis=0))
     for start in range(0, n_samples, AUDIT_BLOCK):
         m = min(AUDIT_BLOCK, n_samples - start)
-        states = fam.build_normalized(np.stack([fam.draw(rng, m) for rng in rngs]))
-        values = residuals(A, B, states)
+        P = fam.draw(rng, p * m).reshape(p, m, -1)
+        if fam.n_real == 0 and m > 1:
+            branch = P[..., 0].astype(int)
+            values, states = table[rows[:, None], branch], None
+        else:
+            states = fam.build_normalized(P)
+            values = residuals(A, B, states)
         mags = np.abs(values)
         k = np.argmax(mags, axis=-1)
+        top = distinct[branch[rows, k]] if states is None else states[rows, k]
         total += np.sum(mags, axis=-1)
         # strict: a later block wins only above the best so far, as in one run
         better = mags[rows, k] > best
         best[better] = mags[rows, k][better]
         best_r[better] = values[rows, k][better]
-        best_s[better] = states[rows, k][better]
+        best_s[better] = top[better]
     return best, best_r, best_s, total
 
 
@@ -182,20 +196,22 @@ def audit(
     _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best, best_r, best_s, total = _audit_pairs(
-        np.asarray(A)[None], np.asarray(B)[None], [rng], family(set_name, fock), n_samples
-    )
-    max_abs = float(best[0])
+    fam = family(set_name, fock)
+    stacks = _audit_pairs(np.asarray(A)[None], np.asarray(B)[None], rng, fam, n_samples)
+    return _report(pair, set_name, seed, threshold, n_samples, *stacks)
+
+
+def _report(pair: str, set_name: str, seed: int, threshold: float, n_states: int,
+            best, best_r, best_s, total) -> AuditReport:
+    """One report of the pairs in :func:`_audit_pairs` stacks, ``n_states`` each: the
+    first pair at the maximum, and the mean of the per-pair means added in pair order."""
+    w = int(np.argmax(best))
+    max_abs = float(best[w])
     return AuditReport(
-        pair=pair,
-        set_name=set_name,
-        n_samples=n_samples,
-        seed=seed,
+        pair=pair, set_name=set_name, n_samples=len(best) * n_states, seed=seed,
         max_abs_residual=max_abs,
-        mean_abs_residual=float(total[0]) / n_samples,
-        argmax_state=best_s[0],
-        argmax_residual=complex(best_r[0]),
-        threshold=threshold,
+        mean_abs_residual=float(np.cumsum(total / n_states)[-1]) / len(best),
+        argmax_state=best_s[w], argmax_residual=complex(best_r[w]), threshold=threshold,
         verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
     )
 
@@ -386,10 +402,11 @@ def positive_control(
     block-diagonal by construction) on single-sector separable states.
     The expected outcome is ``max |residual| <= 1e-10``.
 
-    Pair ``j`` gets the states and numbers a one-pair :func:`audit` seeded
-    from ``(seed, 2, j)`` gives it.  Groups of pairs, as many as fit in
-    ``AUDIT_BLOCK`` states (at least one), share one ``residuals`` call; a
-    group's operators and generators are built only when it runs.
+    Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states (at least
+    one), and a group's operators are built only when it runs.  One
+    generator seeded from ``(seed, 2)`` draws the states of every group in
+    turn: each block of ``m`` states of a ``p``-pair group is one draw of
+    ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.
     """
     if kind not in ("mode", "ssr"):
         raise ValueError("positive controls exist for 'mode' and 'ssr' only")
@@ -399,34 +416,15 @@ def positive_control(
         raise ValueError("n_states must be at least 1")
     _check_threshold(threshold)
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
     # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
     ladders = [(space.annihilate(m), space.create(m)) for m in space.modes] if space else []
     terms = [[np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad] for a, ad in ladders]
     fam = family(kind, space)
     per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
-    worst, mean_acc = None, 0.0
-    for first in range(0, n_pairs, per_call):
-        group = range(first, min(first + per_call, n_pairs))
-        A, B = _local_pairs(kind, len(group), rng_ops, terms)
-        seeds = (int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0]) for j in group)
-        rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
-        best, best_r, best_s, total = _audit_pairs(A, B, rngs, fam, n_states)
-        for i in range(len(group)):
-            # per-pair means added in pair order, as the one-pair audits were
-            mean_acc += float(total[i]) / n_states
-            if worst is None or best[i] > worst[0]:
-                worst = (float(best[i]), complex(best_r[i]), best_s[i])
-    max_abs, argmax_residual, argmax_state = worst
-    return AuditReport(
-        pair=f"{kind}-local random pairs x{n_pairs}",
-        set_name=kind,
-        n_samples=n_pairs * n_states,
-        seed=seed,
-        max_abs_residual=max_abs,
-        mean_abs_residual=mean_acc / n_pairs,
-        argmax_state=argmax_state,
-        argmax_residual=argmax_residual,
-        threshold=threshold,
-        verdict="FactorizesOnSamples" if max_abs <= threshold else "ViolationFound",
-    )
+    sizes = [min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call)]
+    pairs = (_local_pairs(kind, g, rng_ops, terms) for g in sizes)  # each built when its group runs
+    groups = [_audit_pairs(A, B, rng, fam, n_states) for A, B in pairs]
+    stacks = (np.concatenate(parts) for parts in zip(*groups))
+    return _report(f"{kind}-local random pairs x{n_pairs}", kind, seed, threshold, n_states, *stacks)

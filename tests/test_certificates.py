@@ -157,6 +157,9 @@ def test_certify_identity_proportional_is_zero():
         cert = certify_factorization_sep_I(lam, Q)
         assert cert.identically_zero
         assert cert.structural["both_bases"]
+        # a zero certificate prints its check value in the ring of its point
+        assert type(cert.check_value) is GaussianRational
+        assert cert.to_dict()["check_value"] == "(0)+(0)i"
 
 
 def test_certify_diagonal_but_not_scalar():
@@ -255,6 +258,8 @@ def test_sector_zero_block_is_identically_zero():
     assert cert.identically_zero
     cert = certify_sector_coupling(np.eye(10, dtype=int), B, "LL", "RR")
     assert cert.identically_zero
+    assert type(cert.check_value) is RootTwoRational
+    assert cert.to_dict()["check_value"] == "(0)+(0)i+[(0)+(0)i]sqrt2"
 
 
 def test_sector_transfer_pair_is_nonzero():

@@ -183,6 +183,14 @@ def test_classify_error_exits(capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["random:1e3", "random:", "random:-2", "foo:3", "random:\u00b2"])
+def test_a_bad_pairs_value_exits_2_with_one_line(value, capsys):
+    assert main(["audit", "--set", "mode", "--pairs", value]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--pairs takes random:<n>" in err and repr(value) in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

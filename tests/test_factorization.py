@@ -176,6 +176,54 @@ def test_audit_number_polynomials_factorize_on_mode_states():
     assert rep.max_abs_residual <= 1e-12
 
 
+def per_row_audit(A, B, fam, blocks):
+    """The audit of one pair that evaluates every drawn row through
+    ``residuals``: ``blocks`` are its parameter rows, block by block."""
+    total, best, n = 0.0, None, 0
+    for P in blocks:
+        states = fam.build_normalized(P)
+        values = residuals(A, B, states)
+        mags = np.abs(values)
+        k = int(np.argmax(mags))
+        total += float(np.sum(mags))
+        n += len(P)
+        if best is None or mags[k] > best[0]:
+            best = (float(mags[k]), complex(values[k]), states[k])
+    return best, total / n
+
+
+def block_sizes(n_samples):
+    return [min(AUDIT_BLOCK, n_samples - start) for start in range(0, n_samples, AUDIT_BLOCK)]
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5])
+def test_mode_audit_equals_evaluating_every_drawn_row(n_max):
+    # at n_max 2 the family is the single state |0,0>, a one-row stack; the
+    # dense pair makes numpy's matrix and vector products round differently
+    space = FockSpace(("0", "1"), n_max)
+    fam = family("mode", space)
+    rng = np.random.default_rng(n_max)
+    a = space.annihilate("0")
+    pairs = [
+        (a, a.conj().T),
+        (space.number("0"), space.number("1")),
+        tuple(rand_vec(space.dim**2, rng).reshape(space.dim, -1) for _ in range(2)),
+    ]
+    for i, (A, B) in enumerate(pairs):
+        for n_samples in (1, 7, AUDIT_BLOCK, 1030, 2049):
+            seed = 100 * n_max + i
+            rep = audit(A, B, "mode", n_samples, seed, fock=space)
+            gen = np.random.default_rng(seed)
+            best, mean = per_row_audit(A, B, fam, [fam.draw(gen, m) for m in block_sizes(n_samples)])
+            assert (
+                rep.max_abs_residual, rep.mean_abs_residual, rep.argmax_residual,
+                rep.argmax_state.tobytes(), rep.verdict,
+            ) == (
+                best[0], mean, best[1], best[2].tobytes(),
+                "ViolationFound" if best[0] > rep.threshold else "FactorizesOnSamples",
+            ), (n_max, i, n_samples)
+
+
 # --- witness search ---------------------------------------------------------------
 
 def test_witness_diagonal_pair_on_family_I():
@@ -451,8 +499,8 @@ def test_positive_control_rejects_other_kinds():
         positive_control("I")
 
 
-# the per-pair loop the batched control replaced, kept as its reference: one
-# audit per pair, each drawing its own blocks from its own generator
+# the per-pair loop, kept as the batched control's reference: one audit per
+# pair, evaluating every row it reads from the draws its group shares
 
 def _mode_polynomial(space, mode, rng):
     """Random degree-<=2 polynomial in the ladder operators of one mode."""
@@ -472,39 +520,32 @@ def _one_body_sector_op(side, h):
     return E.conj().T @ (np.kron(H, np.eye(4)) + np.kron(np.eye(4), H)) @ E
 
 
-def per_pair_audit(A, B, fam, n_samples, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total, best = 0.0, None
-    for start in range(0, n_samples, AUDIT_BLOCK):
-        states = fam.sample(rng, min(AUDIT_BLOCK, n_samples - start))
-        values = residuals(A, B, states)
-        mags = np.abs(values)
-        k = int(np.argmax(mags))
-        total += float(np.sum(mags))
-        if best is None or mags[k] > best[0]:
-            best = (float(mags[k]), complex(values[k]), states[k])
-    return best, total / n_samples
-
-
 def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e-10):
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
     fam = family(kind, space)
+    # groups of pairs, as many as fit in one block (at least one), draw each
+    # block together: pair i of a group reads rows i*m to (i+1)*m of it
+    per_group = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
+    sizes = block_sizes(n_states)
     worst, mean_acc = None, 0.0
-    for j in range(n_pairs):
-        if kind == "mode":
-            A = _mode_polynomial(space, "0", rng_ops)
-            B = _mode_polynomial(space, "1", rng_ops)
-        else:
-            hA = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
-            hB = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
-            A = _one_body_sector_op("L", (hA + hA.conj().T) / 2)
-            B = _one_body_sector_op("R", (hB + hB.conj().T) / 2)
-        pair_seed = int(np.random.SeedSequence((seed, 2, j)).generate_state(1)[0])
-        best, mean = per_pair_audit(A, B, fam, n_states, pair_seed)
-        mean_acc += mean
-        if worst is None or best[0] > worst[0]:
-            worst = best
+    for first in range(0, n_pairs, per_group):
+        g = min(per_group, n_pairs - first)
+        draws = [fam.draw(rng, g * m) for m in sizes]
+        for i in range(g):
+            if kind == "mode":
+                A = _mode_polynomial(space, "0", rng_ops)
+                B = _mode_polynomial(space, "1", rng_ops)
+            else:
+                hA = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
+                hB = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
+                A = _one_body_sector_op("L", (hA + hA.conj().T) / 2)
+                B = _one_body_sector_op("R", (hB + hB.conj().T) / 2)
+            best, mean = per_row_audit(A, B, fam, [P[i * m : (i + 1) * m] for P, m in zip(draws, sizes)])
+            mean_acc += mean
+            if worst is None or best[0] > worst[0]:
+                worst = best
     return {
         "pair": f"{kind}-local random pairs x{n_pairs}",
         "n_samples": n_pairs * n_states,
@@ -545,19 +586,19 @@ def test_batched_control_matches_per_pair_audits(kind):
 
 
 def test_control_calls_stay_within_the_block(monkeypatch):
-    sizes = []
+    calls = []
 
     def counting(A, B, S):
-        sizes.append(S.size // S.shape[-1])
+        calls.append((A.shape[:-2], S.shape[:-1]))
         return residuals(A, B, S)
 
     monkeypatch.setattr(factorization, "residuals", counting)
     positive_control("mode", 100, 100)
-    # ten pairs of 100 states per call, where one call per pair was made before
-    assert sizes == [1000] * 10
-    sizes.clear()
+    # a group of ten pairs evaluates the 6 distinct headroom states once per pair
+    assert calls == [((10,), (6,))] * 10
+    calls.clear()
     positive_control("ssr", 3, 1030)
-    assert sizes == [AUDIT_BLOCK, 6] * 3
+    assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
 
 
 def test_control_rejects_bad_inputs():

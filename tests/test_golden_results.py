@@ -6,6 +6,8 @@ moves any byte of a sampled state, a residual, a verdict or a margin shows
 here.  Regenerate the file only for a change that means to move them:
 
     PYTHONPATH=src python tests/test_golden_results.py
+
+It prints each case whose hash changed, as ``name: old -> new``.
 """
 
 import hashlib
@@ -28,6 +30,10 @@ CASES = {
     "audit/III/imbalance": [
         "audit", "--set", "III", "--A", "number:L0-number:L1", "--B", "number:R0-number:R1",
         "--samples", "1100", "--seed", "7",
+    ],
+    "audit/mode/pair": [
+        "audit", "--set", "mode", "--pair", "ladder:0:-,ladder:0:+", "--samples", "2500", "--n-max", "4",
+        "--seed", "30",
     ],
     "audit/mode/control": ["audit", "--set", "mode", "--pairs", "random:7", "--states", "300", "--seed", "8"],
     "audit/ssr/control": ["audit", "--set", "ssr", "--pairs", "random:5", "--states", "700", "--seed", "9"],
@@ -73,6 +79,11 @@ def test_golden_file_covers_exactly_the_cases():
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {name: results_sha256(argv, Path(tmp) / "report.json") for name, argv in sorted(CASES.items())}
+    # every case whose hash moved, was added or was dropped, with its old and new hash
+    for name in sorted(old.keys() | hashes.keys()):
+        if old.get(name) != hashes.get(name):
+            print(f"{name}: {old.get(name)} -> {hashes.get(name)}")
     GOLDEN_PATH.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
