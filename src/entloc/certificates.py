@@ -32,6 +32,7 @@ from .exact import (
     MultiPoly,
     RootTwoRational,
     conjugate_name,
+    sum_of_products,
 )
 from .hilbert import SECTOR_SLOTS, SECTORS
 
@@ -45,7 +46,7 @@ PAULI_EXACT = (
 
 def exact_matrix(entries, ring=GaussianRational) -> tuple[tuple, ...]:
     """Coerce a nested sequence (or object array) into exact ring entries."""
-    rows = tuple(tuple(ring.coerce(v) for v in row) for row in entries)
+    rows = tuple(tuple(map(ring.coerce, row)) for row in entries)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -68,39 +69,23 @@ def _amplitudes(branch, names, variables, ring) -> list[MultiPoly]:
     amps = [MultiPoly.variable(variables, name, ring.coerce(1), _MAX_DEGREE) for name in names]
     if branch != "LR":
         return amps
-    weight = MultiPoly.const(variables, HALF_SQRT2, _MAX_DEGREE)
-    return [weight * amps[i] * amps[2 + j] for i in range(2) for j in range(2)]
+    return [sum_of_products(variables, ((amps[i], amps[2 + j]),), ((HALF_SQRT2,),), _MAX_DEGREE)[0]
+            for i in range(2) for j in range(2)]
 
 
 def _forms(matrices, bra, ket, rows, cols) -> list[MultiPoly]:
-    """``sum_{i,j} M[rows[i]][cols[j]] bra_i ket_j`` for every matrix ``M``.
-
-    Each product ``bra_i ket_j`` that some matrix needs is formed once; a
-    form adds its monomials into one terms dict.
-    """
-    products = [((r, c), (b * k).terms) for r, b in zip(rows, bra) for c, k in zip(cols, ket)
-                if not all(M[r][c].is_zero for M in matrices)]
-    forms = []
-    for M in matrices:
-        terms: dict = {}
-        for (r, c), product in products:
-            entry = M[r][c]
-            if entry.is_zero:
-                continue
-            for exps, coeff in product.items():
-                term = entry * coeff
-                acc = terms.get(exps)
-                terms[exps] = term if acc is None else acc + term
-        forms.append(MultiPoly(bra[0].variables, terms, _MAX_DEGREE))
-    return forms
+    """``sum_{i,j} M[rows[i]][cols[j]] bra_i ket_j`` for every matrix ``M``."""
+    pairs = [(b, k) for b in bra for k in ket]
+    weights = [[M[r][c] for r in rows for c in cols] for M in matrices]
+    return sum_of_products(bra[0].variables, pairs, weights, _MAX_DEGREE)
 
 
 def expand_residual_sep_I(O, Q) -> MultiPoly:
     """Exact expansion of the factorization defect on the squared family.
 
     Both sides of the identity are degree-8 polynomials in
-    ``(c0, c0*, c1, c1*)``; the result is (norm factor) x (cross term)^2
-    minus the product of the two squared expectation forms.  The zero
+    ``(c0, c0*, c1, c1*)``; the result is (norm factor x cross term)^2
+    minus (the product of the two expectation forms)^2.  The zero
     polynomial means the pair factorizes on every family member.
     """
     O = np.array(exact_matrix(O), dtype=object)
@@ -108,7 +93,8 @@ def expand_residual_sep_I(O, Q) -> MultiPoly:
     bra = _amplitudes("I", ("c0*", "c1*"), SEP_I_VARIABLES, GaussianRational)
     ket = _amplitudes("I", ("c0", "c1"), SEP_I_VARIABLES, GaussianRational)
     norm, cross, form_o, form_q = _forms((PAULI_EXACT[0], O @ Q, O, Q), bra, ket, (0, 1), (0, 1))
-    return norm * norm * cross * cross - form_o * form_o * form_q * form_q
+    left, right = norm * cross, form_o * form_q
+    return sum_of_products(SEP_I_VARIABLES, ((left, left), (right, right)), ((1, -1),), _MAX_DEGREE)[0]
 
 
 @dataclass
@@ -195,19 +181,10 @@ def _is_diagonal(M) -> bool:
     return M[0][1].is_zero and M[1][0].is_zero
 
 
-def _offdiag_products_vanish(O, Q) -> bool:
-    # every product <i|O|j><l|Q|k> with i != j, l != k vanishes, i.e. at
-    # least one operator is diagonal in this basis
-    return _is_diagonal(O) or _is_diagonal(Q)
-
-
-_HADAMARD = np.array(((GR_ONE, GR_ONE), (GR_ONE, -GR_ONE)), dtype=object)
-
-
-def _hadamard_conjugate(M):
-    # H M H with H = (1/sqrt2)[[1,1],[1,-1]]: rational because the two
-    # 1/sqrt2 factors combine to 1/2
-    return _HADAMARD @ np.array(M, dtype=object) @ _HADAMARD * GaussianRational(Fraction(1, 2))
+def _is_hadamard_diagonal(M) -> bool:
+    # H M H with H = (1/sqrt2)[[1,1],[1,-1]] has off-diagonal entries
+    # (a - b + c - d)/2 and (a + b - c - d)/2, both zero iff a = d and b = c
+    return M[0][0] == M[1][1] and M[0][1] == M[1][0]
 
 
 def certify_factorization_sep_I(O, Q) -> Certificate:
@@ -225,22 +202,19 @@ def certify_factorization_sep_I(O, Q) -> Certificate:
     O = exact_matrix(O)
     Q = exact_matrix(Q)
     poly = expand_residual_sep_I(O, Q)
-    O_h, Q_h = _hadamard_conjugate(O), _hadamard_conjugate(Q)
+    # in a basis, every product <i|O|j><l|Q|k> with i != j, l != k vanishes
+    # exactly when at least one operator is diagonal there
     structural = {
-        "computational_basis": _offdiag_products_vanish(O, Q),
-        "hadamard_basis": _offdiag_products_vanish(O_h, Q_h),
-        "identity_proportional": (_is_diagonal(O) and _is_diagonal(O_h))
-        or (_is_diagonal(Q) and _is_diagonal(Q_h)),
+        "computational_basis": _is_diagonal(O) or _is_diagonal(Q),
+        "hadamard_basis": _is_hadamard_diagonal(O) or _is_hadamard_diagonal(Q),
+        "identity_proportional": (_is_diagonal(O) and _is_hadamard_diagonal(O))
+        or (_is_diagonal(Q) and _is_hadamard_diagonal(Q)),
     }
     structural["both_bases"] = (
         structural["computational_basis"] and structural["hadamard_basis"]
     )
-    point = {
-        "c0": GaussianRational(Fraction(1)),
-        "c0*": GaussianRational(Fraction(1)),
-        "c1": GaussianRational(Fraction(1, 2)),
-        "c1*": GaussianRational(Fraction(1, 2)),
-    }
+    one, half = GaussianRational.coerce(1), GaussianRational(Fraction(1, 2))
+    point = {"c0": one, "c0*": one, "c1": half, "c1*": half}
     return _certificate_from_poly(poly, point, structural)
 
 
@@ -282,6 +256,6 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
     # one real rational value per base parameter; starred variables get the
     # same value so the point is physically consistent
     bases = sorted({n.rstrip("*") for n in variables})
-    point = {n: RootTwoRational.coerce(Fraction(1, bases.index(n.rstrip("*")) + 2))
-             for n in variables}
+    values = {base: RootTwoRational.coerce(Fraction(1, k + 2)) for k, base in enumerate(bases)}
+    point = {n: values[n.rstrip("*")] for n in variables}
     return _certificate_from_poly(product, point)

@@ -85,7 +85,23 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 # scalar and operator spec parsing
 
+MAX_DECIMAL_EXPONENT = 4300
+"""Largest decimal exponent an exact scalar may spell, in magnitude.
+
+``Fraction`` builds ``10**exponent``, so its cost has no bound of its own;
+4300 is also the most digits Python converts between ``str`` and ``int``.
+"""
+
+
 def _exact_rational(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").lstrip("0")
+    if e and digits.isdecimal() and (
+        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+    ):
+        raise ValueError(
+            f"decimal exponent out of range in {text!r}: at most {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -118,6 +134,8 @@ def parse_scalar(text: str) -> complex:
 
 
 def _coerce_entry(v, exact: bool):
+    if type(v) is int:  # the common JSON entry; a bool is not one
+        return GaussianRational.coerce(v) if exact else complex(v)
     if isinstance(v, str):
         return parse_exact_scalar(v) if exact else parse_scalar(v)
     if isinstance(v, list):
@@ -132,7 +150,7 @@ def _coerce_entry(v, exact: bool):
         raise ValueError(f"operator entry {v!r} is not a number")
     if exact:
         # JSON numbers are read as the exact decimals they spell, like pairs
-        return GaussianRational(v if type(v) is int else _exact_rational(str(v)))
+        return GaussianRational(_exact_rational(str(v)))
     return complex(v)
 
 

@@ -211,18 +211,31 @@ def test_certificate_verdict_always_matches_identity_flag():
         assert cert.identically_zero == cert.structural["identity_proportional"]
 
 
+def hadamard_conjugate(M):
+    # H M H with H = (1/sqrt2)[[1,1],[1,-1]]: rational because the two
+    # 1/sqrt2 factors combine to 1/2
+    H = np.array(((gr(1), gr(1)), (gr(1), gr(-1))), dtype=object)
+    return H @ np.array(M, dtype=object) @ H * gr(Fraction(1, 2))
+
+
 def test_diagonal_in_two_bases_means_scalar():
-    from entloc.certificates import _hadamard_conjugate, _is_diagonal
+    from entloc.certificates import _is_diagonal, _is_hadamard_diagonal
 
     rng = np.random.default_rng(17)
     for _ in range(200):
         O = rand_exact_2x2(rng)
-        if _is_diagonal(O) and _is_diagonal(_hadamard_conjugate(O)):
+        # the closed-form test reads the rotated matrix's off-diagonal entries
+        assert _is_hadamard_diagonal(O) == _is_diagonal(hadamard_conjugate(O))
+        if _is_diagonal(O) and _is_hadamard_diagonal(O):
             On = to_complex(O)
             assert np.max(np.abs(On - np.trace(On) / 2 * np.eye(2))) <= 1e-14
     # and constructively: every diagonal non-scalar matrix fails the rotated test
     one, zero, two = gr(1), gr(0), gr(2)
-    assert not _is_diagonal(_hadamard_conjugate(((one, zero), (zero, two))))
+    assert not _is_hadamard_diagonal(((one, zero), (zero, two)))
+    assert not _is_diagonal(hadamard_conjugate(((one, zero), (zero, two))))
+    # and one that is diagonal only after the rotation passes it
+    assert _is_hadamard_diagonal(((two, one), (one, two)))
+    assert _is_diagonal(hadamard_conjugate(((two, one), (one, two))))
 
 
 def test_certificates_agree_with_numeric_search():

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
+    MAX_DECIMAL_EXPONENT,
     OperatorContext,
     build_parser,
     main,
@@ -210,6 +213,38 @@ def test_overflow_exits_2_with_one_line_and_no_warnings(argv, message, capsys):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the numeric path reads the amplitude as complex() does: an infinity
+        (["classify", "--amps", "1e9999999,0,1"], "state contains non-finite amplitudes"),
+        (["classify", "--amps", "1,1e+0000012345j,1"], "state contains non-finite amplitudes"),
+        (["certify", "--A", 'entries:[["1e9999999","0"],["0","1"]]', "--B", "pauli:1"],
+         "decimal exponent out of range in '1e9999999'"),
+        (["certify", "--A", "diag:1,2E-9999999", "--B", "pauli:1"], "decimal exponent out of range"),
+        (["certify", "--A", "entries:[[1,0],[0,1]]", "--B", "diag:1,1+1e-4301j"],
+         "decimal exponent out of range in '+1e-4301'"),
+    ],
+)
+def test_a_huge_decimal_exponent_exits_2_at_once(argv, message, capsys):
+    # Fraction would build 10**exponent first, which took 10 s for 1e9999999
+    start = time.perf_counter()
+    assert main(argv) == EXIT_INPUT
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
+
+
+def test_exponents_within_the_bound_keep_their_values():
+    top = MAX_DECIMAL_EXPONENT
+    assert parse_exact_scalar(f"1e{top}") == GaussianRational(10**top)
+    assert parse_exact_scalar(f"-25e-{top}j") == GaussianRational(0, Fraction(-25, 10**top))
+    assert parse_exact_scalar(f"1E+{top}+0.5e0{top}j") == GaussianRational(10**top, 5 * 10 ** (top - 1))
+    # the numeric path rounds as complex() does on either side of the bound
+    for text in (f"1e{top}", f"1e{top + 1}", f"3e-{top}", f"3e-{top + 1}", "1e-330", "2.5e300"):
+        assert parse_scalar(text) == complex(text)
 
 
 # --- options ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entloc import DegreeOverflowError, GaussianRational, MultiPoly, RootTwoRational
-from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2
+from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2, conjugate_name, sum_of_products
 
 
 def gr(re, im=0):
@@ -103,6 +103,9 @@ def test_rings_match_fraction_reference(size, xs, ys):
     x, y = tuple(xs[:size]), tuple(ys[:size])
     X, Y = build(x), build(y)
     assert parts(X) == x and str(X) == ref_str(x)
+    if size == 2:  # the embedding keeps the reduced numerators
+        embedded = RootTwoRational.coerce(X)
+        assert embedded == build(x + (0, 0)) and str(embedded) == ref_str(x + (0, 0))
     assert X.is_zero == (not any(x))
     assert X.to_complex() == ref_complex(x)
     expected = {
@@ -224,3 +227,120 @@ def test_canonical_text_is_sorted_and_stable():
 def test_leading_monomial_order():
     p = var("c1") * var("c1") + var("c0")
     assert p.sorted_terms()[0][0] == (0, 0, 2, 0)
+
+
+# --- the polynomial kernel against the object-path algorithm ------------------
+# The references below are the algorithms MultiPoly ran before its integer
+# kernel: one ring element per term product, added into a terms dict.
+
+def ref_sum(*polys):
+    terms = {}
+    for p in polys:
+        for exps, coeff in p.terms.items():
+            acc = terms.get(exps)
+            terms[exps] = coeff if acc is None else acc + coeff
+    return {e: c for e, c in terms.items() if not c.is_zero}
+
+
+def ref_product(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            prod = c1 * c2
+            acc = terms.get(exps)
+            terms[exps] = prod if acc is None else acc + prod
+    return {e: c for e, c in terms.items() if not c.is_zero}
+
+
+def ref_conjugate(p):
+    order = [p.variables.index(conjugate_name(name)) for name in p.variables]
+    return {tuple(exps[k] for k in order): coeff.conjugate() for exps, coeff in p.terms.items()}
+
+
+def ref_evaluate(p, values):
+    ring = type(next(iter(p.terms.values()))) if p.terms else GaussianRational
+    acc = ring.coerce(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for name, e in zip(p.variables, exps):
+            for _ in range(e):
+                term = term * ring.coerce(values[name])
+        acc = acc + term
+    return acc
+
+
+def same_terms(poly, terms):
+    # == and hash compare reduced numerators; the texts compare the boundary
+    assert poly.terms == terms
+    assert {e: (hash(c), str(c)) for e, c in poly.terms.items()} == {
+        e: (hash(c), str(c)) for e, c in terms.items()
+    }
+
+
+def ring_value(ring, parts):
+    if ring is GaussianRational:
+        return GaussianRational(*parts[:2])
+    return RootTwoRational(GaussianRational(*parts[:2]), GaussianRational(*parts[2:]))
+
+
+# numerators in [-3, 3] over random denominators, so sums cancel to zero often
+kernel_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
+kernel_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(VARS)),
+    st.lists(kernel_fractions, min_size=4, max_size=4),
+    max_size=5,
+)
+
+
+def build_poly(ring, raw, max_degree=None):
+    return MultiPoly(VARS, {e: ring_value(ring, parts) for e, parts in raw.items()}, max_degree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    ring=st.sampled_from([GaussianRational, RootTwoRational]),
+    raw_p=kernel_terms,
+    raw_q=kernel_terms,
+    point=st.lists(kernel_fractions, min_size=4 * len(VARS), max_size=4 * len(VARS)),
+    bound=st.integers(0, 8),
+)
+def test_polynomial_kernel_matches_the_object_path(ring, raw_p, raw_q, point, bound):
+    p, q = build_poly(ring, raw_p), build_poly(ring, raw_q)
+    same_terms(p + q, ref_sum(p, q))
+    same_terms(p - q, ref_sum(p, -q))
+    same_terms(p * q, ref_product(p, q))
+    same_terms(p.conjugate(), ref_conjugate(p))
+    # exact cancellation: each of these is the zero polynomial
+    for zero in (p - p, p * q - q * p, (p + q) * q - p * q - q * q):
+        assert zero.is_zero and zero.terms == {}
+    values = {name: ring_value(ring, point[4 * k:4 * k + 4]) for k, name in enumerate(VARS)}
+    for poly in (p, q, p * q, p - p):
+        got, want = poly.evaluate(values), ref_evaluate(poly, values)
+        assert got == want and type(got) is type(want) and str(got) == str(want)
+    # the degree guard raises exactly when a surviving monomial exceeds the bound
+    if all(sum(e) <= bound for e in p.terms) and all(sum(e) <= bound for e in q.terms):
+        bounded = MultiPoly(VARS, p.terms, bound)
+        product = ref_product(p, q)
+        if any(sum(e) > bound for e in product):
+            with pytest.raises(DegreeOverflowError):
+                bounded * q
+        else:
+            same_terms(bounded * q, product)
+            assert (bounded * q).max_degree == bound
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    ring=st.sampled_from([GaussianRational, RootTwoRational]),
+    raws=st.lists(st.tuples(kernel_terms, kernel_terms), min_size=1, max_size=4),
+    weights=st.lists(st.lists(kernel_fractions, min_size=4, max_size=4), min_size=4, max_size=4),
+)
+def test_sum_of_products_is_the_weighted_sum_of_the_products(ring, raws, weights):
+    pairs = [(build_poly(ring, a), build_poly(ring, b)) for a, b in raws]
+    rows = [[ring_value(ring, w) for w in weights[:len(pairs)]], [0] * len(pairs)]
+    for row, result in zip(rows, sum_of_products(VARS, pairs, rows)):
+        want = {}
+        for w, (p, q) in zip(row, pairs):
+            want = ref_sum(MultiPoly(VARS, want), MultiPoly(VARS, {e: w * c for e, c in ref_product(p, q).items()}))
+        same_terms(result, want)

@@ -1,4 +1,4 @@
-"""The ``results`` bytes of seeded audit, witness and sample runs are pinned.
+"""The ``results`` bytes of seeded audit, witness, sample and certify runs are pinned.
 
 ``golden_results.json`` holds the sha256 of the canonical ``results`` bytes
 (:func:`entloc.report.results_bytes`) of each case below.  A change that
@@ -17,10 +17,34 @@ from pathlib import Path
 import pytest
 
 from entloc.cli import main
+from entloc.hilbert import SECTOR_SLOTS
 from entloc.report import results_bytes
 
 GOLDEN_PATH = Path(__file__).with_name("golden_results.json")
 TOTAL_NUMBER = "number:L0+number:L1+number:R0+number:R1"  # 2 x identity on two particles
+
+
+def entries(M) -> str:
+    return "entries:" + json.dumps(M, separators=(",", ":"))
+
+
+def sector_matrix(X: str, Y: str, coupled: bool, salt: int) -> list[list]:
+    """A sparse integer 10x10 matrix whose (X, Y) block is full if ``coupled``, else zero."""
+    M = [[(7 * i + 3 * j + salt) % 5 - 2 if (i + 2 * j + salt) % 3 else 0 for j in range(10)] for i in range(10)]
+    for i in SECTOR_SLOTS[X]:
+        for j in SECTOR_SLOTS[Y]:
+            M[i][j] = (1, -1, 2, -2)[(i + 3 * j + salt) % 4] if coupled else 0
+    return M
+
+
+def certify_sectors(X: str, Y: str, A, B) -> list[str]:
+    return ["certify", "--sectors", f"{X},{Y}", "--A", entries(A), "--B", entries(B)]
+
+
+# off-block entries of every kind an exact entry can take: a fraction string,
+# a JSON decimal and an [re, im] pair
+ONE_BLOCK_ZERO_A = sector_matrix("LL", "RR", True, 8)
+ONE_BLOCK_ZERO_A[0][0], ONE_BLOCK_ZERO_A[9][9], ONE_BLOCK_ZERO_A[4][7] = "3/2-1/4j", 0.25, [1, -2]
 
 CASES = {
     "audit/I/pauli": ["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "1500", "--seed", "3"],
@@ -52,6 +76,30 @@ CASES = {
     ],
     "witness/mode/found": ["witness", "--set", "mode", "--pair", "ladder:0:-,ladder:0:+", "--seed", "19"],
     "witness/mode/not-found": ["witness", "--set", "mode", "--pair", "number:0,number:1", "--seed", "20"],
+    "certify/pair-generic": [
+        "certify", "--A", entries([["1/2-3/2j", "2"], ["-1+1/3j", "3/4"]]),
+        "--B", entries([["0", "1-2j"], ["5/2", "-1/3+j"]]),
+    ],
+    "certify/pair-identity": [
+        "certify", "--A", entries([["-7/4+2j", "1/3j"], ["3", "1"]]),
+        "--B", entries([["3/2+1/2j", "0"], ["0", "3/2+1/2j"]]),
+    ],
+    "certify/pair-pauli": ["certify", "--pair", "pauli:1,pauli:2"],
+    "certify/sectors-number": [
+        "certify", "--sectors", "RR,LR", "--A", "number:L1-number:L0", "--B", "number:R0",
+    ],
+    "certify/sectors-coupled-LL-LR": certify_sectors(
+        "LR", "LL", sector_matrix("LR", "LL", True, 1), sector_matrix("LR", "LL", True, 2)
+    ),
+    "certify/sectors-coupled-LL-RR": certify_sectors(
+        "LL", "RR", sector_matrix("LL", "RR", True, 3), sector_matrix("LL", "RR", True, 4)
+    ),
+    "certify/sectors-coupled-LR-RR": certify_sectors(
+        "RR", "LR", sector_matrix("RR", "LR", True, 5), sector_matrix("RR", "LR", True, 6)
+    ),
+    "certify/sectors-one-block-zero": certify_sectors(
+        "LL", "RR", sector_matrix("LL", "RR", False, 7), ONE_BLOCK_ZERO_A
+    ),
     **{
         f"sample/{kind}": ["sample", "--set", kind, "--n", "40", "--seed", str(21 + i)]
         for i, kind in enumerate(("I", "II", "III", "mode", "ssr"))
