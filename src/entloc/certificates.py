@@ -231,24 +231,24 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
     """
     if X not in SECTORS or Y not in SECTORS or X == Y:
         raise ValueError("X and Y must be distinct sectors among LL, LR, RR")
-    A = exact_matrix(A, RootTwoRational)
-    B = exact_matrix(B, RootTwoRational)
-    if len(A) != 10 or len(B) != 10:
-        raise ValueError("sector certificates need 10x10 operators")
-    bra_names = tuple(f"c{k}*" for k in range(len(SECTOR_SLOTS[X])))
-    ket_names = tuple(f"d{k}" for k in range(len(SECTOR_SLOTS[Y])))
+    for M in (A, B):
+        if len(M) != 10 or any(len(row) != 10 for row in M):
+            raise ValueError("sector certificates need 10x10 operators")
+        # only the (X, Y) block is coerced below, but every entry must be exact
+        for v in (v for row in M for v in row if type(v) not in (int, GaussianRational, RootTwoRational)):
+            RootTwoRational.coerce(v)
+    rows, cols = SECTOR_SLOTS[X], SECTOR_SLOTS[Y]
+    A, B = ([[RootTwoRational.coerce(M[i][j]) for j in cols] for i in rows] for M in (A, B))
+    bra_names = tuple(f"c{k}*" for k in range(len(rows)))
+    ket_names = tuple(f"d{k}" for k in range(len(cols)))
     variables = tuple(
         sorted({n for base in bra_names + ket_names for n in (base, conjugate_name(base))})
     )
-    rows = SECTOR_SLOTS[X]
-    cols = SECTOR_SLOTS[Y]
     bra = _amplitudes(X, bra_names, variables, RootTwoRational)
     ket = _amplitudes(Y, ket_names, variables, RootTwoRational)
-    f, g = _forms((A, B), bra, ket, rows, cols)
+    f, g = _forms((A, B), bra, ket, range(len(rows)), range(len(cols)))
     product = f * g
-    block_zero = all(A[i][j].is_zero for i in rows for j in cols) or all(
-        B[i][j].is_zero for i in rows for j in cols
-    )
+    block_zero = any(all(v.is_zero for row in M for v in row) for M in (A, B))
     if product.is_zero != block_zero:
         raise ConsistencyError(
             "sector polynomial and block matrices disagree on vanishing"

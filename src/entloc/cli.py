@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +63,7 @@ from .invariance import (
     is_sep_II_preserver,
 )
 from .reference import reference_suite
-from .report import RunConfig, build_report, complex_pair, emit, state_json
+from .report import CONFIG_KNOBS, build_report, complex_pair, emit, state_json
 from .separability import (
     DEFAULT_TOL,
     Tolerances,
@@ -135,7 +135,12 @@ def parse_scalar(text: str) -> complex:
 
 def _coerce_entry(v, exact: bool):
     if type(v) is int:  # the common JSON entry; a bool is not one
-        return GaussianRational.coerce(v) if exact else complex(v)
+        if exact:
+            return GaussianRational.coerce(v)
+        try:
+            return complex(v)
+        except OverflowError:  # past the float range: read as its digits are, an infinity
+            return parse_scalar(str(v))
     if isinstance(v, str):
         return parse_exact_scalar(v) if exact else parse_scalar(v)
     if isinstance(v, list):
@@ -247,7 +252,7 @@ def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
         mode, _, kind = rest.partition(":")
         if kind not in ("+", "-"):
             raise ValueError(f"ladder direction must be + or -, got {kind!r}")
-        mat = ctx.fock.ladder(mode, "create" if kind == "+" else "annihilate")
+        mat = ctx.fock.create(mode) if kind == "+" else ctx.fock.annihilate(mode)
     elif head == "oxo":
         if ctx.exact:
             raise ValueError("oxo wrapping is not supported in exact mode")
@@ -446,7 +451,10 @@ def cmd_certify(args, tol: Tolerances) -> tuple[dict, str]:
         if A.shape != (2, 2) or B.shape != (2, 2):
             raise ValueError("pair certificates need 2x2 exact operators")
         cert = certify_factorization_sep_I(A, B)
-    results = {"certificate": cert.to_dict(), "canonical_text": cert.canonical_text()}
+    try:
+        results = {"certificate": cert.to_dict(), "canonical_text": cert.canonical_text()}
+    except ValueError:  # the interpreter's limit on int-to-str digits
+        raise ValueError("a certificate coefficient is too large to print in decimal digits") from None
     return results, cert.verdict
 
 
@@ -577,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CLOSED_OUTPUT
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace) -> dict:
     """The echo of what the command reads.
 
     A knob the command does not take echoes null; every other input (pair
@@ -590,11 +598,9 @@ def _config(args: argparse.Namespace) -> RunConfig:
         inputs["samples" if args.pairs else "states"] = None
     if "n_max" in inputs and canonical_set_name(args.set) != "mode":
         inputs["n_max"] = None  # only the mode family lives on a Fock space
-    knobs = [f.name for f in fields(RunConfig) if f.name != "extra"]
-    return RunConfig(
-        **{k: inputs.pop(k, None) for k in knobs},
-        extra={k: v for k, v in inputs.items() if v is not None},
-    )
+    config = {k: inputs.pop(k, None) for k in CONFIG_KNOBS}
+    config["extra"] = {k: v for k, v in inputs.items() if v is not None}
+    return config
 
 
 def _run(args: argparse.Namespace) -> int:

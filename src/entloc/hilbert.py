@@ -52,16 +52,10 @@ def sym_dim(dim: int) -> int:
     return dim * (dim + 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _sector_slots() -> dict[str, tuple[int, ...]]:
-    slots: dict[str, list[int]] = {"LL": [], "LR": [], "RR": []}
-    for k, (i, j) in enumerate(sym_pairs(4)):
-        left = (i < 2) + (j < 2)
-        slots[("RR", "LR", "LL")[left]].append(k)
-    return {name: tuple(v) for name, v in slots.items()}
-
-
-SECTOR_SLOTS = _sector_slots()
+SECTOR_SLOTS = {
+    name: tuple(k for k, pair in enumerate(sym_pairs(4)) if sum(i < 2 for i in pair) == n_left)
+    for name, n_left in (("LL", 2), ("LR", 1), ("RR", 0))
+}
 """Symmetric-basis slot indices per spatial sector: LL (3), LR (4), RR (3)."""
 
 
@@ -174,10 +168,7 @@ def sector_projector(sector: str) -> np.ndarray:
     """Orthogonal projector onto one spatial sector of the 10-dim space."""
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector!r}, expected one of {SECTORS}")
-    P = np.zeros((10, 10), dtype=complex)
-    for k in SECTOR_SLOTS[sector]:
-        P[k, k] = 1.0
-    return P
+    return np.diag([complex(k in SECTOR_SLOTS[sector]) for k in range(10)])
 
 
 def pauli_decompose(O: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -290,24 +281,19 @@ class FockSpace:
         except ValueError:
             raise ValueError(f"unknown mode label {mode!r}, have {self.modes}") from None
 
-    def ladder(self, mode: str, kind: str) -> np.ndarray:
-        """Creation or annihilation matrix for one mode (``kind`` in create/annihilate)."""
+    def create(self, mode: str) -> np.ndarray:
+        """Creation matrix for one mode."""
         m = self._mode_index(mode)
-        if kind not in ("create", "annihilate"):
-            raise ValueError("kind must be 'create' or 'annihilate'")
         op = np.zeros((self.dim, self.dim), dtype=complex)
         for k, occ in enumerate(self.basis):
             up = occ[:m] + (occ[m] + 1,) + occ[m + 1 :]
             if up in self.index:  # within the cutoff
                 op[self.index[up], k] = np.sqrt(occ[m] + 1)
-        # annihilation is the transpose: it has the same entries, reversed
-        return op if kind == "create" else op.T.copy()
-
-    def create(self, mode: str) -> np.ndarray:
-        return self.ladder(mode, "create")
+        return op
 
     def annihilate(self, mode: str) -> np.ndarray:
-        return self.ladder(mode, "annihilate")
+        # annihilation is the transpose: it has the same entries, reversed
+        return self.create(mode).T.copy()
 
     def number(self, mode: str) -> np.ndarray:
         m = self._mode_index(mode)

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConsistencyError
-from .hilbert import SECTORS, pauli_decompose, sector_projector
+from .hilbert import SECTOR_SLOTS, SECTORS, pauli_decompose, sector_projector
 from .separability import DEFAULT_TOL, Tolerances
 
 
@@ -161,11 +161,9 @@ def is_block_scalar(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BlockScalar
     alphas: dict[str, complex] = {}
     max_diag = 0.0
     for X in SECTORS:
-        P = sector_projector(X)
-        rank = int(round(np.trace(P).real))
-        alpha = complex(np.trace(blocks[(X, X)]) / rank)
+        alpha = complex(np.trace(blocks[(X, X)]) / len(SECTOR_SLOTS[X]))
         alphas[X] = alpha
-        max_diag = max(max_diag, float(np.linalg.norm(blocks[(X, X)] - alpha * P)))
+        max_diag = max(max_diag, float(np.linalg.norm(blocks[(X, X)] - alpha * sector_projector(X))))
     block_scalar = max_off <= tol.eps_class * scale and max_diag <= tol.eps_class * scale
     values = list(alphas.values())
     spread = max(abs(v - values[0]) for v in values)

@@ -13,46 +13,19 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 SCHEMA = "entloc-report/v1"
 
+CONFIG_KNOBS = (
+    "command", "seed", "tol_class", "tol_rank", "witness_threshold", "samples", "budget", "fmt", "out",
+)
+"""The keys of every report's ``config``, besides ``extra``.
 
-@dataclass
-class RunConfig:
-    """Serializable knobs of one CLI invocation (echoed into every report).
-
-    A knob the command does not take is ``None``; the command's other
-    inputs go in ``extra``.
-    """
-
-    command: str
-    seed: int | None = None
-    tol_class: float | None = None
-    tol_rank: float | None = None
-    witness_threshold: float | None = None
-    samples: int | None = None
-    budget: int | None = None
-    fmt: str | None = None
-    out: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["extra"] = {k: _plain(v) for k, v in self.extra.items()}
-        return d
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        return state_json(v)
-    return v
+A knob the command does not take is ``None``; the command's other inputs
+go in ``extra``.
+"""
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -65,13 +38,13 @@ def state_json(psi: np.ndarray) -> list[list[float]]:
     return [complex_pair(z) for z in np.asarray(psi, dtype=complex)]
 
 
-def build_report(config: RunConfig, results: dict, summary: str, wall_time_s: float) -> dict:
+def build_report(config: dict, results: dict, summary: str, wall_time_s: float) -> dict:
     from . import __version__
 
     return {
         "schema": SCHEMA,
         "version": __version__,
-        "config": config.to_dict(),
+        "config": config,
         "results": results,
         "summary": summary,
         "wall_time_s": wall_time_s,
@@ -81,10 +54,6 @@ def build_report(config: RunConfig, results: dict, summary: str, wall_time_s: fl
 def results_bytes(report: dict) -> bytes:
     """Canonical bytes of the reproducible section."""
     return json.dumps(report["results"], sort_keys=True, separators=(",", ":")).encode()
-
-
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _scalar_row(d: dict, prefix: str = "") -> dict:
@@ -104,21 +73,17 @@ def render_csv(report: dict) -> str:
         lines = [_scalar_row(report["results"])]
     keys = sorted({k for line in lines for k in line if isinstance(line[k], (str, int, float, bool))})
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=keys, extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=keys, extrasaction="ignore")  # a missing field is ""
     writer.writeheader()
-    for line in lines:
-        writer.writerow({k: line.get(k, "") for k in keys})
+    writer.writerows(lines)
     return buf.getvalue()
 
 
 def emit(report: dict, out: str | None, fmt: str) -> None:
-    text = render_csv(report) if fmt == "csv" else render_json(report)
+    # a CSV ends with its row terminator; the JSON document gets its final newline here
+    text = render_csv(report) if fmt == "csv" else json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")

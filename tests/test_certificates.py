@@ -380,6 +380,28 @@ def test_sector_certificate_rejects_bad_sectors():
         certify_sector_coupling(np.eye(10, dtype=int), np.eye(10, dtype=int), "LL", "LL")
 
 
+def test_sector_certificate_refuses_inexact_entries_outside_the_block():
+    # only the (LR, RR) block is read; an entry elsewhere must still be exact
+    A = np.eye(10, dtype=int).astype(object)
+    B = np.ones((10, 10), dtype=int).astype(object)
+    want = certify_sector_coupling(A, B, "LR", "RR")
+    assert want.verdict == "IdenticallyZero"
+    for bad in (0.5, float("inf"), "1"):
+        A[0, 0] = bad
+        with pytest.raises(TypeError, match="cannot coerce"):
+            certify_sector_coupling(A, B, "LR", "RR")
+    # an entry the ring takes exactly changes nothing outside the block
+    for exact in (2.0, 3 + 0j, Fraction(1, 3), gr(1, -2), RootTwoRational.coerce(5)):
+        A[0, 0] = exact
+        assert certify_sector_coupling(A, B, "LR", "RR") == want
+
+
+@pytest.mark.parametrize("shape", [(10, 9), (9, 10), (2, 2)])
+def test_sector_certificate_needs_10x10_operators(shape):
+    with pytest.raises(ValueError, match="sector certificates need 10x10 operators"):
+        certify_sector_coupling(np.ones(shape, dtype=int), np.eye(10, dtype=int), "LL", "RR")
+
+
 # --- golden certificates ------------------------------------------------------------
 
 GOLDEN_PATH = Path(__file__).with_name("golden_certificates.json")

@@ -1,5 +1,6 @@
 """CLI surface: commands, spec language, exit codes, report determinism."""
 
+import csv
 import io
 import json
 import os
@@ -24,7 +25,10 @@ from entloc.cli import (
     parse_scalar,
 )
 from entloc.exact import GaussianRational
-from entloc.report import results_bytes
+from entloc.hilbert import FockSpace
+from entloc.report import CONFIG_KNOBS, results_bytes
+
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "report-schema-v1.md"
 
 
 def run(capsys, *argv):
@@ -54,6 +58,13 @@ def test_parse_scalars():
         parse_exact_scalar("")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_exact_scalar("1/0")
+
+
+def test_a_bare_j_is_the_imaginary_unit():
+    assert parse_exact_scalar("j") == GaussianRational(0, 1)
+    assert parse_exact_scalar("-j") == GaussianRational(0, -1)
+    assert parse_exact_scalar("1+j") == GaussianRational(1, 1)
+    assert parse_scalar("1+j") == 1 + 1j
 
 
 def test_parse_operator_atoms():
@@ -113,6 +124,14 @@ def test_parse_operator_errors():
         parse_operator("mystery:1", OperatorContext())
     with pytest.raises(ValueError):
         parse_operator("ladder:0:+", OperatorContext())  # no Fock context
+
+
+def test_exact_mode_refuses_fock_atoms():
+    ctx = OperatorContext(exact=True, fock=FockSpace())
+    with pytest.raises(ValueError, match="Fock number operators are not supported in exact mode"):
+        parse_operator("number:0", ctx)
+    with pytest.raises(ValueError, match="ladder operators are not supported in exact mode"):
+        parse_operator("ladder:0:+", ctx)
 
 
 # --- classify -------------------------------------------------------------------
@@ -194,6 +213,9 @@ def test_a_bad_pairs_value_exits_2_with_one_line(value, capsys):
     assert "--pairs takes random:<n>" in err and repr(value) in err
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer past the float range
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -206,6 +228,14 @@ def test_a_bad_pairs_value_exits_2_with_one_line(value, capsys):
           "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]", "--samples", "10"], "residual overflowed"),
         (["classify", "--family", "I", "--coeffs", "1e160,1"], "non-finite amplitudes"),
         (["classify", "--family", "II", "--coeffs", "1e160,1"], "non-finite amplitudes"),
+        # a JSON integer reads as its digits do: an infinity, as "1e400" does
+        (["preserve-check", "--op", f"entries:[[{BIG_INT},0],[0,1]]"], "non-finite entries"),
+        (["preserve-check", "--op", f"entries:[[[{BIG_INT},0],0],[0,1]]"], "non-finite entries"),
+        (["preserve-check", "--op", f"entries:[[[0,-{BIG_INT}],0],[0,1]]"], "non-finite entries"),
+        (["witness", "--set", "I", "--A", f"entries:[[{BIG_INT},0],[0,1]]", "--B", "pauli:1"],
+         "non-finite entries"),
+        (["audit", "--set", "I", "--A", "pauli:1", "--B", f"entries:[[1,0],[0,-{BIG_INT}]]"],
+         "non-finite entries"),
     ],
 )
 def test_overflow_exits_2_with_one_line_and_no_warnings(argv, message, capsys):
@@ -233,6 +263,46 @@ def test_a_huge_decimal_exponent_exits_2_at_once(argv, message, capsys):
     start = time.perf_counter()
     assert main(argv) == EXIT_INPUT
     assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
+
+
+def test_a_certificate_coefficient_too_large_to_print_exits_2_with_one_line(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["certify", "--A", 'entries:[["1e4300","1"],["2","3"]]', "--B", "pauli:1"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "entloc: input error: a certificate coefficient is too large to print in decimal digits\n"
+    # the interpreter's own limit is left as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # operators of the wrong shape for the family
+        (["witness", "--set", "I", "--pair", "number:L0,number:L1"],
+         "family I/II operators must be 2x2 generators or 3x3 matrices"),
+        (["audit", "--set", "ssr", "--pair", "pauli:1,pauli:2"], "family III/ssr operators must be 10x10"),
+        (["witness", "--set", "mode", "--pair", "pauli:1,pauli:2"],
+         "mode operators must act on the truncated Fock space"),
+        # inputs a command needs, or a combination it does not take
+        (["witness", "--set", "I", "--A", "pauli:1"], "provide --pair A,B or both --A and --B"),
+        (["classify", "--family", "III", "--coeffs", "1,0"], "--family supports I or II with --coeffs c0,c1"),
+        (["classify", "--family", "I", "--coeffs", "1,0,0"], "--family supports I or II with --coeffs c0,c1"),
+        (["classify"], "provide --amps or --family/--coeffs"),
+        (["audit", "--set", "I", "--pairs", "random:2"],
+         "random pair audits are the positive controls: use --set mode|ssr"),
+        (["certify", "--sectors", "LL,LR,RR", "--A", "number:L0", "--B", "number:R0"], "--sectors needs X,Y"),
+        (["certify", "--A", "number:L0", "--B", "number:R0"], "pair certificates need 2x2 exact operators"),
+        (["preserve-check"], "provide --op or --pair"),
+        (["preserve-check", "--op", "diag:1,2,3,4"], "preserve-check accepts 2x2, 3x3 or 10x10 operators"),
+        # exact mode refuses a numeric construction
+        (["certify", "--A", "oxo:pauli:1", "--B", "pauli:1"], "oxo wrapping is not supported in exact mode"),
+    ],
+)
+def test_an_input_error_exits_2_with_one_line(argv, message, capsys):
+    assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
 
@@ -313,6 +383,51 @@ def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
         capsys, "witness", "--set", "MODE", "--pair", "number:0,number:1", "--budget", "20", "--n-max", "3"
     )
     assert doc["config"]["extra"] == {"set": "MODE", "pair": "number:0,number:1", "n_max": 3}
+
+
+def _config(**knobs) -> dict:
+    """A whole config echo: every knob null except those given."""
+    return {**dict.fromkeys(CONFIG_KNOBS), "fmt": "json", **knobs}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["classify", "--amps", "0,0,1"],
+         _config(command="classify", tol_class=1e-9, tol_rank=1e-8, extra={"amps": "0,0,1", "basis": "sym3"})),
+        (["reproduce-paper"], _config(command="reproduce-paper", extra={})),
+        (["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "20", "--seed", "3"],
+         _config(command="audit", seed=3, witness_threshold=1e-6, samples=20,
+                 extra={"set": "I", "pair": "pauli:1,pauli:2"})),
+        (["audit", "--set", "mode", "--pairs", "random:2", "--states", "20", "--seed", "8"],
+         _config(command="audit", seed=8, witness_threshold=1e-10,
+                 extra={"set": "mode", "pairs": "random:2", "states": 20, "n_max": 4})),
+        (["witness", "--set", "mode", "--A", "number:0", "--B", "number:1", "--budget", "20", "--n-max", "3"],
+         _config(command="witness", seed=42, tol_class=1e-9, tol_rank=1e-8, witness_threshold=1e-6, budget=20,
+                 extra={"set": "mode", "A": "number:0", "B": "number:1", "n_max": 3})),
+        (["certify", "--sectors", "RR,LR", "--A", "number:L1-number:L0", "--B", "number:R0"],
+         _config(command="certify", extra={"sectors": "RR,LR", "A": "number:L1-number:L0", "B": "number:R0"})),
+        (["preserve-check", "--op", "pauli:2"], _config(command="preserve-check", tol_class=1e-9, extra={"op": "pauli:2"})),
+        (["sample", "--set", "ssr", "--n", "2", "--seed", "1", "--tol-rank", "1e-7"],
+         _config(command="sample", seed=1, tol_class=1e-9, tol_rank=1e-7, extra={"set": "ssr", "n": 2})),
+    ],
+)
+def test_each_command_echoes_its_whole_config(argv, config, capsys):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["config"] == config
+
+
+def test_the_config_keys_are_the_documented_ones(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["sample", "--set", "I", "--n", "1", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert sorted(config) == sorted([*CONFIG_KNOBS, "extra"])
+    assert (config["out"], config["fmt"]) == (str(out), "json")
+    section = SCHEMA_DOC.read_text().split("## `config`")[1].split("\n## ")[0]
+    assert "`report.CONFIG_KNOBS`" in section
+    for key in (*CONFIG_KNOBS, "extra"):
+        assert f"`{key}`" in section
 
 
 # --- reproduce-paper ---------------------------------------------------------------
@@ -516,6 +631,51 @@ def test_csv_and_out_file(tmp_path, capsys):
     assert text.splitlines()[0] == "classifier,verdict"
     assert "sep_II,SepIIOnly" in text
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--seed", "10"],
+         ["abs_residual", "found", "membership.set", "recheck_error", "set"]),
+        (["witness", "--set", "I", "--pair", "pauli:0,pauli:1", "--budget", "50"], ["budget", "found", "threshold"]),
+        (["audit", "--set", "ssr", "--pairs", "random:2", "--states", "20", "--seed", "9"],
+         ["audit.max_abs_residual", "audit.mean_abs_residual", "audit.n_samples", "audit.pair", "audit.seed",
+          "audit.set", "audit.threshold", "audit.verdict"]),
+        (["certify", "--pair", "pauli:1,pauli:2"],
+         ["canonical_text", "certificate.check_value", "certificate.coefficient", "certificate.n_terms",
+          "certificate.verdict"]),
+        (["preserve-check", "--op", "pauli:2"], ["round_trip_defect", "unitary_proportional"]),
+        (["preserve-check", "--op", "diag:1,1,1"], ["defect", "fits"]),
+        (["preserve-check", "--pair", "pauli:1,pauli:2"], ["commutativity.commutes"]),
+        (["preserve-check", "--op", "number:L0"], ["block_scalar", "identity_proportional"]),
+        (["sample", "--set", "I", "--n", "2", "--seed", "1"], ["all_separable", "set"]),
+    ],
+)
+def test_csv_without_lines_is_one_row_of_scalar_results(argv, header, capsys):
+    _, doc = run_json(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == header and len(rows) == 2
+    # a scalar of results, or of a dict one level down, as csv writes it
+    for key, cell in zip(header, rows[1]):
+        value = doc["results"]
+        for part in key.split("."):
+            value = value[part]
+        assert cell == str(value)
+
+
+@pytest.mark.parametrize("fmt, end", [("json", "}\n"), ("csv", "SepIIOnly\r\n")])
+def test_a_report_ends_in_one_newline_on_stdout_and_in_a_file(fmt, end, tmp_path, capsys):
+    argv = ["classify", "--amps", "0,0,1", "--format", fmt]
+    code, out = run(capsys, *argv)
+    assert code == main([*argv, "--out", str(tmp_path / "report")]) == 0
+    text = (tmp_path / "report").read_bytes().decode()
+    assert out.endswith(end) and text.endswith(end)
+    assert not text.endswith(("\n\n", "\n\r\n"))
+    if fmt == "csv":  # the report's only volatile part, wall_time_s, is not in the CSV
+        assert text == out
 
 
 def test_json_out_file_roundtrip(tmp_path, capsys):
