@@ -19,7 +19,7 @@ import numpy as np
 SCHEMA = "entloc-report/v1"
 
 CONFIG_KNOBS = (
-    "command", "seed", "tol_class", "tol_rank", "witness_threshold", "samples", "budget", "fmt", "out",
+    "command", "seed", "tol_class", "witness_threshold", "samples", "budget", "fmt", "out",
 )
 """The keys of every report's ``config``, besides ``extra``.
 

@@ -61,14 +61,17 @@ SEPARABLE_CLASSES = frozenset(
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Classification thresholds (relative to state scale)."""
+    """The classification threshold, relative to state scale.
+
+    Every margin is at most 1, so only a finite ``0 < eps_class < 1`` can
+    tell members from non-members.
+    """
 
     eps_class: float = 1e-9
-    eps_rank: float = 1e-8
 
     def __post_init__(self):
-        if self.eps_class <= 0 or self.eps_rank <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not 0 < self.eps_class < 1:  # false for NaN too
+            raise ValueError(f"tolerances must lie in (0, 1), got eps_class={self.eps_class!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -182,15 +185,18 @@ def classify_states(
     """Verdicts of one family's classifier for an ``(n, d)`` stack of states.
 
     A verdict's diagnostics are its deciding margins: scale-free distances,
-    0 on the family, linear off it, at most 1 (up to rounding); a member's
-    margin is at most ``tol.eps_rank`` (ssr) or ``tol.eps_class``.  With
-    ``s1 >= s2`` the singular values of C (I, II), R (III) or the LR block
-    (ssr), III's and ssr's ``margin`` is ``2 s1 s2 / (s1^2 + s2^2)`` (0 if
+    0 on the family, linear off it, at most 1 (up to rounding).  In every
+    family a member's margin is at most ``tol.eps_class``.  With ``s1 >= s2``
+    the singular values of C (I, II), R (III) or the LR block (ssr), III's
+    and ssr's ``margin`` is ``2 s1 s2 / (s1^2 + s2^2)`` (0 if
     ``s1 <= EPS_STATE ||psi||``), which for C equals the ``discriminant``
     ``|disc| / ||psi||^2`` deciding I and, first, II; II's orthogonal-pair
     ``margin`` is ``(s1^2 - s2^2) / (s1^2 + s2^2) = 2 ||rho - 1/2||_2``;
-    mode's is the second-largest amplitude modulus over the largest.  II
-    raises :class:`~entloc.errors.ConsistencyError` if its two family-I
+    mode's is the second-largest amplitude modulus over the largest.  The
+    margins are computed on each row scaled by the power of two that brings
+    its largest modulus into [0.5, 1), so ``2^k psi`` gets the margins of
+    ``psi`` bit for bit; family-I parameters are read from the row as given.
+    II raises :class:`~entloc.errors.ConsistencyError` if its two family-I
     routes split across ``eps_class`` by over ten times.  Row ``i`` gets the
     verdict of a one-state call on ``states[i]``, bit for bit.
     """
@@ -200,12 +206,17 @@ def classify_states(
     if psi.ndim != 2 or psi.shape[1] != dim:
         raise ValueError(f"family {kind} classifies an (n, {dim}) stack of states, got {psi.shape}")
     norm2 = check_state(psi)
+    moduli = np.abs(psi)
+    # a power-of-two scale is exact, and keeps every product below in range
+    _, exponent = np.frexp(moduli.max(axis=1))
+    unit = psi * np.ldexp(1.0, -exponent)[:, None]
+    norm2 = np.ldexp(norm2, -2 * exponent)
     eps = tol.eps_class
     margins = {}
     if kind in ("I", "II"):
-        margins["discriminant"] = disc = np.abs(sep_I_discriminant(psi)) / norm2
+        margins["discriminant"] = disc = np.abs(sep_I_discriminant(unit)) / norm2
     if kind in ("II", "III", "ssr"):
-        M = lr_block(psi) if kind == "ssr" else np.einsum("nk,mkl->nml", psi, _REDUCTIONS[dim])
+        M = lr_block(unit) if kind == "ssr" else np.einsum("nk,mkl->nml", unit, _REDUCTIONS[dim])
         s = _singular_values(M)
         s1, s2 = s[:, 0], s[:, 1]
         live = s1 > EPS_STATE * np.sqrt(norm2)
@@ -220,7 +231,7 @@ def classify_states(
                                    f"singular values {rank_one[i]:.3e}, eps_class {eps:.1e}")
         margins["margin"] = (s1 * s1 - s2 * s2) / (s1 * s1 + s2 * s2)
     elif kind == "mode":
-        amps = np.sort(np.abs(psi), axis=-1)
+        amps = np.sort(moduli, axis=-1)
         margins["margin"] = amps[:, -2] / amps[:, -1] if dim > 1 else np.zeros(len(psi))
     member, other = _SETS[kind]
     verdicts = []
@@ -229,7 +240,7 @@ def classify_states(
         if diag.get("discriminant", np.inf) <= eps:
             verdicts.append(SeparabilityVerdict(SepClass.SEP_I, _sep_I_parameters(row), diag))
         else:
-            ok = diag.get("margin", np.inf) <= (tol.eps_rank if kind == "ssr" else eps)
+            ok = diag.get("margin", np.inf) <= eps
             verdicts.append(SeparabilityVerdict(member if ok else other, None, diag))
     return verdicts
 

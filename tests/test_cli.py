@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
     MAX_DECIMAL_EXPONENT,
+    _COMMANDS,
     OperatorContext,
     build_parser,
     main,
@@ -29,6 +31,7 @@ from entloc.hilbert import FockSpace
 from entloc.report import CONFIG_KNOBS, results_bytes
 
 SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "report-schema-v1.md"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -39,10 +42,7 @@ def run(capsys, *argv):
 
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
-    # reproduce-paper prints PASS lines before the JSON document, which
-    # starts at the first line that is exactly "{"
-    start = 0 if out.startswith("{\n") else out.rindex("\n{\n") + 1
-    return code, json.loads(out[start:])
+    return code, json.loads(out)
 
 
 # --- scalar / operator parsing ------------------------------------------------
@@ -155,6 +155,27 @@ def test_classify_reference_states(capsys):
     verdicts = doc["results"]["verdicts"]
     assert verdicts["sep_III"]["set"] == "SepIII"
     assert verdicts["ssr"]["set"] == "SsrSep"
+
+
+def test_one_tolerance_decides_ssr_and_III_on_an_lr_only_state(capsys):
+    # both margins read 4.0e-9, between eps_class and ten times it
+    code, doc = run_json(capsys, "classify", "--basis", "sym10", "--amps", "0,0,0.5,0.5,0,0.5,0.500000004,0,0,0")
+    assert (code, doc["summary"]) == (0, "EntangledIII SsrEnt")
+    margins = [doc["results"]["verdicts"][name]["diagnostics"]["margin"] for name in ("sep_III", "ssr")]
+    assert margins == pytest.approx([4e-9, 4e-9], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "huge, plain",
+    [("1.3e154,0,0", "1,0,0"), ("1.2e154,-5e153,2e153j", "1.2,-0.5,0.2j"), ("0,1e154,0", "0,1,0")],
+)
+def test_a_huge_state_reads_as_its_unit_scale_does(huge, plain, capsys):
+    # the margins' products overflowed first: sep_II.margin read NaN
+    (code, doc), (_, unit) = (run_json(capsys, "classify", "--amps", amps) for amps in (huge, plain))
+    assert code == 0 and doc["summary"] == unit["summary"]
+    margins = [{(name, k): x for name, v in d["results"]["verdicts"].items() for k, x in v["diagnostics"].items()}
+               for d in (doc, unit)]
+    assert margins[0] == pytest.approx(margins[1], rel=1e-12)
 
 
 def test_classify_family_input(capsys):
@@ -299,12 +320,42 @@ def test_a_certificate_coefficient_too_large_to_print_exits_2_with_one_line(caps
         (["preserve-check", "--op", "diag:1,2,3,4"], "preserve-check accepts 2x2, 3x3 or 10x10 operators"),
         # exact mode refuses a numeric construction
         (["certify", "--A", "oxo:pauli:1", "--B", "pauli:1"], "oxo wrapping is not supported in exact mode"),
+        # a JSON integer past the interpreter's digit limit, in either mode
+        (["preserve-check", "--op", f"entries:[[1{'0' * 5000},0],[0,1]]"],
+         "an entries: integer is too long: at most 4300 digits"),
+        (["certify", "--A", f"entries:[[1{'0' * 5000},0],[0,1]]", "--B", "pauli:1"],
+         "an entries: integer is too long: at most 4300 digits"),
+        (["certify", "--A", f"entries:[[[0,-{'9' * 4301}],0],[0,1]]", "--B", "pauli:1"],
+         "an entries: integer is too long: at most 4300 digits"),
     ],
 )
 def test_an_input_error_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--amps", "1,0,0"],
+        ["witness", "--set", "I", "--pair", "pauli:1,pauli:2"],
+        ["preserve-check", "--op", "pauli:2"],
+        ["sample", "--set", "ssr", "--n", "3"],
+    ],
+)
+def test_a_tolerance_that_cannot_decide_a_verdict_exits_2_with_one_line(argv, value, capsys):
+    # a NaN tolerance made every margin test false, and one of 1 or more every test true
+    assert main([*argv, f"--tol-class={value}"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"entloc: input error: tolerances must lie in (0, 1), got eps_class={float(value)!r}\n"
+
+
+def test_an_entries_integer_of_4300_digits_keeps_its_value():
+    top = int("9" * MAX_DECIMAL_EXPONENT)
+    exact = parse_operator(f"entries:[[{top},0],[0,-{top}]]", OperatorContext(exact=True))
+    assert (exact[0, 0], exact[1, 1]) == (GaussianRational(top), GaussianRational(-top))
 
 
 def test_exponents_within_the_bound_keep_their_values():
@@ -320,15 +371,14 @@ def test_exponents_within_the_bound_keep_their_values():
 # --- options ----------------------------------------------------------------------
 
 PAIR = ["--pair", "--A", "--B"]
-TOL = ["--tol-class", "--tol-rank"]
 COMMAND_FLAGS = {
-    "classify": ["--amps", "--basis", "--family", "--coeffs", *TOL],
+    "classify": ["--amps", "--basis", "--family", "--coeffs", "--tol-class"],
     "reproduce-paper": [],
     "audit": ["--set", "--pairs", "--states", "--samples", "--seed", "--threshold", "--n-max", *PAIR],
-    "witness": ["--set", "--budget", "--seed", "--threshold", "--n-max", *TOL, *PAIR],
+    "witness": ["--set", "--budget", "--seed", "--threshold", "--n-max", "--tol-class", *PAIR],
     "certify": ["--sectors", *PAIR],
     "preserve-check": ["--op", *PAIR, "--tol-class"],
-    "sample": ["--set", "--n", "--seed", *TOL],
+    "sample": ["--set", "--n", "--seed", "--tol-class"],
 }
 
 
@@ -339,7 +389,15 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, sub in commands.choices.items()
     }
     assert taken == {name: {*flags, "--format", "--out"} for name, flags in COMMAND_FLAGS.items()}
-    assert sum(map(len, taken.values())) == 54
+    assert sum(map(len, taken.values())) == 51
+
+
+def test_the_readme_flag_table_names_the_flags_each_command_takes():
+    rows = {}
+    for line in README.read_text().split("| command | flags |")[1].split("\n\n")[0].splitlines()[2:]:
+        command, flags = line.strip("|").split(" | ")
+        rows[command.strip().strip("`")] = set(re.findall(r"--[A-Za-z][A-Za-z-]*", flags))
+    assert rows == {name: set(flags.split()) for name, (_, _, flags) in _COMMANDS.items()}
 
 
 @pytest.mark.parametrize(
@@ -352,6 +410,10 @@ def test_each_command_takes_only_the_flags_it_reads():
         ["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "3"],
         ["sample", "--set", "I", "--threshold", "1"],
         ["preserve-check", "--op", "pauli:2", "--tol-rank", "1e-3"],
+        # one tolerance decides every family
+        ["classify", "--amps", "0,0,1", "--tol-rank", "1e-8"],
+        ["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--tol-rank", "1e-8"],
+        ["sample", "--set", "ssr", "--tol-rank", "1e-8"],
     ],
 )
 def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
@@ -368,7 +430,7 @@ def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
     _, doc = run_json(capsys, "classify", "--amps", "0,0,1", "--tol-class", "1e-7")
     config = doc["config"]
     assert [config[k] for k in ("seed", "samples", "budget", "witness_threshold")] == [None] * 4
-    assert (config["tol_class"], config["tol_rank"]) == (1e-7, 1e-8)
+    assert config["tol_class"] == 1e-7
     assert config["extra"] == {"amps": "0,0,1", "basis": "sym3"}
     _, doc = run_json(
         capsys, "witness", "--set", "I", "--pair", "pauli:0,pauli:3", "--budget", "200",
@@ -394,7 +456,7 @@ def _config(**knobs) -> dict:
     "argv, config",
     [
         (["classify", "--amps", "0,0,1"],
-         _config(command="classify", tol_class=1e-9, tol_rank=1e-8, extra={"amps": "0,0,1", "basis": "sym3"})),
+         _config(command="classify", tol_class=1e-9, extra={"amps": "0,0,1", "basis": "sym3"})),
         (["reproduce-paper"], _config(command="reproduce-paper", extra={})),
         (["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "20", "--seed", "3"],
          _config(command="audit", seed=3, witness_threshold=1e-6, samples=20,
@@ -403,13 +465,13 @@ def _config(**knobs) -> dict:
          _config(command="audit", seed=8, witness_threshold=1e-10,
                  extra={"set": "mode", "pairs": "random:2", "states": 20, "n_max": 4})),
         (["witness", "--set", "mode", "--A", "number:0", "--B", "number:1", "--budget", "20", "--n-max", "3"],
-         _config(command="witness", seed=42, tol_class=1e-9, tol_rank=1e-8, witness_threshold=1e-6, budget=20,
+         _config(command="witness", seed=42, tol_class=1e-9, witness_threshold=1e-6, budget=20,
                  extra={"set": "mode", "A": "number:0", "B": "number:1", "n_max": 3})),
         (["certify", "--sectors", "RR,LR", "--A", "number:L1-number:L0", "--B", "number:R0"],
          _config(command="certify", extra={"sectors": "RR,LR", "A": "number:L1-number:L0", "B": "number:R0"})),
         (["preserve-check", "--op", "pauli:2"], _config(command="preserve-check", tol_class=1e-9, extra={"op": "pauli:2"})),
-        (["sample", "--set", "ssr", "--n", "2", "--seed", "1", "--tol-rank", "1e-7"],
-         _config(command="sample", seed=1, tol_class=1e-9, tol_rank=1e-7, extra={"set": "ssr", "n": 2})),
+        (["sample", "--set", "ssr", "--n", "2", "--seed", "1", "--tol-class", "1e-7"],
+         _config(command="sample", seed=1, tol_class=1e-7, extra={"set": "ssr", "n": 2})),
     ],
 )
 def test_each_command_echoes_its_whole_config(argv, config, capsys):
@@ -438,6 +500,20 @@ def test_reproduce_paper_passes(capsys):
     assert doc["summary"] == "PASS"
     assert doc["results"]["n_pass"] == doc["results"]["n_lines"] == 9
     assert all(line["max_abs_error"] <= 1e-12 for line in doc["results"]["lines"])
+
+
+def test_reproduce_paper_prints_only_its_report(tmp_path, capsys):
+    # stdout is one JSON document, as for every command, so it pipes into a JSON reader
+    code, out = run(capsys, "reproduce-paper")
+    assert code == 0 and json.loads(out)["summary"] == "PASS"
+    report = tmp_path / "report.json"
+    assert main(["reproduce-paper", "--out", str(report)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(report.read_text())["results"] == json.loads(out)["results"]
+    # --format csv prints the same lines as a table, and nothing else
+    code, out = run(capsys, "reproduce-paper", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["id"] for row in rows] == [line["id"] for line in json.loads(report.read_text())["results"]["lines"]]
 
 
 # --- audits / witness / certify ------------------------------------------------------

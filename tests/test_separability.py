@@ -30,7 +30,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
-from entloc.separability import family
+from entloc.separability import Tolerances, family
 
 RNG = np.random.default_rng(99)
 
@@ -182,6 +182,39 @@ def test_ssr_matches_family_III_on_lr_only_states():
         )
 
 
+def test_ssr_and_III_share_one_tolerance_on_lr_only_states():
+    # on LR-only states the two margins are one quantity, so one tolerance
+    # gives one verdict on both sides of it
+    rng = np.random.default_rng(41)
+    eps = 10.0 ** np.linspace(-11, -7, 81)[:, None]
+    for _ in range(5):
+        product = np.outer(rand_vec(2, rng), rand_vec(2, rng))
+        delta = rand_vec(4, rng)
+        block = product.ravel() / np.linalg.norm(product) + eps * delta / np.linalg.norm(delta)
+        states = np.zeros((len(eps), 10), dtype=complex)
+        states[:, [2, 3, 5, 6]] = block
+        ssr, iii = classify_states("ssr", states), classify_states("III", states)
+        margins = np.array([v.diagnostics["margin"] for v in ssr])
+        assert np.allclose(margins, [v.diagnostics["margin"] for v in iii], rtol=1e-6, atol=1e-15)
+        clear = np.abs(margins / 1e-9 - 1) > 0.01
+        members = np.array([v.separable for v in ssr])
+        assert np.array_equal(members[clear], np.array([v.separable for v in iii])[clear])
+        assert members[margins < 0.99e-9].all() and not members[margins > 1.01e-9].any()
+        assert ((margins > 1.01e-9) & (margins <= 1e-8)).any()
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, 1.0, 2.0])
+def test_a_tolerance_that_cannot_decide_a_verdict_is_refused(eps):
+    # every margin is at most 1, and NaN compares false with every margin
+    with pytest.raises(ValueError, match="tolerances must lie in"):
+        Tolerances(eps)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-9, 0.5, 1 - 2**-53])
+def test_a_tolerance_inside_the_unit_interval_is_taken(eps):
+    assert Tolerances(eps).eps_class == eps
+
+
 # --- samplers --------------------------------------------------------------------
 
 SAMPLER_SEEDS = {"I": 1871, "II": 1872, "III": 1873, "mode": 1874, "ssr": 1875}
@@ -313,6 +346,34 @@ def test_classifier_scale_covariance(scale, phase, seed):
     assert classify_mode(psi3).set is classify_mode(lam * psi3).set
     assert classify_sep_III(psi10).set is classify_sep_III(lam * psi10).set
     assert classify_ssr(psi10).set is classify_ssr(lam * psi10).set
+
+
+def margin_bytes(verdicts) -> list:
+    return [(v.set, {k: np.float64(x).tobytes() for k, x in v.diagnostics.items()}) for v in verdicts]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["I", "II", "III", "mode", "ssr"]),
+    k=st.integers(-30, 500),
+    members=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_of_two_scales_keep_verdicts_and_margin_bytes(kind, k, members, seed):
+    rng = np.random.default_rng(seed)
+    psi = family(kind).sample(rng, 20)
+    if not members:
+        psi = rand_vec(psi.size, rng).reshape(psi.shape)
+    assert margin_bytes(classify_states(kind, 2.0**k * psi)) == margin_bytes(classify_states(kind, psi))
+
+
+def test_a_state_near_the_overflow_line_keeps_its_verdict():
+    # s1^2 + s2^2 overflowed to inf at this scale, and the margin read 0
+    rng = np.random.default_rng(5)
+    psi = np.concatenate([family("III").sample(rng, 500), rand_vec(5000, rng).reshape(500, 10)])
+    unscaled = classify_states("III", psi)
+    assert unscaled[507].set is SepClass.ENTANGLED_III and unscaled[507].diagnostics["margin"] > 0.8
+    assert margin_bytes(classify_states("III", 2.0**509 * psi)) == margin_bytes(unscaled)
 
 
 def test_cross_check_guard_fires_on_divergent_routes(monkeypatch):
