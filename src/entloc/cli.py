@@ -86,7 +86,7 @@ EXIT_INTERNAL = 4
 # scalar and operator spec parsing
 
 MAX_DECIMAL_EXPONENT = 4300
-"""Largest decimal exponent an exact scalar may spell, in magnitude.
+"""Most digits on either side of an exact scalar's ``/``, and its largest decimal exponent in magnitude.
 
 ``Fraction`` builds ``10**exponent``, so its cost has no bound of its own;
 4300 is also the most digits Python converts between ``str`` and ``int``.
@@ -94,11 +94,12 @@ MAX_DECIMAL_EXPONENT = 4300
 
 
 def _exact_rational(text: str) -> Fraction:
-    _, e, exponent = text.lower().partition("e")
+    mantissa, e, exponent = text.lower().partition("e")
+    longest = max(sum(map(str.isdecimal, side)) for side in mantissa.split("/"))
+    if longest > MAX_DECIMAL_EXPONENT:  # the interpreter would name sys.set_int_max_str_digits()
+        raise ValueError(f"an exact scalar is too long: {longest} digits, at most {MAX_DECIMAL_EXPONENT}")
     digits = exponent.lstrip("+-").lstrip("0")
-    if e and digits.isdecimal() and (
-        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
-    ):
+    if e and digits.isdecimal() and int(digits[:5]) > MAX_DECIMAL_EXPONENT:  # 5 digits exceed 4300
         raise ValueError(
             f"decimal exponent out of range in {text!r}: at most {MAX_DECIMAL_EXPONENT} in magnitude"
         )
@@ -617,6 +618,9 @@ def _run(args: argparse.Namespace) -> int:
         results, summary = _COMMANDS[args.command][0](args, tol)
     except (ZeroNormError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"entloc: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"entloc: input error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConsistencyError as exc:
         print(f"entloc: internal consistency error: {exc}", file=sys.stderr)

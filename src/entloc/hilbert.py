@@ -40,6 +40,9 @@ PAULI = (
 
 SECTORS = ("LL", "LR", "RR")
 
+PAIR_WEIGHT = 1.0 / np.sqrt(2.0)
+"""Weight of ``|i>|j>`` and of ``|j>|i>`` in the pair vector ``|i,j>``, ``i != j``."""
+
 
 def sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     """Ordered level pairs labelling the symmetric basis of ``dim`` levels."""
@@ -69,10 +72,7 @@ def sym_embedding(dim: int) -> np.ndarray:
     pairs = sym_pairs(dim)
     E = np.zeros((dim * dim, len(pairs)), dtype=complex)
     for k, (i, j) in enumerate(pairs):
-        if i == j:
-            E[dim * i + j, k] = 1.0
-        else:
-            E[dim * i + j, k] = E[dim * j + i, k] = 1.0 / np.sqrt(2.0)
+        E[dim * i + j, k] = E[dim * j + i, k] = 1.0 if i == j else PAIR_WEIGHT
     E.setflags(write=False)
     return E
 
@@ -103,7 +103,9 @@ def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 
     The result is the (generally unnormalized) vector ``S |phi>|zeta>``;
     for orthogonal factors its squared norm is 1/2.  Stacks of factors
-    (leading axes) give one symmetrized vector per pair.
+    (leading axes) give one symmetrized vector per pair.  Slot ``(i,i)`` is
+    ``phi_i zeta_i`` and slot ``(i<j)`` is ``(phi_i zeta_j + phi_j zeta_i) / sqrt2``,
+    elementwise: no stack or BLAS kernel set moves a byte, and a zero slot is ``+0``.
     """
     phi = np.asarray(phi, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
@@ -112,8 +114,9 @@ def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     d = phi.shape[-1]
     if d not in (2, 4):
         raise ValueError("only 2- and 4-level single-particle spaces are supported")
-    product_amps = (phi[..., :, None] * zeta[..., None, :]).reshape(*phi.shape[:-1], d * d)
-    return product_amps @ sym_embedding(d).conj()
+    i, j = np.array(sym_pairs(d)).T
+    straight, swapped = phi[..., i] * zeta[..., j], phi[..., j] * zeta[..., i]
+    return np.where(i == j, straight, straight * PAIR_WEIGHT + swapped * PAIR_WEIGHT) + 0.0
 
 
 def embed_tensor_square(O: np.ndarray) -> np.ndarray:

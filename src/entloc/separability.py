@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, ZeroNormError
 from .hilbert import (
     EPS_STATE,
+    PAIR_WEIGHT,
     SECTOR_SLOTS,
     SECTORS,
     FockSpace,
@@ -115,19 +116,22 @@ def sep_III_state(
 
     ``sigma`` is the internal direction of the left particle(s), ``a`` the
     doubly occupied L amplitude, ``chi`` the (unnormalized) internal state of
-    the right partner, ``rr`` the three free RR sector amplitudes.  The
-    scale of ``sigma`` can be absorbed into ``a`` and ``chi``, so any nonzero
-    ``sigma`` gives a member.  Leading axes give a stack of states.
+    the right partner, ``rr`` the three free RR sector amplitudes.  The scale
+    of ``sigma`` can be absorbed into ``a`` and ``chi``, so any nonzero
+    ``sigma`` gives a member.  Its LL slots are ``a`` times family I's
+    amplitudes of ``sigma``, LR slot ``(L_i, R_j)`` is ``sigma_i chi_j /
+    sqrt2`` and its RR slots ``rr``.  Leading axes give a stack of states.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    a = np.asarray(a, dtype=complex)[..., None]
-    v_l = np.concatenate([sigma, np.zeros_like(sigma)], axis=-1)
-    v_r = np.concatenate([np.zeros_like(chi), chi], axis=-1)
-    # S(v_l, v_l) a + S(v_l, v_r) in one product: S is bilinear
-    psi = symmetrize_product(v_l, a * v_l + v_r)
-    psi[..., list(SECTOR_SLOTS["RR"])] += np.asarray(rr, dtype=complex)
+    psi = embed_ll(np.asarray(a)[..., None] * sep_I_state(sigma[..., 0], sigma[..., 1]))
+    psi[..., list(SECTOR_SLOTS["LR"])] = _lr_pairs(sigma, np.asarray(chi, dtype=complex))
+    psi[..., list(SECTOR_SLOTS["RR"])] = rr
     return psi
+
+
+def _lr_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """LR slots of ``S(left on L0, L1; right on R0, R1)``: ``left_i right_j / sqrt2``."""
+    return (left[..., :, None] * right[..., None, :]).reshape(*left.shape[:-1], 4) * PAIR_WEIGHT
 
 
 def embed_ll(psi3: np.ndarray) -> np.ndarray:
@@ -303,9 +307,9 @@ class Family:
     of II, the spatial sector of ssr, the occupation state of mode) and the
     ``k = n_real`` real coordinates pair up into the complex coefficients of
     that piece, so every row with an integer branch builds a state exactly
-    inside the family.  Each branch is built only on its own rows: its
-    amplitudes go straight into its slots, and no row builds a piece it
-    does not keep.
+    inside the family.  Each branch is built only on its own rows and
+    elementwise: its amplitudes go straight into its slots, no row builds a
+    piece it does not keep, and no batch or BLAS kernel set moves a byte.
     """
 
     branches: int
@@ -342,17 +346,10 @@ class Family:
 
 
 def _sep_II_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # the orthogonal piece is one embedding product over the whole batch: on
-    # a one-row subset numpy would round it as a vector product instead
-    psi = sep_II_orthogonal_state(c[..., 0], c[..., 1])
-    on_I = branch == 0
-    c_I = c[on_I]
-    psi[on_I] = sep_I_state(c_I[:, 0], c_I[:, 1])
+    psi = np.empty((*branch.shape, 3), dtype=complex)
+    for b, piece in enumerate((sep_I_state, sep_II_orthogonal_state)):
+        psi[branch == b] = piece(*c[branch == b].T)
     return psi
-
-
-_LR_WEIGHT = 1.0 / np.sqrt(2.0)
-"""Weight of ``|i>|j>`` in the pair vector ``|i,j>``, as in :func:`~entloc.hilbert.sym_embedding`."""
 
 
 def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -363,11 +360,7 @@ def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
     for b, sector in enumerate(SECTORS):
         rows = np.flatnonzero(branch.ravel() == b)
         cb = c[rows]
-        if sector == "LR":
-            # S(c_L, c_R) for c_L on L0, L1 and c_R on R0, R1: slot (i, j) is c_i c_j / sqrt2
-            amps = (cb[:, 0:2, None] * cb[:, None, 2:4]).reshape(-1, 4) * _LR_WEIGHT
-        else:
-            amps = cb[:, :3]
+        amps = _lr_pairs(cb[:, 0:2], cb[:, 2:4]) if sector == "LR" else cb[:, :3]
         psi[rows[:, None], SECTOR_SLOTS[sector]] = amps
     return psi.reshape(*branch.shape, 10)
 

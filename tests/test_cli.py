@@ -235,6 +235,7 @@ def test_a_bad_pairs_value_exits_2_with_one_line(value, capsys):
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer past the float range
+DIGITS_5001 = "1" + "0" * 5000  # past the interpreter's 4300-digit limit on int(str)
 
 
 @pytest.mark.parametrize(
@@ -327,6 +328,13 @@ def test_a_certificate_coefficient_too_large_to_print_exits_2_with_one_line(caps
          "an entries: integer is too long: at most 4300 digits"),
         (["certify", "--A", f"entries:[[[0,-{'9' * 4301}],0],[0,1]]", "--B", "pauli:1"],
          "an entries: integer is too long: at most 4300 digits"),
+        # an exact scalar past the same limit: a diag: entry, a string entry, an [re, im] part
+        (["certify", "--A", f"diag:{DIGITS_5001},1", "--B", "pauli:1"],
+         "an exact scalar is too long: 5001 digits, at most 4300"),
+        (["certify", "--A", f'entries:[["{DIGITS_5001}",0],[0,1]]', "--B", "pauli:1"],
+         "an exact scalar is too long: 5001 digits, at most 4300"),
+        (["certify", "--A", f'entries:[[[0,"-1/{DIGITS_5001}"],0],[0,1]]', "--B", "pauli:1"],
+         "an exact scalar is too long: 5001 digits, at most 4300"),
     ],
 )
 def test_an_input_error_exits_2_with_one_line(argv, message, capsys):
@@ -356,6 +364,54 @@ def test_an_entries_integer_of_4300_digits_keeps_its_value():
     top = int("9" * MAX_DECIMAL_EXPONENT)
     exact = parse_operator(f"entries:[[{top},0],[0,-{top}]]", OperatorContext(exact=True))
     assert (exact[0, 0], exact[1, 1]) == (GaussianRational(top), GaussianRational(-top))
+
+
+def test_an_exact_scalar_of_4300_digits_keeps_its_value():
+    digits = "9" * MAX_DECIMAL_EXPONENT
+    assert parse_exact_scalar(f"-{digits}") == GaussianRational(-int(digits))
+    # each side of a fraction may spell 4300 digits, and a decimal 4300 with its leading 0
+    assert parse_exact_scalar(f"{digits}/{digits[1:]}7+0.{digits[1:]}j") == GaussianRational(
+        Fraction(int(digits), int(digits[1:] + "7")), Fraction(int(digits[1:]), 10 ** (MAX_DECIMAL_EXPONENT - 1))
+    )
+
+
+def test_a_scalar_of_5000_digits_is_an_infinity_on_the_numeric_path(capsys):
+    # the numeric path reads the digits as complex() does, past the exact path's limit
+    assert main(["preserve-check", "--op", f"diag:{DIGITS_5001},1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and "non-finite entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--set", "I", "--n", "30000000"],
+        ["audit", "--set", "mode", "--pair", "ladder:0:+,ladder:1:-", "--n-max", "200"],
+        ["witness", "--set", "mode", "--pair", "number:0,number:1", "--n-max", "200"],
+    ],
+)
+def test_a_request_too_large_for_memory_exits_2_with_one_line(argv):
+    # in a child process whose address space is capped at 1.5 GiB
+    resource = pytest.importorskip("resource")
+    limit = 3 << 29
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "entloc.cli", *argv], env=env, preexec_fn=cap, capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: not enough memory: ")
+
+
+@pytest.mark.parametrize("text", ["1e10000", "1e43000", "-2E+000043001", "3e-43000j"])
+def test_an_exponent_of_five_digits_is_refused(text):
+    # every exponent of five digits or more lies past 4300, whatever its leading digits
+    with pytest.raises(ValueError, match="decimal exponent out of range"):
+        parse_exact_scalar(text)
 
 
 def test_exponents_within_the_bound_keep_their_values():

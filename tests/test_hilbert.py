@@ -119,6 +119,25 @@ def test_symmetrize_dimension_mismatch():
         symmetrize_product(np.ones(2), np.ones(4))
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("shape", [(), (9,), (3, 7)])
+def test_symmetrize_equals_the_embedding_product(dim, shape):
+    # the pair formula is the product with the embedding, formed without one
+    rng = np.random.default_rng([dim, len(shape)])
+    phi, zeta = (rng.normal(size=(*shape, dim, 2)) @ [1, 1j] for _ in range(2))
+    # zero entries, of either sign, give products that are zero with a sign bit
+    phi[rng.random(phi.shape) < 0.3] = 0.0
+    zeta[rng.random(zeta.shape) < 0.3] = complex(-0.0, -0.0)
+    got = symmetrize_product(phi, zeta)
+    products = (phi[..., :, None] * zeta[..., None, :]).reshape(*shape, dim * dim)
+    want = products @ sym_embedding(dim).conj()
+    scale = np.linalg.norm(phi, axis=-1) * np.linalg.norm(zeta, axis=-1)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-15 * scale)
+    # a zero slot is +0, as a sum from zero gives it
+    parts = np.stack([got.real, got.imag])
+    assert (parts == 0).any() and not np.signbit(parts[parts == 0]).any()
+
+
 # --- operator embeddings ------------------------------------------------------
 
 def test_embed_tensor_square():

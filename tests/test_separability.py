@@ -1,5 +1,11 @@
 """Classifiers, samplers and the preservation quartic."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +236,30 @@ def test_samplers_pass_their_classifiers(kind):
     states = family(kind).sample(rng, 200)
     assert np.allclose(np.linalg.norm(states, axis=1), 1, atol=1e-12)
     assert all(v.separable for v in classify_states(kind, states))
+
+
+def test_samples_are_the_same_bytes_on_the_prescott_kernels_of_openblas():
+    """A child interpreter on OpenBLAS's Prescott kernels samples the bytes this process does.
+
+    Every family state is built elementwise, with no matrix product, so no
+    BLAS kernel set can round a sample differently.  Where numpy's OpenBLAS
+    is not a DYNAMIC_ARCH x86 build, ``OPENBLAS_CORETYPE`` selects nothing
+    and the test passes trivially.
+    """
+    script = (
+        "import hashlib, numpy as np\n"
+        "from entloc.separability import family\n"
+        "for kind, seed in {seeds!r}.items():\n"
+        "    print(hashlib.sha256(family(kind).sample(np.random.default_rng(seed), 1000).tobytes()).hexdigest())\n"
+    ).format(seeds=SAMPLER_SEEDS)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    here = [
+        hashlib.sha256(family(kind).sample(np.random.default_rng(seed), 1000).tobytes()).hexdigest()
+        for kind, seed in SAMPLER_SEEDS.items()
+    ]
+    assert dict(zip(SAMPLER_SEEDS, child.stdout.split())) == dict(zip(SAMPLER_SEEDS, here))
 
 
 def test_sampler_is_deterministic_per_seed():
