@@ -82,4 +82,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

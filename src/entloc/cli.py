@@ -15,7 +15,9 @@ Atoms may be combined with top-level ``+``/``-`` (e.g.
 ``number:L0-number:L1``).  Scalars accept rationals (``-3/2``) and complex
 literals (``1+2j``).  Exit codes: 0 success, 1 stdout closed before the
 report was written (e.g. piped into ``head``; nothing is printed), 2 input
-error, 3 reference check failed, 4 internal consistency error.
+error (also an ``--out`` path that cannot be written), 3 reference check
+failed, 4 internal consistency error (also a report that would hold NaN or
+an infinity).
 """
 
 from __future__ import annotations
@@ -311,7 +313,9 @@ def _resolve_for_set(spec: str, set_name: str, fock: FockSpace | None = None) ->
 
 
 def _pair_specs(args) -> list[str]:
-    """The two operator specs of ``--A``/``--B`` or else ``--pair A,B``."""
+    """The two operator specs of ``--A``/``--B`` or of ``--pair A,B``, never both."""
+    if args.pair and (args.A or args.B):
+        raise ValueError("give the pair as --pair A,B or as --A and --B, not both")
     if args.A and args.B:
         return [args.A, args.B]
     if not args.pair:
@@ -340,6 +344,8 @@ def _parse_amps(text: str) -> np.ndarray:
 
 
 def cmd_classify(args, tol: Tolerances) -> tuple[dict, str]:
+    if args.amps and (args.family or args.coeffs):
+        raise ValueError("give the state as --amps or as --family/--coeffs, not both")
     if args.family:
         coeffs = _parse_amps(args.coeffs or "")
         fam = canonical_set_name(args.family)
@@ -466,7 +472,9 @@ def cmd_certify(args, tol: Tolerances) -> tuple[dict, str]:
 
 def cmd_preserve_check(args, tol: Tolerances) -> tuple[dict, str]:
     results: dict = {}
-    if args.pair or (args.A and args.B):
+    if args.op and (args.pair or args.A or args.B):
+        raise ValueError("give one operator as --op or a pair as --pair/--A/--B, not both")
+    if args.pair or args.A or args.B:
         O, Q = (parse_operator(s, OperatorContext()) for s in _pair_specs(args))
         chk = commutativity_condition(O, Q)
         results["commutativity"] = {
@@ -480,10 +488,11 @@ def cmd_preserve_check(args, tol: Tolerances) -> tuple[dict, str]:
         raise ValueError("provide --op or --pair")
     op = parse_operator(args.op, OperatorContext())
     if op.shape == (2, 2):
+        # first, as it refuses an overflowed norm: the pair square is then finite
+        results["unitary_proportional"] = bool(is_sep_II_preserver(op, tol))
         preserver = construct_sep_I_preserver(op)
         results["generator"] = [[complex_pair(v) for v in row] for row in op]
         results["pair_square"] = [[complex_pair(v) for v in row] for row in preserver]
-        results["unitary_proportional"] = bool(is_sep_II_preserver(op, tol))
         fit = fit_sep_I_preserver(preserver, tol)
         results["round_trip_defect"] = fit.defect
         summary = "sep-II-preserver" if results["unitary_proportional"] else "sep-I-preserver"
@@ -629,7 +638,16 @@ def _run(args: argparse.Namespace) -> int:
         print(f"entloc: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report = build_report(config, results, summary, time.perf_counter() - start)
-    emit(report, args.out, args.fmt)
+    try:
+        emit(report, args.out, args.fmt)
+    except ConsistencyError as exc:
+        print(f"entloc: internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OSError as exc:
+        if not args.out:
+            raise  # stdout: a closed pipe is handled in main
+        print(f"entloc: input error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
     sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     if args.command == "reproduce-paper" and summary != "PASS":
         return EXIT_REFERENCE_FAIL

@@ -18,6 +18,21 @@ from .errors import ConsistencyError
 from .hilbert import SECTOR_SLOTS, SECTORS, pauli_decompose, sector_projector
 from .separability import DEFAULT_TOL, Tolerances
 
+_OVERFLOW = "operator norm overflowed: entries are too large"
+
+
+def _norm(M: np.ndarray) -> float:
+    """Frobenius norm of ``M``, refused with ``ValueError`` once it overflows.
+
+    A tolerance scaled by an infinite norm passes every test and one scaled
+    by NaN none, so no verdict is read from either.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warning
+        norm = float(np.linalg.norm(M))
+    if not np.isfinite(norm):
+        raise ValueError(_OVERFLOW)
+    return norm
+
 
 def construct_sep_I_preserver(O: np.ndarray) -> np.ndarray:
     """3x3 symmetric-basis matrix of ``O x O`` for a 2x2 operator ``O``.
@@ -64,7 +79,7 @@ def fit_sep_I_preserver(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SepIPre
     A = np.asarray(A, dtype=complex)
     if A.shape != (3, 3):
         raise ValueError("expected a 3x3 operator on the symmetric basis")
-    scale = float(np.linalg.norm(A))
+    scale = _norm(A)
     if scale == 0.0:
         return SepIPreserverFit(True, np.zeros((2, 2), dtype=complex), 0.0)
     a00 = np.sqrt(complex(A[0, 0]))
@@ -85,12 +100,12 @@ def fit_sep_I_preserver(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SepIPre
 def is_sep_II_preserver(O: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ``O`` is proportional to a unitary: ``O†O`` a multiple of 1."""
     O = np.asarray(O, dtype=complex)
+    n2 = _norm(O) ** 2
     gram = O.conj().T @ O
     dev = gram - (np.trace(gram) / 2.0) * np.eye(2)
-    n2 = float(np.linalg.norm(O) ** 2)
     if n2 == 0.0:
         return True
-    return float(np.linalg.norm(dev)) <= tol.eps_class * n2
+    return _norm(dev) <= tol.eps_class * n2
 
 
 @dataclass
@@ -108,18 +123,24 @@ def commutativity_condition(O: np.ndarray, Q: np.ndarray) -> CommutativityCheck:
     With expansions ``O = x0 + x.sigma`` and ``Q = y0 + y.sigma``, returns
     ``s = x0 y0 + x.y`` and ``z = x ^ y``; commutation forces ``s = 0`` or
     ``z = 0``.  A commuting pair violating that raises
-    :class:`~entloc.errors.ConsistencyError`.
+    :class:`~entloc.errors.ConsistencyError`, and one whose ``s``, ``z`` or
+    deciding norms overflow raises ``ValueError``.
     """
     O = np.asarray(O, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
-    x0, xv = pauli_decompose(O)
-    y0, yv = pauli_decompose(Q)
-    s = x0 * y0 + complex(np.dot(xv, yv))
-    z = np.cross(xv, yv)
-    A = np.kron(O, O)
-    B = np.kron(Q, Q)
-    scale = float(np.linalg.norm(O) ** 2 * np.linalg.norm(Q) ** 2)
-    commutes = float(np.linalg.norm(A @ B - B @ A)) <= 1e-12 * max(scale, 1e-300)
+    # an overflow shows as a non-finite value, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0, xv = pauli_decompose(O)
+        y0, yv = pauli_decompose(Q)
+        s = x0 * y0 + complex(np.dot(xv, yv))
+        z = np.cross(xv, yv)
+        A = np.kron(O, O)
+        B = np.kron(Q, Q)
+        scale = float(np.linalg.norm(O) ** 2 * np.linalg.norm(Q) ** 2)
+        defect = float(np.linalg.norm(A @ B - B @ A))
+    if not np.isfinite([s, *z, scale, defect]).all():
+        raise ValueError(_OVERFLOW)
+    commutes = defect <= 1e-12 * max(scale, 1e-300)
     if commutes:
         pair_scale = float(np.linalg.norm(O) * np.linalg.norm(Q))
         if abs(s) > 1e-9 * pair_scale and float(np.linalg.norm(z)) > 1e-9 * pair_scale:
@@ -154,7 +175,7 @@ def is_block_scalar(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BlockScalar
     """Test ``A = sum_X alpha_X P_X`` and whether all ``alpha_X`` coincide."""
     A = np.asarray(A, dtype=complex)
     blocks = sector_blocks(A)
-    scale = max(float(np.linalg.norm(A)), 1e-300)
+    scale = max(_norm(A), 1e-300)
     max_off = max(
         float(np.linalg.norm(blocks[(X, Y)])) for X in SECTORS for Y in SECTORS if X != Y
     )

@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 
+from .errors import ConsistencyError
+
 SCHEMA = "entloc-report/v1"
 
 CONFIG_KNOBS = (
@@ -80,8 +82,17 @@ def render_csv(report: dict) -> str:
 
 
 def emit(report: dict, out: str | None, fmt: str) -> None:
-    # a CSV ends with its row terminator; the JSON document gets its final newline here
-    text = render_csv(report) if fmt == "csv" else json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report to the file ``out``, or to stdout.
+
+    A report never holds NaN or an infinity, in either format: one that
+    does raises :class:`ConsistencyError` and nothing is written.
+    """
+    try:  # the JSON document gets its final newline here
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConsistencyError("the report holds a number that is NaN or infinite") from None
+    if fmt == "csv":  # a CSV ends with its row terminator
+        text = render_csv(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

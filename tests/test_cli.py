@@ -17,6 +17,7 @@ import pytest
 from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     MAX_DECIMAL_EXPONENT,
     _COMMANDS,
     OperatorContext,
@@ -258,6 +259,15 @@ DIGITS_5001 = "1" + "0" * 5000  # past the interpreter's 4300-digit limit on int
          "non-finite entries"),
         (["audit", "--set", "I", "--A", "pauli:1", "--B", f"entries:[[1,0],[0,-{BIG_INT}]]"],
          "non-finite entries"),
+        # preserve-check decides on no overflowed norm: each of these read a wrong verdict
+        (["preserve-check", "--op", "diag:1e300,1,1,1,1,1,1,1,1,1"], "operator norm overflowed"),
+        (["preserve-check", "--op", "entries:[[1e300,1e300,0],[0,1,0],[0,0,1]]"],
+         "operator norm overflowed"),
+        (["preserve-check", "--op", "diag:1e308,1e308"], "operator norm overflowed"),
+        (["preserve-check", "--A", "diag:1e300,1", "--B", "diag:1e300,2"], "operator norm overflowed"),
+        # a finite operator norm whose square, or the pair's product, overflows
+        (["preserve-check", "--op", "diag:1e100,1"], "operator norm overflowed"),
+        (["preserve-check", "--A", "diag:1e100,1", "--B", "diag:1e100,1"], "operator norm overflowed"),
     ],
 )
 def test_overflow_exits_2_with_one_line_and_no_warnings(argv, message, capsys):
@@ -335,6 +345,24 @@ def test_a_certificate_coefficient_too_large_to_print_exits_2_with_one_line(caps
          "an exact scalar is too long: 5001 digits, at most 4300"),
         (["certify", "--A", f'entries:[[[0,"-1/{DIGITS_5001}"],0],[0,1]]', "--B", "pauli:1"],
          "an exact scalar is too long: 5001 digits, at most 4300"),
+        # two forms of one input: each of these dropped one of them
+        (["audit", "--set", "I", "--A", "pauli:0", "--B", "pauli:0", "--pair", "pauli:1,pauli:2",
+          "--samples", "50"], "give the pair as --pair A,B or as --A and --B, not both"),
+        (["certify", "--A", "pauli:0", "--B", "pauli:3", "--pair", "pauli:1,pauli:2"],
+         "give the pair as --pair A,B or as --A and --B, not both"),
+        (["witness", "--set", "I", "--A", "pauli:3", "--B", "pauli:3", "--pair", "pauli:1,pauli:2"],
+         "give the pair as --pair A,B or as --A and --B, not both"),
+        (["witness", "--set", "I", "--A", "pauli:3", "--pair", "pauli:1,pauli:2"],
+         "give the pair as --pair A,B or as --A and --B, not both"),
+        (["preserve-check", "--op", "pauli:1", "--A", "pauli:1", "--B", "pauli:2"],
+         "give one operator as --op or a pair as --pair/--A/--B, not both"),
+        (["preserve-check", "--op", "pauli:1", "--pair", "pauli:1,pauli:2"],
+         "give one operator as --op or a pair as --pair/--A/--B, not both"),
+        (["preserve-check", "--B", "pauli:2"], "provide --pair A,B or both --A and --B"),
+        (["classify", "--amps", "0,0,1", "--family", "I", "--coeffs", "1,0"],
+         "give the state as --amps or as --family/--coeffs, not both"),
+        (["classify", "--amps", "0,0,1", "--coeffs", "1,0"],
+         "give the state as --amps or as --family/--coeffs, not both"),
     ],
 )
 def test_an_input_error_exits_2_with_one_line(argv, message, capsys):
@@ -817,6 +845,31 @@ def test_json_out_file_roundtrip(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"] == "ViolationFound"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_an_out_path_that_cannot_be_written_exits_2_with_one_line(where, tmp_path, capsys):
+    # a missing directory, and a directory: both ended in a traceback after the run
+    out = tmp_path / where
+    assert main(["classify", "--amps", "0,0,1", "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"entloc: input error: cannot write --out {str(out)!r}: ")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_holding_a_non_finite_number_exits_4_with_one_line(value, fmt, monkeypatch, tmp_path, capsys):
+    # a backstop: no command should build such a report, and none is written
+    broken = (lambda args, tol: ({"value": value}, "PASS"), "a command with a broken report", "")
+    monkeypatch.setitem(_COMMANDS, "reproduce-paper", broken)
+    out = tmp_path / "report"
+    assert main(["reproduce-paper", "--format", fmt]) == main(
+        ["reproduce-paper", "--format", fmt, "--out", str(out)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    line = "entloc: internal consistency error: the report holds a number that is NaN or infinite\n"
+    assert captured.out == "" and captured.err == line * 2
+    assert not out.exists()
 
 
 # --- closed stdout ------------------------------------------------------------------

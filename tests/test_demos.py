@@ -18,7 +18,9 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the rule pyproject sets for the tests: a numpy RuntimeWarning is an error
     run = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr

@@ -375,17 +375,17 @@ def test_witness_matches_sequential_search(kind):
 def counting_residuals(monkeypatch):
     """Sizes of the state batches of every residual evaluation from here on.
 
-    Every evaluation, through :func:`residuals` or inside the witness
-    search, goes through the one kernel ``factorization._connected``.
+    Every evaluation, in the audits, the controls or the witness search,
+    goes through the one kernel ``factorization.residuals``.
     """
     sizes = []
-    kernel = factorization._connected
+    kernel = factorization.residuals
 
-    def counting(At, Bt, S, conj, n):
+    def counting(A, B, S):
         sizes.append(S.size // S.shape[-1])
-        return kernel(At, Bt, S, conj, n)
+        return kernel(A, B, S)
 
-    monkeypatch.setattr(factorization, "_connected", counting)
+    monkeypatch.setattr(factorization, "residuals", counting)
     return sizes
 
 
@@ -410,14 +410,15 @@ def test_mode_witness_batches_stay_within_the_block(monkeypatch):
     assert sizes == [4, 1]
 
 
-def test_witness_skips_degenerate_states(monkeypatch):
-    # a zero state scores 0 and is never a witness; the rows after it still count
+def test_a_zero_state_raises_in_the_witness_search_as_in_the_audit(monkeypatch):
+    # one policy for a degenerate family state: neither path scores it
     states = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex)
     monkeypatch.setattr(factorization, "family", lambda kind, fock=None: Family(3, 0, lambda b, c: states[b]))
     swap = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    w = find_violation_witness(swap, swap, "mode")
-    assert w is not None and w.state.tobytes() == states[2].tobytes() and w.residual == 1
-    assert find_violation_witness(swap, swap, "mode", budget=2) is None
+    with pytest.raises(ZeroNormError):
+        find_violation_witness(swap, swap, "mode")
+    with pytest.raises(ZeroNormError):
+        audit(swap, swap, "mode", 10, seed=0)
 
 
 def budget_pairs(kind):
