@@ -33,13 +33,10 @@ from .hilbert import (
     SECTORS,
     FockSpace,
     embed_tensor_square,
-    map_first_to_second,
     number_level_operator,
     partial_trace_second_particle,
     pauli_decompose,
-    pi_reduction,
     project_symmetric,
-    purity,
     reduced_single_particle_dm,
     sector_projector,
     sym_embedding,
@@ -82,4 +79,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

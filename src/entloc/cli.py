@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -213,16 +212,7 @@ def _split_terms(text: str) -> list[str]:
     return [p for p in parts if p.strip()]
 
 
-@dataclass(frozen=True)
-class OperatorContext:
-    """How specs resolve: exact ring entries or complex ones, and the Fock
-    space that ``ladder:`` and mode ``number:`` atoms act on."""
-
-    exact: bool = False
-    fock: FockSpace | None = None
-
-
-def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
+def _parse_atom(spec: str, exact: bool, fock: FockSpace | None) -> np.ndarray:
     spec = spec.strip()
     sign = 1.0
     while spec and spec[0] in "+-":
@@ -235,55 +225,55 @@ def _parse_atom(spec: str, ctx: OperatorContext) -> np.ndarray:
         k = int(rest)
         if not 0 <= k <= 3:
             raise ValueError("pauli index must be 0..3")
-        mat = PAULI_EXACT[k] if ctx.exact else PAULI[k]
+        mat = PAULI_EXACT[k] if exact else PAULI[k]
     elif head == "diag":
-        mat = np.diag([_coerce_entry(s, ctx.exact) for s in _split_top_level(rest)])
+        mat = np.diag([_coerce_entry(s, exact) for s in _split_top_level(rest)])
     elif head == "entries":
         rows = json.loads(rest, parse_int=_json_int)
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ValueError("entries: needs a JSON list of rows")
-        mat = [[_coerce_entry(v, ctx.exact) for v in row] for row in rows]
+        mat = [[_coerce_entry(v, exact) for v in row] for row in rows]
     elif head == "number":
         if rest in SINGLE_PARTICLE_LABELS:
             # integer counts, exact in either mode
             mat = number_level_operator(SINGLE_PARTICLE_LABELS.index(rest)).real.astype(int)
         else:
-            if ctx.fock is None:
+            if fock is None:
                 levels = ", ".join(SINGLE_PARTICLE_LABELS)
                 raise ValueError(f"number:{rest}: unknown level {rest!r}, the levels are {levels}")
-            if ctx.exact:
+            if exact:
                 raise ValueError("Fock number operators are not supported in exact mode")
-            mat = ctx.fock.number(rest)
+            mat = fock.number(rest)
     elif head == "ladder":
-        if ctx.fock is None:
+        if fock is None:
             raise ValueError("ladder operators need a Fock-space context")
-        if ctx.exact:
+        if exact:
             raise ValueError("ladder operators are not supported in exact mode")
         mode, _, kind = rest.partition(":")
         if kind not in ("+", "-"):
             raise ValueError(f"ladder direction must be + or -, got {kind!r}")
-        mat = ctx.fock.create(mode) if kind == "+" else ctx.fock.annihilate(mode)
+        mat = fock.create(mode) if kind == "+" else fock.annihilate(mode)
     elif head == "oxo":
-        if ctx.exact:
+        if exact:
             raise ValueError("oxo wrapping is not supported in exact mode")
-        mat = construct_sep_I_preserver(_parse_atom(rest, OperatorContext()))
+        mat = construct_sep_I_preserver(_parse_atom(rest, False, None))
     else:
         raise ValueError(f"unknown operator atom {spec!r}")
     # exact entries stay ring elements (or the integers the rings coerce)
-    mat = np.array(mat, dtype=object if ctx.exact else complex)
+    mat = np.array(mat, dtype=object if exact else complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator atom {spec!r} is not a square matrix")
     # negation is exact; a product with a float sign gives an infinite entry a NaN part
     return mat if sign > 0 else -mat
 
 
-def parse_operator(spec: str, ctx: OperatorContext) -> np.ndarray:
+def parse_operator(spec: str, exact: bool = False, fock: FockSpace | None = None) -> np.ndarray:
     """Parse an operator spec, summing top-level ``+``/``-`` terms.
 
-    The result is a complex array, or under ``ctx.exact`` an object array
-    of exact entries.
+    The result is a complex array, or under ``exact`` an object array of
+    exact entries; ``ladder:`` and mode ``number:`` atoms act on ``fock``.
     """
-    terms = [_parse_atom(part, ctx) for part in _split_terms(spec)]
+    terms = [_parse_atom(part, exact, fock) for part in _split_terms(spec)]
     if not terms:
         raise ValueError("empty operator spec")
     acc = terms[0]
@@ -291,14 +281,14 @@ def parse_operator(spec: str, ctx: OperatorContext) -> np.ndarray:
         if t.shape != acc.shape:
             raise ValueError("operator terms have mismatched dimensions")
         acc = acc + t
-    if not ctx.exact and not np.all(np.isfinite(acc)):
+    if not exact and not np.all(np.isfinite(acc)):
         raise ValueError(f"operator {spec!r} has non-finite entries")
     return acc
 
 
 def _resolve_for_set(spec: str, set_name: str, fock: FockSpace | None = None) -> np.ndarray:
     """Resolve a numeric operator against the sample space of one family."""
-    op = parse_operator(spec, OperatorContext(fock=fock))
+    op = parse_operator(spec, fock=fock)
     if set_name in ("I", "II"):
         if op.shape == (2, 2):
             op = construct_sep_I_preserver(op)
@@ -408,6 +398,8 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
             raise ValueError(f"--pairs takes random:<n> with n a whole number, got {args.pairs!r}")
         if set_name not in ("mode", "ssr"):
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
+        if int(count) * args.states > MAX_CONTROL_PAIR_STATES:
+            raise ValueError(f"pairs x states: {count} x {args.states} is past {MAX_CONTROL_PAIR_STATES}")
         rep = positive_control(
             set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
             threshold=args.threshold,
@@ -453,7 +445,7 @@ def cmd_witness(args, tol: Tolerances) -> tuple[dict, str]:
 
 
 def cmd_certify(args, tol: Tolerances) -> tuple[dict, str]:
-    A, B = (parse_operator(s, OperatorContext(exact=True)) for s in _pair_specs(args))
+    A, B = (parse_operator(s, exact=True) for s in _pair_specs(args))
     if args.sectors:
         sectors = [s.strip().upper() for s in args.sectors.split(",")]
         if len(sectors) != 2:
@@ -475,7 +467,7 @@ def cmd_preserve_check(args, tol: Tolerances) -> tuple[dict, str]:
     if args.op and (args.pair or args.A or args.B):
         raise ValueError("give one operator as --op or a pair as --pair/--A/--B, not both")
     if args.pair or args.A or args.B:
-        O, Q = (parse_operator(s, OperatorContext()) for s in _pair_specs(args))
+        O, Q = (parse_operator(s) for s in _pair_specs(args))
         chk = commutativity_condition(O, Q)
         results["commutativity"] = {
             "s": complex_pair(chk.s),
@@ -486,7 +478,7 @@ def cmd_preserve_check(args, tol: Tolerances) -> tuple[dict, str]:
         return results, summary
     if not args.op:
         raise ValueError("provide --op or --pair")
-    op = parse_operator(args.op, OperatorContext())
+    op = parse_operator(args.op)
     if op.shape == (2, 2):
         # first, as it refuses an overflowed norm: the pair square is then finite
         results["unitary_proportional"] = bool(is_sep_II_preserver(op, tol))
@@ -530,6 +522,10 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 # every flag once, with its default; a command takes only the flags its
 # handler or ``main`` reads
+
+MAX_CONTROL_PAIR_STATES = 10**6
+"""Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
+At it, one state per pair took 11-16 s and 0.4-0.6 GB (2-CPU x86-64); both grow linearly."""
 
 _OPTIONS = {
     "--amps": dict(help="comma-separated amplitudes"),

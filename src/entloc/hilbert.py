@@ -200,10 +200,6 @@ def partial_trace_second_particle(psi: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
-
-
 def pi_reduction_matrix(psi: np.ndarray) -> np.ndarray:
     """Matrix of the pair-to-single reduction ``S|phi>|zeta> -> <psi|phi>|zeta> + <psi|zeta>|phi>``."""
     psi = np.asarray(psi, dtype=complex)
@@ -217,15 +213,6 @@ def pi_reduction_matrix(psi: np.ndarray) -> np.ndarray:
             M[j, k] += np.sqrt(2.0) * np.conj(psi[i])
             M[i, k] += np.sqrt(2.0) * np.conj(psi[j])
     return M
-
-
-def pi_reduction(psi: np.ndarray, Psi: np.ndarray) -> np.ndarray:
-    """Apply the bosonic pair-to-single reduction along ``psi`` to a pair state."""
-    psi = np.asarray(psi, dtype=complex)
-    Psi = np.asarray(Psi, dtype=complex)
-    if sym_dim(psi.shape[0]) != Psi.shape[0]:
-        raise ValueError("single-particle and pair-state dimensions do not match")
-    return pi_reduction_matrix(psi) @ Psi
 
 
 def reduced_single_particle_dm(
@@ -246,7 +233,7 @@ def reduced_single_particle_dm(
         raise ValueError("expected a symmetric-basis state of length 3 or 10")
     norm2 = check_state(Psi)
     k_basis = np.eye(d)[:, :2] if k_basis is None else np.asarray(k_basis).reshape(d, -1)
-    R = np.stack([pi_reduction(k, Psi) for k in k_basis.T], axis=-1)
+    R = np.stack([pi_reduction_matrix(k) @ Psi for k in k_basis.T], axis=-1)
     den = float(np.vdot(R, R).real)
     if den < EPS_STATE * EPS_STATE * norm2:
         return None
@@ -309,28 +296,3 @@ class FockSpace:
         v = np.zeros(self.dim, dtype=complex)
         v[self.index[occ]] = 1.0
         return v
-
-    def vacuum(self) -> np.ndarray:
-        return self.occupation_state((0,) * len(self.modes))
-
-
-def map_first_to_second(psi: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Rewrite a symmetric pair state in the occupation basis of ``space``.
-
-    Pair ``(i,i)`` maps to the doubly occupied tuple, pair ``(i,j)`` with
-    ``i < j`` to single occupation of both modes; the map is an isometry
-    onto the two-particle sector.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    d = {3: 2, 10: 4}.get(psi.shape[0])
-    if d is None or len(space.modes) != d:
-        raise ValueError("state and Fock space have incompatible mode counts")
-    if space.n_max < 2:
-        raise ValueError("cutoff too small: need n_max >= 2")
-    out = np.zeros(space.dim, dtype=complex)
-    for k, (i, j) in enumerate(sym_pairs(d)):
-        occ = [0] * d
-        occ[i] += 1
-        occ[j] += 1
-        out[space.index[tuple(occ)]] = psi[k]
-    return out

@@ -35,7 +35,7 @@ def _norm(M: np.ndarray) -> float:
 
 
 def construct_sep_I_preserver(O: np.ndarray) -> np.ndarray:
-    """3x3 symmetric-basis matrix of ``O x O`` for a 2x2 operator ``O``.
+    """3x3 symmetric-basis matrix of ``O x O`` for a 2x2 operator ``O``; ``ValueError`` if not finite.
 
     Equals the symmetric compression of the Kronecker square entrywise;
     with ``a_ij = <j|O|i>`` the matrix is::
@@ -50,14 +50,18 @@ def construct_sep_I_preserver(O: np.ndarray) -> np.ndarray:
     a00, a10 = O[0, 0], O[0, 1]
     a01, a11 = O[1, 0], O[1, 1]
     r2 = np.sqrt(2.0)
-    return np.array(
-        [
-            [a00 * a00, a10 * a10, r2 * a00 * a10],
-            [a01 * a01, a11 * a11, r2 * a01 * a11],
-            [r2 * a00 * a01, r2 * a10 * a11, a00 * a11 + a01 * a10],
-        ],
-        dtype=complex,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warning
+        square = np.array(
+            [
+                [a00 * a00, a10 * a10, r2 * a00 * a10],
+                [a01 * a01, a11 * a11, r2 * a01 * a11],
+                [r2 * a00 * a01, r2 * a10 * a11, a00 * a11 + a01 * a10],
+            ],
+            dtype=complex,
+        )
+    if not np.isfinite(square).all():
+        raise ValueError("operator pair square overflowed: entries are too large")
+    return square
 
 
 @dataclass

@@ -198,23 +198,27 @@ def classify_states(
     ``margin`` is ``(s1^2 - s2^2) / (s1^2 + s2^2) = 2 ||rho - 1/2||_2``;
     mode's is the second-largest amplitude modulus over the largest.  The
     margins are computed on each row scaled by the power of two that brings
-    its largest modulus into [0.5, 1), so ``2^k psi`` gets the margins of
-    ``psi`` bit for bit; family-I parameters are read from the row as given.
-    II raises :class:`~entloc.errors.ConsistencyError` if its two family-I
-    routes split across ``eps_class`` by over ten times.  Row ``i`` gets the
-    verdict of a one-state call on ``states[i]``, bit for bit.
+    its largest modulus into [0.5, 1), so ``2^k psi`` gets the margins of ``psi``
+    bit for bit, and only a zero row raises :class:`~entloc.errors.ZeroNormError`
+    (a non-finite amplitude ``ValueError``); family-I parameters are read from
+    the row as given.  II raises :class:`~entloc.errors.ConsistencyError` if its
+    two family-I routes split across ``eps_class`` by over ten times.  Row ``i``
+    gets the verdict of a one-state call on ``states[i]``, bit for bit.
     """
     kind = canonical_set_name(kind)
     psi = np.asarray(states, dtype=complex)
     dim = _STATE_DIM.get(kind, psi.shape[-1])
     if psi.ndim != 2 or psi.shape[1] != dim:
         raise ValueError(f"family {kind} classifies an (n, {dim}) stack of states, got {psi.shape}")
-    norm2 = check_state(psi)
+    if not np.isfinite(psi).all():
+        raise ValueError("state contains non-finite amplitudes")
     moduli = np.abs(psi)
     # a power-of-two scale is exact, and keeps every product below in range
     _, exponent = np.frexp(moduli.max(axis=1))
-    unit = psi * np.ldexp(1.0, -exponent)[:, None]
-    norm2 = np.ldexp(norm2, -2 * exponent)
+    unit = psi * np.ldexp(1.0, np.minimum(-exponent, 1023))[:, None]
+    subnormal = -exponent > 1023  # its scale is past the float range: it takes two factors
+    unit[subnormal] *= np.ldexp(1.0, -exponent[subnormal] - 1023)[:, None]
+    norm2 = check_state(unit)  # at least 1/4, so only an all-zero row is refused
     eps = tol.eps_class
     margins = {}
     if kind in ("I", "II"):

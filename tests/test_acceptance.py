@@ -26,7 +26,6 @@ from entloc import (
     partial_trace_second_particle,
     positive_control,
     project_symmetric,
-    purity,
     reference_suite,
     residual,
     sample_separable,
@@ -37,6 +36,8 @@ from entloc import (
 from entloc.certificates import exact_matrix
 from entloc.cli import main
 from entloc.report import results_bytes
+
+from density_matrix import purity
 
 
 class Timer:

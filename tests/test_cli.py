@@ -18,9 +18,9 @@ from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
     EXIT_INTERNAL,
+    MAX_CONTROL_PAIR_STATES,
     MAX_DECIMAL_EXPONENT,
     _COMMANDS,
-    OperatorContext,
     build_parser,
     main,
     parse_exact_scalar,
@@ -69,15 +69,14 @@ def test_a_bare_j_is_the_imaginary_unit():
 
 
 def test_parse_operator_atoms():
-    ctx = OperatorContext()
-    assert np.allclose(parse_operator("pauli:1", ctx), [[0, 1], [1, 0]])
-    assert np.allclose(parse_operator("diag:1,-1/2", ctx), [[1, 0], [0, -0.5]])
-    assert np.allclose(parse_operator("entries:[[0,1],[1,0]]", ctx), [[0, 1], [1, 0]])
+    assert np.allclose(parse_operator("pauli:1"), [[0, 1], [1, 0]])
+    assert np.allclose(parse_operator("diag:1,-1/2"), [[1, 0], [0, -0.5]])
+    assert np.allclose(parse_operator("entries:[[0,1],[1,0]]"), [[0, 1], [1, 0]])
     assert np.allclose(
-        parse_operator("pauli:1+pauli:3", ctx), [[1, 1], [1, -1]]
+        parse_operator("pauli:1+pauli:3"), [[1, 1], [1, -1]]
     )
-    assert np.allclose(parse_operator("pauli:1-pauli:1", ctx), np.zeros((2, 2)))
-    combo = parse_operator("number:L0-number:L1", OperatorContext())
+    assert np.allclose(parse_operator("pauli:1-pauli:1"), np.zeros((2, 2)))
+    combo = parse_operator("number:L0-number:L1")
     assert combo.shape == (10, 10)
     assert np.allclose(np.diag(combo)[:3], [2, 0, 1])  # (L0,L0), (L0,L1), (L0,R0)
     assert combo[0, 0] == 2 and combo[4, 4] == -2
@@ -103,8 +102,8 @@ PARSE_CORPUS = (
 
 @pytest.mark.parametrize("spec", PARSE_CORPUS)
 def test_exact_and_numeric_parses_agree(spec):
-    numeric = parse_operator(spec, OperatorContext())
-    exact = parse_operator(spec, OperatorContext(exact=True))
+    numeric = parse_operator(spec)
+    exact = parse_operator(spec, exact=True)
     assert exact.dtype == object and numeric.dtype == complex
     mapped = np.array([[GaussianRational.coerce(v).to_complex() for v in row] for row in exact])
     assert mapped.shape == numeric.shape
@@ -115,24 +114,23 @@ def test_exact_and_numeric_parses_agree(spec):
 @pytest.mark.parametrize("spec", ["pauli:1+number:L0", "entries:[[1,2],[3]]", "diag:1,2,3-pauli:1"])
 def test_malformed_shapes_fail_in_both_modes(spec, exact):
     with pytest.raises(ValueError):
-        parse_operator(spec, OperatorContext(exact=exact))
+        parse_operator(spec, exact=exact)
 
 
 def test_parse_operator_errors():
     with pytest.raises(ValueError):
-        parse_operator("pauli:7", OperatorContext())
+        parse_operator("pauli:7")
     with pytest.raises(ValueError):
-        parse_operator("mystery:1", OperatorContext())
+        parse_operator("mystery:1")
     with pytest.raises(ValueError):
-        parse_operator("ladder:0:+", OperatorContext())  # no Fock context
+        parse_operator("ladder:0:+")  # no Fock context
 
 
 def test_exact_mode_refuses_fock_atoms():
-    ctx = OperatorContext(exact=True, fock=FockSpace())
     with pytest.raises(ValueError, match="Fock number operators are not supported in exact mode"):
-        parse_operator("number:0", ctx)
+        parse_operator("number:0", exact=True, fock=FockSpace())
     with pytest.raises(ValueError, match="ladder operators are not supported in exact mode"):
-        parse_operator("ladder:0:+", ctx)
+        parse_operator("ladder:0:+", exact=True, fock=FockSpace())
 
 
 # --- classify -------------------------------------------------------------------
@@ -166,17 +164,34 @@ def test_one_tolerance_decides_ssr_and_III_on_an_lr_only_state(capsys):
     assert margins == pytest.approx([4e-9, 4e-9], rel=1e-6)
 
 
-@pytest.mark.parametrize(
-    "huge, plain",
-    [("1.3e154,0,0", "1,0,0"), ("1.2e154,-5e153,2e153j", "1.2,-0.5,0.2j"), ("0,1e154,0", "0,1,0")],
-)
-def test_a_huge_state_reads_as_its_unit_scale_does(huge, plain, capsys):
-    # the margins' products overflowed first: sep_II.margin read NaN
-    (code, doc), (_, unit) = (run_json(capsys, "classify", "--amps", amps) for amps in (huge, plain))
+def assert_read_as_its_unit_scale(amps, plain, capsys):
+    basis = "sym10" if amps.count(",") == 9 else "sym3"
+    (code, doc), (_, unit) = (run_json(capsys, "classify", "--basis", basis, "--amps", a) for a in (amps, plain))
     assert code == 0 and doc["summary"] == unit["summary"]
     margins = [{(name, k): x for name, v in d["results"]["verdicts"].items() for k, x in v["diagnostics"].items()}
                for d in (doc, unit)]
     assert margins[0] == pytest.approx(margins[1], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "huge, plain",
+    [
+        # the margins' products overflowed first: sep_II.margin read NaN
+        ("1.3e154,0,0", "1,0,0"), ("1.2e154,-5e153,2e153j", "1.2,-0.5,0.2j"), ("0,1e154,0", "0,1,0"),
+        # the state norm overflowed: these exited 2 before 0.11.0
+        ("1e154,0,1e154", "1,0,1"), ("1e200,0,1e200", "1,0,1"),
+        ("1e200,0,0,0,0,0,0,0,0,1", "1,0,0,0,0,0,0,0,0,1e-200"),
+    ],
+)
+def test_a_huge_state_reads_as_its_unit_scale_does(huge, plain, capsys):
+    assert_read_as_its_unit_scale(huge, plain, capsys)
+
+
+# the norm was below 1e-12, absolute: these exited 2 before 0.11.0. 5e-324 is the least subnormal
+@pytest.mark.parametrize("tiny, plain", [("1e-13,0,0", "1,0,0"), ("1e-170,0,1e-170", "1,0,1"),
+                                         ("5e-324,0,5e-324", "1,0,1")])
+def test_a_tiny_state_reads_as_its_unit_scale_does(tiny, plain, capsys):
+    assert_read_as_its_unit_scale(tiny, plain, capsys)
 
 
 def test_classify_family_input(capsys):
@@ -227,6 +242,16 @@ def test_classify_error_exits(capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--pairs", "random:100000000000"], ["--pairs", "random:10001", "--states", "100"]])
+def test_a_positive_control_past_its_size_bound_exits_2_at_once(argv):
+    # the group sizes were one list: random:100000000000 took 5 GB, then ended in
+    # MemoryError after 34 s. Capped and timed out, so that a lost bound fails at once
+    proc = run_capped(["audit", "--set", "ssr", *argv], timeout=20)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: pairs x states: ")
+    assert proc.stderr.endswith(f" is past {MAX_CONTROL_PAIR_STATES}\n")
+
+
 @pytest.mark.parametrize("value", ["random:1e3", "random:", "random:-2", "foo:3", "random:\u00b2"])
 def test_a_bad_pairs_value_exits_2_with_one_line(value, capsys):
     assert main(["audit", "--set", "mode", "--pairs", value]) == EXIT_INPUT
@@ -242,9 +267,10 @@ DIGITS_5001 = "1" + "0" * 5000  # past the interpreter's 4300-digit limit on int
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["classify", "--amps", "1e154,0,1e154"], "state norm overflowed"),
-        (["classify", "--amps", "1e200,0,1e200"], "state norm overflowed"),
-        (["classify", "--basis", "sym10", "--amps", "1e200,0,0,0,0,0,0,0,0,1"], "state norm overflowed"),
+        # a finite 2x2 generator whose pair square overflows
+        (["witness", "--set", "I", "--A", "diag:1e200,1", "--B", "pauli:1"], "operator pair square overflowed"),
+        (["audit", "--set", "I", "--A", "diag:1e200,1", "--B", "pauli:1"], "operator pair square overflowed"),
+        (["preserve-check", "--op", "oxo:diag:1e200,1"], "operator pair square overflowed"),
         (["witness", "--set", "I", "--A", "entries:[[1e200,0,0],[0,1,0],[0,0,1]]",
           "--B", "entries:[[1e200,1,0],[1,1,0],[0,0,1]]"], "residual overflowed"),
         (["audit", "--set", "I", "--A", "entries:[[1e200,0,0],[0,1,0],[0,0,1]]",
@@ -390,7 +416,7 @@ def test_a_tolerance_that_cannot_decide_a_verdict_exits_2_with_one_line(argv, va
 
 def test_an_entries_integer_of_4300_digits_keeps_its_value():
     top = int("9" * MAX_DECIMAL_EXPONENT)
-    exact = parse_operator(f"entries:[[{top},0],[0,-{top}]]", OperatorContext(exact=True))
+    exact = parse_operator(f"entries:[[{top},0],[0,-{top}]]", exact=True)
     assert (exact[0, 0], exact[1, 1]) == (GaussianRational(top), GaussianRational(-top))
 
 
@@ -410,6 +436,22 @@ def test_a_scalar_of_5000_digits_is_an_infinity_on_the_numeric_path(capsys):
     assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and "non-finite entries" in err
 
 
+def run_capped(argv, timeout=None):
+    """Run the CLI in a child process whose address space is capped at 1.5 GiB."""
+    resource = pytest.importorskip("resource")
+    limit = 3 << 29
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "entloc.cli", *argv], env=env, preexec_fn=cap, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -419,18 +461,7 @@ def test_a_scalar_of_5000_digits_is_an_infinity_on_the_numeric_path(capsys):
     ],
 )
 def test_a_request_too_large_for_memory_exits_2_with_one_line(argv):
-    # in a child process whose address space is capped at 1.5 GiB
-    resource = pytest.importorskip("resource")
-    limit = 3 << 29
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "entloc.cli", *argv], env=env, preexec_fn=cap, capture_output=True, text=True
-    )
+    proc = run_capped(argv)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: not enough memory: ")
 

@@ -11,10 +11,8 @@ from entloc import (
     FockSpace,
     ZeroNormError,
     embed_tensor_square,
-    map_first_to_second,
     partial_trace_second_particle,
     pauli_decompose,
-    pi_reduction,
     project_symmetric,
     reduced_single_particle_dm,
     sym_pairs,
@@ -22,7 +20,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
-from entloc.hilbert import check_state
+from entloc.hilbert import check_state, pi_reduction_matrix
 
 RNG = np.random.default_rng(20240811)
 
@@ -169,41 +167,6 @@ def test_sym_one_body_stack_matches_kron_per_matrix(dim):
         assert stack[j].tobytes() == sym_one_body(h[j]).tobytes() == want.tobytes()
 
 
-# --- first <-> second quantization ------------------------------------------
-
-def test_occupation_map_examples():
-    space = FockSpace(("0", "1"), 4)
-    phi2 = np.array([0, 0, 1], dtype=complex)
-    out = map_first_to_second(phi2, space)
-    assert abs(out[space.index[(1, 1)]] - 1) < 1e-14
-    phi0 = np.array([1, 0, 0], dtype=complex)
-    out = map_first_to_second(phi0, space)
-    assert abs(out[space.index[(2, 0)]] - 1) < 1e-14
-
-    space4 = FockSpace(("L0", "L1", "R0", "R1"), 2)
-    pair = np.zeros(10, dtype=complex)
-    pair[3] = 1.0  # (L0, R1)
-    out = map_first_to_second(pair, space4)
-    assert abs(out[space4.index[(1, 0, 0, 1)]] - 1) < 1e-14
-
-
-def test_occupation_map_is_isometry_with_roundtrip():
-    space = FockSpace(("0", "1"), 4)
-    for _ in range(20):
-        a, b = rand_vec(3), rand_vec(3)
-        fa, fb = map_first_to_second(a, space), map_first_to_second(b, space)
-        assert abs(np.vdot(fa, fb) - np.vdot(a, b)) < 1e-12
-        # pairs (0,0), (1,1), (0,1) land in the two-particle slots, nothing elsewhere
-        slots = [space.index[occ] for occ in ((2, 0), (0, 2), (1, 1))]
-        assert np.array_equal(fa[slots], a)
-        assert not np.delete(fa, slots).any()
-
-
-def test_occupation_map_rejects_small_cutoff():
-    with pytest.raises(ValueError):
-        map_first_to_second(np.array([1, 0, 0], dtype=complex), FockSpace(("0", "1"), 1))
-
-
 # --- partial trace -----------------------------------------------------------
 
 def test_partial_trace_examples():
@@ -254,16 +217,16 @@ R1 = np.array([0, 0, 0, 1], dtype=complex)
 
 
 def test_pi_reduction_examples():
-    assert np.allclose(pi_reduction(L0, symmetrize_product(L0, R1)), R1)
-    assert np.allclose(pi_reduction(L0, symmetrize_product(L0, L0)), 2 * L0)
-    assert np.allclose(pi_reduction(L1, symmetrize_product(L0, R1)), 0)
+    assert np.allclose(pi_reduction_matrix(L0) @ symmetrize_product(L0, R1), R1)
+    assert np.allclose(pi_reduction_matrix(L0) @ symmetrize_product(L0, L0), 2 * L0)
+    assert np.allclose(pi_reduction_matrix(L1) @ symmetrize_product(L0, R1), 0)
 
 
 def test_pi_reduction_is_linear_in_the_pair_state():
     psi = rand_vec(4)
     a, b = rand_vec(10), rand_vec(10)
-    lhs = pi_reduction(psi, 2.0 * a + 3j * b)
-    rhs = 2.0 * pi_reduction(psi, a) + 3j * pi_reduction(psi, b)
+    lhs = pi_reduction_matrix(psi) @ (2.0 * a + 3j * b)
+    rhs = 2.0 * (pi_reduction_matrix(psi) @ a) + 3j * (pi_reduction_matrix(psi) @ b)
     assert np.allclose(lhs, rhs)
 
 
@@ -314,7 +277,7 @@ def test_fock_number_and_creation():
     space = FockSpace(("0", "1"), 4)
     v = space.occupation_state((2, 0))
     assert abs(np.vdot(v, space.number("0") @ v) - 2) < 1e-14
-    out = space.create("0") @ (space.create("1") @ space.vacuum())
+    out = space.create("0") @ (space.create("1") @ space.occupation_state((0, 0)))
     assert abs(out[space.index[(1, 1)]] - 1) < 1e-14
 
 

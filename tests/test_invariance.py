@@ -17,13 +17,14 @@ from entloc import (
     number_level_operator,
     partial_trace_second_particle,
     project_symmetric,
-    purity,
     sample_separable,
     sector_blocks,
     sector_projector,
     sep_I_discriminant,
     sym_one_body,
 )
+
+from density_matrix import purity
 
 RNG = np.random.default_rng(12345)
 

@@ -385,7 +385,7 @@ def margin_bytes(verdicts) -> list:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["I", "II", "III", "mode", "ssr"]),
-    k=st.integers(-30, 500),
+    k=st.integers(-1000, 1000),
     members=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
