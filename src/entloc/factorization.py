@@ -48,9 +48,7 @@ CONTROL_STATES = 100
 
 AUDIT_BLOCK = 1024
 """Most states one ``residuals`` call of :func:`audit`, :func:`positive_control`
-or :func:`find_violation_witness` evaluates: bounds their working memory.  Except
-that an audit or positive control of a discrete family (mode) evaluates all its
-branch states in one call, per pair of a group: 1,770 states at ``n_max = 60``."""
+or :func:`find_violation_witness` evaluates: bounds their working memory."""
 
 
 def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -67,20 +65,40 @@ def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     are vector products, so each rounds bit for bit as a one-row call.
     """
     S = np.asarray(S, dtype=complex)
-    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    if S.ndim < 2 or not A.shape[-2:] == B.shape[-2:] == (S.shape[-1],) * 2:
-        raise ValueError("operator and state dimensions do not match")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("operators contain non-finite entries")
+    A, B = _checked_pair(A, B, S)
     n = check_state(S)
     At, Bt, conj = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2), S.conj()
-    # an overflow shows as a non-finite result, which is reported below
+    # an overflow shows as a non-finite result, which _finite reports
     with np.errstate(over="ignore", invalid="ignore"):
         BS = S @ Bt
         ab = np.einsum("...j,...j->...", conj, BS @ At)
         a = np.einsum("...j,...j->...", conj, S @ At)
         b = np.einsum("...j,...j->...", conj, BS)
-        r = (ab - a * b / n) / n
+        return _finite((ab - a * b / n) / n)
+
+
+def basis_residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """:func:`residuals`, with its refusals, of ``(m, d)`` states that are each a unit
+    basis vector ``e_k``: ``(AB)_kk - A_kk B_kk = sum_j A_kj B_jk - A_kk B_kk``, from
+    row ``k`` of ``A`` and column ``k`` of ``B``.  einsum rounds every product as a
+    scalar does, so neither BLAS nor a fused multiply-add moves a byte."""
+    A, B = _checked_pair(A, B, S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.einsum("...kj,...jk->...k", A, B) - np.einsum("...kk,...kk->...k", A, B)
+    return _finite(r[..., np.argmax(np.abs(S), axis=-1)])
+
+
+def _checked_pair(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex ``A`` and ``B``, refused unless finite and ``(..., d, d)`` for ``(..., d)`` states ``S``."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    if S.ndim < 2 or not A.shape[-2:] == B.shape[-2:] == (S.shape[-1],) * 2:
+        raise ValueError("operator and state dimensions do not match")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("operators contain non-finite entries")
+    return A, B
+
+
+def _finite(r: np.ndarray) -> np.ndarray:
     if not np.isfinite(r).all():
         raise ValueError("residual overflowed: operator entries are too large")
     return r
@@ -126,22 +144,19 @@ def _audit_pairs(
     call, and pair ``j`` reads rows ``j*m`` to ``(j+1)*m`` of it, so with
     ``p = 1`` this is one generator drawing block after block.  A block's
     states are evaluated in one ``residuals`` call.  A discrete family
-    (mode) has only ``branches`` states: they are evaluated once per pair,
-    and a draw of more than one row picks its values and states by branch.
+    (mode) has only ``branches`` states: each block picks its values from
+    one :func:`basis_residuals` table per pair, and its states, by branch.
     """
     p, rows = A.shape[0], np.arange(A.shape[0])
     best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
     best_s = np.zeros((p, A.shape[-1]), dtype=complex)
     if fam.n_real == 0:
         distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
-        # numpy rounds a block of drawn rows as one matrix product, which a
-        # lone state joins as two copies; a one-row block it rounds as a
-        # vector product, so that block is evaluated as drawn
-        table = residuals(A, B, np.repeat(distinct, 1 + (fam.branches == 1), axis=0))
+        table = basis_residuals(A, B, distinct)
     for start in range(0, n_samples, AUDIT_BLOCK):
         m = min(AUDIT_BLOCK, n_samples - start)
         P = fam.draw(rng, p * m).reshape(p, m, -1)
-        if fam.n_real == 0 and m > 1:
+        if fam.n_real == 0:
             branch = P[..., 0].astype(int)
             values, states = table[rows[:, None], branch], None
         else:
@@ -239,9 +254,9 @@ def find_violation_witness(
     is the first state above threshold in the order round, sweep, restart,
     probe.  Every evaluated state counts against ``budget``, and the last
     batch is cut to what is left of it, so a search that returns ``None``
-    has evaluated exactly ``budget`` states.  A discrete family (mode) is
-    evaluated once: its first ``min(branches, budget)`` states, in batches
-    of ``AUDIT_BLOCK``.
+    has evaluated exactly ``budget`` states.  A discrete family (mode)
+    reads its first ``min(branches, budget)`` states at once, through
+    :func:`basis_residuals`, and its witness reports that value.
 
     Each batch is one :func:`residuals` call, with the checks of :func:`audit`:
     a state of norm at most 1e-12 raises :class:`ZeroNormError`.  A family
@@ -264,16 +279,16 @@ def find_violation_witness(
         hits = np.flatnonzero(r > threshold)
         if not hits.size:
             return r, None
-        psi = S[hits[0]] / np.linalg.norm(S[hits[0]])
+        psi = S[hits[0]] / np.sqrt(check_state(S[hits[0]]))
         return r, Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi, tol))
 
     if fam.n_real == 0:
-        for first in range(0, min(fam.branches, budget), AUDIT_BLOCK):
-            last = min(first + AUDIT_BLOCK, fam.branches, budget)
-            found = evaluate(np.arange(first, last, dtype=float)[:, None])[1]
-            if found is not None:
-                return found
-        return None
+        S = fam.build_normalized(np.arange(min(fam.branches, budget), dtype=float)[:, None])
+        r = basis_residuals(A, B, S)
+        hits = np.flatnonzero(np.abs(r) > threshold)
+        if not hits.size:
+            return None
+        return Witness(S[hits[0]], complex(r[hits[0]]), set_name, classify(set_name, S[hits[0]], tol))
 
     width = 2 * fam.n_real
     # probe j of a restart moves coordinate j // 2 by +step (j even) or -step (j odd)

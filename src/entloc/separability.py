@@ -167,9 +167,18 @@ _STATE_DIM = {"I": 3, "II": 3, "III": 10, "ssr": 10}
 _SETS = dict(zip(("I", "II", "III", "mode", "ssr"), zip(*[iter(SepClass)] * 2)))
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values ``s1 >= s2 >= ...`` of each matrix of a stack."""
-    return np.linalg.svd(M, compute_uv=False)
+def _gram(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s1^2 + s2^2, s1^2 - s2^2, s1 s2)`` for the singular values of each ``(m, 2)``
+    matrix of a stack, from its Gram entries ``p, q, r`` and its 2x2 minors:
+    ``p + r``, ``hypot(p - r, 2|q|)`` and the minors' norm (Cauchy-Binet).  einsum
+    rounds each product as a scalar does, so neither LAPACK nor a fused multiply-add
+    moves a byte."""
+    G = np.einsum("nki,nkj->nij", M.conj(), M)
+    p, r = G[:, 0, 0].real, G[:, 1, 1].real
+    outer = np.einsum("ni,nj->nij", M[..., 0], M[..., 1])
+    # minor (i, j) is outer_ij - outer_ji: the sum over all i, j counts each one twice
+    minors2 = np.sum(np.abs(outer - np.swapaxes(outer, 1, 2)) ** 2, axis=(1, 2)) / 2
+    return p + r, np.hypot(p - r, 2 * np.abs(G[:, 0, 1])), np.sqrt(minors2)
 
 
 def _sep_I_parameters(psi: np.ndarray) -> tuple[complex, complex]:
@@ -191,9 +200,9 @@ def classify_states(
     A verdict's diagnostics are its deciding margins: scale-free distances,
     0 on the family, linear off it, at most 1 (up to rounding).  In every
     family a member's margin is at most ``tol.eps_class``.  With ``s1 >= s2``
-    the singular values of C (I, II), R (III) or the LR block (ssr), III's
-    and ssr's ``margin`` is ``2 s1 s2 / (s1^2 + s2^2)`` (0 if
-    ``s1 <= EPS_STATE ||psi||``), which for C equals the ``discriminant``
+    the singular values of C (I, II), R (III) or the LR block (ssr), read by
+    :func:`_gram`, III's and ssr's ``margin`` is ``2 s1 s2 / (s1^2 + s2^2)``
+    (0 if ``s1 <= EPS_STATE ||psi||``), which for C equals the ``discriminant``
     ``|disc| / ||psi||^2`` deciding I and, first, II; II's orthogonal-pair
     ``margin`` is ``(s1^2 - s2^2) / (s1^2 + s2^2) = 2 ||rho - 1/2||_2``;
     mode's is the second-largest amplitude modulus over the largest.  The
@@ -225,11 +234,9 @@ def classify_states(
         margins["discriminant"] = disc = np.abs(sep_I_discriminant(unit)) / norm2
     if kind in ("II", "III", "ssr"):
         M = lr_block(unit) if kind == "ssr" else np.einsum("nk,mkl->nml", unit, _REDUCTIONS[dim])
-        s = _singular_values(M)
-        s1, s2 = s[:, 0], s[:, 1]
-        live = s1 > EPS_STATE * np.sqrt(norm2)
-        rank_one = np.divide(2 * s1 * s2, s1 * s1 + s2 * s2, out=np.zeros_like(s1), where=live)
-        margins["margin"] = rank_one
+        total, gap, s1s2 = _gram(M)
+        live = np.sqrt((total + gap) / 2) > EPS_STATE * np.sqrt(norm2)  # s1 > EPS_STATE ||psi||
+        margins["margin"] = rank_one = np.divide(2 * s1s2, total, out=np.zeros_like(total), where=live)
     if kind == "II":
         # a clear pass on one family-I route with a clear fail on the other is a bug
         split = ((disc <= eps) & (rank_one > 10 * eps)) | ((rank_one <= eps) & (disc > 10 * eps))
@@ -237,7 +244,7 @@ def classify_states(
             i = int(np.argmax(split))
             raise ConsistencyError(f"family-I routes diverged: discriminant {disc[i]:.3e}, "
                                    f"singular values {rank_one[i]:.3e}, eps_class {eps:.1e}")
-        margins["margin"] = (s1 * s1 - s2 * s2) / (s1 * s1 + s2 * s2)
+        margins["margin"] = gap / total
     elif kind == "mode":
         amps = np.sort(moduli, axis=-1)
         margins["margin"] = amps[:, -2] / amps[:, -1] if dim > 1 else np.zeros(len(psi))

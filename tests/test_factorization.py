@@ -144,6 +144,41 @@ def test_residuals_reject_non_finite_input():
         residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
 
 
+def mode_pairs(space, rng):
+    """A ladder, a number and a dense random pair on ``space``."""
+    a0, a1 = space.annihilate("0"), space.annihilate("1")
+    x, y = a0 + a0.conj().T, a1.conj().T - a1
+    n0, n1 = space.number("0"), space.number("1")
+    return [
+        (x @ x + x, y @ y + 1j * y),
+        (n0 @ n0 + 0.5 * n0, 2.0 * n1 - n1 @ n1),
+        tuple(rand_vec(space.dim**2, rng).reshape(space.dim, -1) for _ in range(2)),
+    ]
+
+
+@pytest.mark.parametrize("n_max", range(2, 9))
+def test_the_diagonal_formula_matches_residuals_on_every_headroom_state(n_max):
+    space = FockSpace(("0", "1"), n_max)
+    fam = family("mode", space)
+    S = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
+    for A, B in mode_pairs(space, np.random.default_rng(n_max)):
+        scale = np.linalg.norm(A) * np.linalg.norm(B)
+        assert np.max(np.abs(factorization.basis_residuals(A, B, S) - residuals(A, B, S))) <= 1e-15 * scale
+
+
+def test_the_diagonal_formula_keeps_the_refusals_of_residuals():
+    S = np.eye(3, dtype=complex)
+    bad = np.eye(3, dtype=complex)
+    bad[0, 0] = np.nan
+    for A, B in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            factorization.basis_residuals(A, B, S)
+    with pytest.raises(ValueError, match="overflowed"):
+        factorization.basis_residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+    with pytest.raises(ValueError, match="dimensions"):
+        factorization.basis_residuals(np.eye(4), np.eye(4), S)
+
+
 # --- audits ----------------------------------------------------------------------
 
 def test_audit_identity_pair_factorizes():
@@ -176,13 +211,23 @@ def test_audit_number_polynomials_factorize_on_mode_states():
     assert rep.max_abs_residual <= 1e-12
 
 
+def diagonal_formula(A, B, states):
+    """Residuals of unit basis states ``e_k``, one row at a time: ``sum_j A_kj B_jk - A_kk B_kk``."""
+    values = []
+    for psi in states:
+        k = int(np.flatnonzero(psi)[0])
+        values.append(np.einsum("j,j->", A[k], B[:, k]) - A[k, k] * B[k, k])
+    return np.array(values)
+
+
 def per_row_audit(A, B, fam, blocks):
-    """The audit of one pair that evaluates every drawn row through
-    ``residuals``: ``blocks`` are its parameter rows, block by block."""
+    """The audit of one pair that evaluates every drawn row, through ``residuals``
+    or, for the discrete mode family, through the diagonal formula: ``blocks``
+    are its parameter rows, block by block."""
     total, best, n = 0.0, None, 0
     for P in blocks:
         states = fam.build_normalized(P)
-        values = residuals(A, B, states)
+        values = (diagonal_formula if fam.n_real == 0 else residuals)(A, B, states)
         mags = np.abs(values)
         k = int(np.argmax(mags))
         total += float(np.sum(mags))
@@ -198,8 +243,8 @@ def block_sizes(n_samples):
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
 def test_mode_audit_equals_evaluating_every_drawn_row(n_max):
-    # at n_max 2 the family is the single state |0,0>, a one-row stack; the
-    # dense pair makes numpy's matrix and vector products round differently
+    # at n_max 2 the family is the single state |0,0>; the dense pair has
+    # residuals that no sparse shortcut would round as the formula does
     space = FockSpace(("0", "1"), n_max)
     fam = family("mode", space)
     rng = np.random.default_rng(n_max)
@@ -397,17 +442,26 @@ def test_witness_batches_stay_within_the_block(monkeypatch):
     assert sum(sizes) == 100_000
 
 
-def test_mode_witness_batches_stay_within_the_block(monkeypatch):
+def test_mode_witness_reads_min_branches_budget_states_at_once(monkeypatch):
     sizes = counting_residuals(monkeypatch)
-    monkeypatch.setattr(factorization, "AUDIT_BLOCK", 4)
+    read = []
+    formula = factorization.basis_residuals
+
+    def counting_formula(A, B, S):
+        read.append(len(S))
+        return formula(A, B, S)
+
+    monkeypatch.setattr(factorization, "basis_residuals", counting_formula)
+    monkeypatch.setattr(factorization, "AUDIT_BLOCK", 4)  # no block splits the read
     space = FockSpace(("0", "1"), 4)
     n0, n1 = space.number("0"), space.number("1")
     # six headroom occupation states, on which number operators factorize
     assert find_violation_witness(n0, n1, "mode", budget=100, fock=space) is None
-    assert sizes == [4, 2]
-    sizes.clear()
+    assert read == [6]
+    read.clear()
     assert find_violation_witness(n0, n1, "mode", budget=5, fock=space) is None
-    assert sizes == [4, 1]
+    assert read == [5]
+    assert sizes == []
 
 
 def test_a_zero_state_raises_in_the_witness_search_as_in_the_audit(monkeypatch):
@@ -594,10 +648,10 @@ def test_control_calls_stay_within_the_block(monkeypatch):
         return residuals(A, B, S)
 
     monkeypatch.setattr(factorization, "residuals", counting)
-    positive_control("mode", 100, 100)
-    # a group of ten pairs evaluates the 6 distinct headroom states once per pair
-    assert calls == [((10,), (6,))] * 10
-    calls.clear()
+    # mode reads its headroom states' residuals from the operators' rows and
+    # columns, where a mode-local pair has only the j = k term: exactly 0
+    assert positive_control("mode", 100, 100).max_abs_residual == 0.0
+    assert calls == []
     positive_control("ssr", 3, 1030)
     assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
 

@@ -36,6 +36,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
+from entloc.hilbert import EPS_STATE, pi_reduction_matrix
 from entloc.separability import Tolerances, family
 
 RNG = np.random.default_rng(99)
@@ -408,13 +409,14 @@ def test_a_state_near_the_overflow_line_keeps_its_verdict():
 
 def test_cross_check_guard_fires_on_divergent_routes(monkeypatch):
     # the two family-I routes agree for every actual state, so exercise the
-    # guard by faking rank-one singular values for a clearly non-member state
+    # guard by faking the Gram quantities (s1^2 + s2^2, s1^2 - s2^2, s1 s2):
+    # rank one for a clearly non-member state, then s1 = s2 for a member
     import entloc.separability as sepmod
 
-    monkeypatch.setattr(sepmod, "_singular_values", lambda M: np.array([[1.0, 0.0]]))
+    monkeypatch.setattr(sepmod, "_gram", lambda M: (np.array([1.0]), np.array([1.0]), np.array([0.0])))
     with pytest.raises(ConsistencyError):
         classify_sep_II(np.array([0, 0, 1], dtype=complex))
-    monkeypatch.setattr(sepmod, "_singular_values", lambda M: np.array([[1.0, 1.0]]) / np.sqrt(2))
+    monkeypatch.setattr(sepmod, "_gram", lambda M: (np.array([1.0]), np.array([0.0]), np.array([0.5])))
     with pytest.raises(ConsistencyError):
         classify_sep_II(np.array([1, 0, 0], dtype=complex))
 
@@ -561,6 +563,55 @@ def test_batched_margins_equal_one_row_calls_bit_for_bit(kind):
             assert one.diagnostics.keys() == v.diagnostics.keys()
             for key, x in one.diagnostics.items():
                 assert np.float64(x).tobytes() == np.float64(v.diagnostics[key]).tobytes()
+
+
+def svd_margins(kind, psi):
+    """The deciding margins of ``classify_states`` through ``np.linalg.svd``: II's
+    orthogonal-pair margin, or III's and ssr's rank-one margin, per state."""
+    if kind == "ssr":
+        M = lr_block(psi)
+    else:
+        d = {3: 2, 10: 4}[psi.shape[1]]
+        M = np.stack([psi @ pi_reduction_matrix(e).T for e in np.eye(d)[:2]], axis=-1)
+    s = np.linalg.svd(M, compute_uv=False)
+    total = s[:, 0] ** 2 + s[:, 1] ** 2
+    if kind == "II":
+        return (s[:, 0] ** 2 - s[:, 1] ** 2) / total
+    live = s[:, 0] > EPS_STATE * np.linalg.norm(psi, axis=1)
+    return np.where(live, 2 * s[:, 0] * s[:, 1] / np.where(live, total, 1.0), 0.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # distances off the family, log-uniform over [1e-15, 1e-1]
+    exponents=st.lists(st.floats(-15, -1), min_size=4, max_size=4),
+)
+def test_gram_margins_match_singular_values(seed, exponents):
+    # 12 states per family and example: members, members moved off the family
+    # by 10^exponent, and generic states
+    rng = np.random.default_rng(seed)
+    eps = Tolerances().eps_class
+    for kind in ("II", "III", "ssr"):
+        members = family(kind).sample(rng, 8)
+        directions = rand_vec(members[4:].size, rng).reshape(4, -1)
+        off = members[4:] + 10.0 ** np.asarray(exponents)[:, None] * directions
+        psi = np.concatenate([members[:4], off, rand_vec(members[:4].size, rng).reshape(4, -1)])
+        psi = psi / np.max(np.abs(psi), axis=1, keepdims=True)
+        verdicts = classify_states(kind, psi)
+        got = np.array([v.diagnostics["margin"] for v in verdicts])
+        want = svd_margins(kind, psi)
+        assert np.max(np.abs(got - want)) <= 1e-12, kind
+        member, other = {
+            "II": (SepClass.SEP_II_ONLY, SepClass.ENTANGLED_II),
+            "III": (SepClass.SEP_III, SepClass.ENTANGLED_III),
+            "ssr": (SepClass.SSR_SEP, SepClass.SSR_ENT),
+        }[kind]
+        # in II, family I decides first, by the discriminant
+        want_sets = [SepClass.SEP_I if v.set is SepClass.SEP_I else member if w <= eps else other
+                     for v, w in zip(verdicts, want)]
+        clear = (want < eps / 10) | (want > 10 * eps)
+        assert [v.set for v, c in zip(verdicts, clear) if c] == [w for w, c in zip(want_sets, clear) if c], kind
 
 
 def test_margins_stay_at_rounding_level_on_sampled_members():
