@@ -79,4 +79,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

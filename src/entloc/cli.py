@@ -168,21 +168,25 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split at commas outside brackets and parentheses."""
-    parts, depth, current = [], 0, []
-    for ch in text:
+def _split(text: str, cut) -> list[str]:
+    """Split ``text`` before each position ``k`` outside brackets and parentheses
+    where ``cut(k)`` holds and the part so far is not empty; a comma cut is dropped."""
+    parts, depth, start = [], 0, 0
+    for k, ch in enumerate(text):
         if ch in "[(":
             depth += 1
         elif ch in "])":
             depth -= 1
-        if depth == 0 and ch == "," and current:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in parts if p]
+        if depth == 0 and k > start and cut(k):
+            parts.append(text[start:k])
+            start = k + (ch == ",")
+    parts.append(text[start:])
+    return parts
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split at commas outside brackets and parentheses."""
+    return [p for p in _split(text, lambda k: text[k] == ",") if p]
 
 
 def _split_terms(text: str) -> list[str]:
@@ -191,24 +195,7 @@ def _split_terms(text: str) -> list[str]:
     A sign only separates terms when the next character starts an atom name,
     so minus signs inside scalar arguments (``diag:1,-1/2``) are untouched.
     """
-    parts, depth, current = [], 0, []
-    for k, ch in enumerate(text):
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if (
-            depth == 0
-            and ch in "+-"
-            and current
-            and k + 1 < len(text)
-            and text[k + 1].isalpha()
-        ):
-            parts.append("".join(current))
-            current = [ch]
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+    parts = _split(text, lambda k: text[k] in "+-" and text[k + 1 : k + 2].isalpha())
     return [p for p in parts if p.strip()]
 
 
@@ -525,7 +512,7 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 
 MAX_CONTROL_PAIR_STATES = 10**6
 """Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
-At it, one state per pair took 11-16 s and 0.4-0.6 GB (2-CPU x86-64); both grow linearly."""
+At it, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the time grows with the pairs."""
 
 _OPTIONS = {
     "--amps": dict(help="comma-separated amplitudes"),

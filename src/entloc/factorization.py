@@ -135,43 +135,60 @@ class AuditReport:
 
 
 def _audit_pairs(
-    A: np.ndarray, B: np.ndarray, rng: np.random.Generator, fam: Family, n_samples: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per pair of the ``(p, d, d)`` stacks: max |residual|, its residual and
-    state, and the sum of |residual| over ``n_samples`` states drawn from ``rng``.
+    groups, rng: np.random.Generator, fam: Family, n_states: int,
+    pair: str, set_name: str, seed: int, threshold: float,
+) -> AuditReport:
+    """One report of the ``(A, B)`` pair stacks in ``groups``, ``n_states`` states per
+    pair drawn from ``rng``: the first pair at the maximum |residual|, and the mean
+    of the per-pair means added in pair order.  A group joins it once its blocks end.
 
-    Each ``AUDIT_BLOCK`` block of ``m`` states makes one ``fam.draw(rng, p*m)``
-    call, and pair ``j`` reads rows ``j*m`` to ``(j+1)*m`` of it, so with
-    ``p = 1`` this is one generator drawing block after block.  A block's
-    states are evaluated in one ``residuals`` call.  A discrete family
-    (mode) has only ``branches`` states: each block picks its values from
-    one :func:`basis_residuals` table per pair, and its states, by branch.
+    Each ``AUDIT_BLOCK`` block of ``m`` states of a ``p``-pair group makes one
+    ``fam.draw(rng, p*m)`` call, and pair ``j`` reads rows ``j*m`` to
+    ``(j+1)*m`` of it, so one pair is one generator drawing block after block.
+    A block's states are evaluated in one ``residuals`` call.  A discrete
+    family (mode) has only ``branches`` states: each block picks its values
+    from one :func:`basis_residuals` table per pair, and its states, by branch.
     """
-    p, rows = A.shape[0], np.arange(A.shape[0])
-    best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
-    best_s = np.zeros((p, A.shape[-1]), dtype=complex)
+    max_abs, max_r, max_s, mean, n_pairs = -1.0, 0j, None, 0.0, 0
     if fam.n_real == 0:
         distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
-        table = basis_residuals(A, B, distinct)
-    for start in range(0, n_samples, AUDIT_BLOCK):
-        m = min(AUDIT_BLOCK, n_samples - start)
-        P = fam.draw(rng, p * m).reshape(p, m, -1)
+    for A, B in groups:
+        p, rows = A.shape[0], np.arange(A.shape[0])
+        best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
+        best_s = np.zeros((p, A.shape[-1]), dtype=complex)
         if fam.n_real == 0:
-            branch = P[..., 0].astype(int)
-            values, states = table[rows[:, None], branch], None
-        else:
-            states = fam.build_normalized(P)
-            values = residuals(A, B, states)
-        mags = np.abs(values)
-        k = np.argmax(mags, axis=-1)
-        top = distinct[branch[rows, k]] if states is None else states[rows, k]
-        total += np.sum(mags, axis=-1)
-        # strict: a later block wins only above the best so far, as in one run
-        better = mags[rows, k] > best
-        best[better] = mags[rows, k][better]
-        best_r[better] = values[rows, k][better]
-        best_s[better] = top[better]
-    return best, best_r, best_s, total
+            table = basis_residuals(A, B, distinct)
+        for start in range(0, n_states, AUDIT_BLOCK):
+            m = min(AUDIT_BLOCK, n_states - start)
+            P = fam.draw(rng, p * m).reshape(p, m, -1)
+            if fam.n_real == 0:
+                branch = P[..., 0].astype(int)
+                values, states = table[rows[:, None], branch], None
+            else:
+                states = fam.build_normalized(P)
+                values = residuals(A, B, states)
+            mags = np.abs(values)
+            k = np.argmax(mags, axis=-1)
+            top = distinct[branch[rows, k]] if states is None else states[rows, k]
+            total += np.sum(mags, axis=-1)
+            # strict: a later block wins only above the best so far, as in one run
+            better = mags[rows, k] > best
+            best[better] = mags[rows, k][better]
+            best_r[better] = values[rows, k][better]
+            best_s[better] = top[better]
+        # strict again, so the first pair at the maximum wins as np.argmax would
+        w = int(np.argmax(best))
+        if best[w] > max_abs:
+            max_abs, max_r, max_s = float(best[w]), complex(best_r[w]), best_s[w]
+        # the running sum of the per-pair means, one add per pair as np.cumsum makes
+        mean = np.cumsum(np.concatenate(([mean], total / n_states)))[-1]
+        n_pairs += p
+    return AuditReport(
+        pair=pair, set_name=set_name, n_samples=n_pairs * n_states, seed=seed,
+        max_abs_residual=max_abs, mean_abs_residual=float(mean) / n_pairs,
+        argmax_state=max_s, argmax_residual=max_r, threshold=threshold,
+        verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
+    )
 
 
 def audit(
@@ -198,24 +215,8 @@ def audit(
     _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    fam = family(set_name, fock)
-    stacks = _audit_pairs(np.asarray(A)[None], np.asarray(B)[None], rng, fam, n_samples)
-    return _report(pair, set_name, seed, threshold, n_samples, *stacks)
-
-
-def _report(pair: str, set_name: str, seed: int, threshold: float, n_states: int,
-            best, best_r, best_s, total) -> AuditReport:
-    """One report of the pairs in :func:`_audit_pairs` stacks, ``n_states`` each: the
-    first pair at the maximum, and the mean of the per-pair means added in pair order."""
-    w = int(np.argmax(best))
-    max_abs = float(best[w])
-    return AuditReport(
-        pair=pair, set_name=set_name, n_samples=len(best) * n_states, seed=seed,
-        max_abs_residual=max_abs,
-        mean_abs_residual=float(np.cumsum(total / n_states)[-1]) / len(best),
-        argmax_state=best_s[w], argmax_residual=complex(best_r[w]), threshold=threshold,
-        verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
-    )
+    groups = [(np.asarray(A)[None], np.asarray(B)[None])]
+    return _audit_pairs(groups, rng, family(set_name, fock), n_samples, pair, set_name, seed, threshold)
 
 
 @dataclass
@@ -364,19 +365,16 @@ def _local_pairs(
     """``(g, d, d)`` stacks of ``g`` random local pairs ``A`` (side 0), ``B`` (side 1).
 
     Per pair the draws are A's real then imaginary coefficients, then B's.
-    mode: polynomials in the ladder monomials ``terms`` of each mode, summed
-    one by one from ``0`` (``0 + x`` turns ``-0.0`` into ``0.0``), so every
-    operator keeps its bytes from the one-pair releases.  ssr: symmetrized
-    one-body operators of Hermitian 2x2 blocks on the L and R levels.
+    mode: polynomials in the ``(6, d, d)`` stack ``terms`` of each mode's ladder
+    monomials.  ssr: symmetrized one-body operators of Hermitian 2x2 blocks on
+    the L and R levels.
     """
     c = rng.normal(size=(g, 2, 2, 6) if kind == "mode" else (g, 2, 2, 2, 2))
     ops = []
     for side in (0, 1):
         coeff = c[:, side, 0] + 1j * c[:, side, 1]
         if kind == "mode":
-            op = 0
-            for i, term in enumerate(terms[side]):
-                op = op + coeff[:, i, None, None] * term
+            op = np.einsum("gi,ijk->gjk", coeff, terms[side])
         else:
             H = np.zeros((g, 4, 4), dtype=complex)
             H[:, 2 * side : 2 * side + 2, 2 * side : 2 * side + 2] = (
@@ -405,8 +403,8 @@ def positive_control(
     The expected outcome is ``max |residual| <= 1e-10``.
 
     Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states (at least
-    one), and a group's operators are built only when it runs.  One
-    generator seeded from ``(seed, 2)`` draws the states of every group in
+    one), each built when it runs and folded into the report when it is done.
+    One generator seeded from ``(seed, 2)`` draws the states of every group in
     turn: each block of ``m`` states of a ``p``-pair group is one draw of
     ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.
     """
@@ -422,11 +420,9 @@ def positive_control(
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
     # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
     ladders = [(space.annihilate(m), space.create(m)) for m in space.modes] if space else []
-    terms = [[np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad] for a, ad in ladders]
-    fam = family(kind, space)
+    terms = [np.stack([np.eye(space.dim), a, ad, ad @ a, a @ a, ad @ ad]) for a, ad in ladders]
     per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
-    pairs = (_local_pairs(kind, g, rng_ops, terms) for g in sizes)  # each built when its group runs
-    groups = [_audit_pairs(A, B, rng, fam, n_states) for A, B in pairs]
-    stacks = (np.concatenate(parts) for parts in zip(*groups))
-    return _report(f"{kind}-local random pairs x{n_pairs}", kind, seed, threshold, n_states, *stacks)
+    groups = (_local_pairs(kind, g, rng_ops, terms) for g in sizes)  # each built when its group runs
+    pair = f"{kind}-local random pairs x{n_pairs}"
+    return _audit_pairs(groups, rng, family(kind, space), n_states, pair, kind, seed, threshold)

@@ -98,6 +98,10 @@ def check_state(psi: np.ndarray) -> float | np.ndarray:
     return norm2
 
 
+_SYM_INDEX = {d: np.array(sym_pairs(d)).T for d in (2, 4)}
+"""The ``(i, j)`` index arrays of :func:`sym_pairs` for the 2- and 4-level spaces."""
+
+
 def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Symmetric projection of ``|phi> x |zeta>`` in the symmetric basis.
 
@@ -114,7 +118,7 @@ def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     d = phi.shape[-1]
     if d not in (2, 4):
         raise ValueError("only 2- and 4-level single-particle spaces are supported")
-    i, j = np.array(sym_pairs(d)).T
+    i, j = _SYM_INDEX[d]
     straight, swapped = phi[..., i] * zeta[..., j], phi[..., j] * zeta[..., i]
     return np.where(i == j, straight, straight * PAIR_WEIGHT + swapped * PAIR_WEIGHT) + 0.0
 

@@ -357,9 +357,11 @@ class Family:
 
 
 def _sep_II_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
-    psi = np.empty((*branch.shape, 3), dtype=complex)
+    psi = np.empty((*branch.shape, 3), dtype=complex)  # every row is filled by its one branch
     for b, piece in enumerate((sep_I_state, sep_II_orthogonal_state)):
-        psi[branch == b] = piece(*c[branch == b].T)
+        rows = branch == b
+        if rows.any():
+            psi[rows] = piece(*c[rows].T)
     return psi
 
 

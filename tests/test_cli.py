@@ -226,6 +226,8 @@ def test_classify_error_exits(capsys):
         (["certify", "--A", "entries:[[1e999,0],[0,1]]", "--B", "pauli:1"], "Fraction"),
         (["preserve-check", "--pair", "pauli:1"], "exactly two"),
         (["preserve-check", "--pair", "pauli:1,pauli:2,pauli:3"], "exactly two"),
+        # a blank second spec is two parts at the comma, then no term at all
+        (["preserve-check", "--pair", "pauli:1, "], "empty operator spec"),
         (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--tol-class", "-1"], "tolerances"),
         (["sample", "--set", "I", "--tol-class", "0"], "tolerances"),
         (["preserve-check", "--op", "entries:5"], "list of rows"),

@@ -1,5 +1,7 @@
 """Residuals, audits, witness search, sector expectations and controls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -654,6 +656,22 @@ def test_control_calls_stay_within_the_block(monkeypatch):
     assert calls == []
     positive_control("ssr", 3, 1030)
     assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
+
+
+def _control_peak(kind, n_pairs):
+    tracemalloc.start()
+    try:
+        positive_control(kind, n_pairs, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["mode", "ssr"])
+def test_control_memory_does_not_grow_with_the_pair_count(kind):
+    # each group of pairs joins the report when it is done, so 20x the pairs
+    # must not raise the peak (keeping every group's results until the end: 1.5x)
+    assert _control_peak(kind, 40_960) <= 1.1 * _control_peak(kind, 2_048)
 
 
 def test_control_rejects_bad_inputs():
