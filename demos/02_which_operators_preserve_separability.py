@@ -13,7 +13,6 @@ from entloc import (
     PAULI,
     commutativity_condition,
     construct_sep_I_preserver,
-    embed_tensor_square,
     fit_sep_I_preserver,
     is_block_scalar,
     is_sep_II_preserver,
@@ -32,7 +31,7 @@ print("random generator O:\n", np.round(O, 3))
 print("its pair square on the symmetric basis:\n", np.round(A, 3))
 print(
     "matches the compressed Kronecker square:",
-    np.allclose(A, project_symmetric(embed_tensor_square(O))),
+    np.allclose(A, project_symmetric(np.kron(O, O))),
 )
 
 fit = fit_sep_I_preserver(A)

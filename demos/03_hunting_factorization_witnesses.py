@@ -12,7 +12,6 @@ from entloc import (
     PAULI,
     audit,
     construct_sep_I_preserver,
-    embed_tensor_square,
     find_violation_witness,
     occupation_imbalance_expectations,
     occupation_imbalance_pair,
@@ -21,8 +20,8 @@ from entloc import (
     sep_I_state,
 )
 
-A = project_symmetric(embed_tensor_square(PAULI[1]))
-B = project_symmetric(embed_tensor_square(PAULI[2]))
+A = project_symmetric(np.kron(PAULI[1], PAULI[1]))
+B = project_symmetric(np.kron(PAULI[2], PAULI[2]))
 
 print("=== hand-picked residuals on the squared family ===\n")
 for c0, c1 in ((1.0, 0.0), (1 / np.sqrt(5), 2 / np.sqrt(5))):

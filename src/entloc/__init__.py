@@ -32,13 +32,11 @@ from .hilbert import (
     SECTOR_SLOTS,
     SECTORS,
     FockSpace,
-    embed_tensor_square,
     number_level_operator,
     partial_trace_second_particle,
     pauli_decompose,
     project_symmetric,
     reduced_single_particle_dm,
-    sector_projector,
     sym_embedding,
     sym_one_body,
     sym_pairs,
@@ -79,4 +77,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -514,6 +514,9 @@ MAX_CONTROL_PAIR_STATES = 10**6
 """Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
 At it, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the time grows with the pairs."""
 
+MAX_N_MAX = 44
+"""Largest mode ``--n-max``: operators are dense, dim (n+1)(n+2)/2; README's mode control took 1 GiB at it."""
+
 _OPTIONS = {
     "--amps": dict(help="comma-separated amplitudes"),
     "--basis": dict(choices=("sym3", "sym10"), default="sym3"),
@@ -595,6 +598,8 @@ def _config(args: argparse.Namespace) -> dict:
         inputs["samples" if args.pairs else "states"] = None
     if "n_max" in inputs and canonical_set_name(args.set) != "mode":
         inputs["n_max"] = None  # only the mode family lives on a Fock space
+    elif "n_max" in inputs and args.n_max > MAX_N_MAX:  # refused before any Fock space is built
+        raise ValueError(f"--n-max {args.n_max} is past {MAX_N_MAX}")
     config = {k: inputs.pop(k, None) for k in CONFIG_KNOBS}
     config["extra"] = {k: v for k, v in inputs.items() if v is not None}
     return config

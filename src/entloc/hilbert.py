@@ -123,14 +123,6 @@ def symmetrize_product(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return np.where(i == j, straight, straight * PAIR_WEIGHT + swapped * PAIR_WEIGHT) + 0.0
 
 
-def embed_tensor_square(O: np.ndarray) -> np.ndarray:
-    """Kronecker square ``O x O`` in the two-particle product basis."""
-    O = np.asarray(O, dtype=complex)
-    if O.ndim != 2 or O.shape[0] != O.shape[1]:
-        raise ValueError("operator must be square")
-    return np.kron(O, O)
-
-
 def project_symmetric(M: np.ndarray) -> np.ndarray:
     """Compress a product-basis operator to the symmetric basis: ``E† M E``.
 
@@ -169,13 +161,6 @@ def number_level_operator(level: int, dim: int = 4) -> np.ndarray:
     """
     counts = [(i == level) + (j == level) for i, j in sym_pairs(dim)]
     return np.diag(np.asarray(counts, dtype=complex))
-
-
-def sector_projector(sector: str) -> np.ndarray:
-    """Orthogonal projector onto one spatial sector of the 10-dim space."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector!r}, expected one of {SECTORS}")
-    return np.diag([complex(k in SECTOR_SLOTS[sector]) for k in range(10)])
 
 
 def pauli_decompose(O: np.ndarray) -> tuple[complex, np.ndarray]:

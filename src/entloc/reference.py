@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import occupation_imbalance_expectations, residual
-from .hilbert import PAULI, embed_tensor_square, project_symmetric, sym_one_body
+from .hilbert import PAULI, project_symmetric, sym_one_body
 from .invariance import commutativity_condition
 from .separability import sep_I_discriminant, sep_I_state, sep_II_orthogonal_state
 
@@ -31,8 +31,8 @@ def _line(line_id: str, description: str, pairs: list[tuple[complex, complex]]) 
 
 
 def reference_lines() -> list[dict]:
-    A = project_symmetric(embed_tensor_square(PAULI[1]))
-    B = project_symmetric(embed_tensor_square(PAULI[2]))
+    A = project_symmetric(np.kron(PAULI[1], PAULI[1]))
+    B = project_symmetric(np.kron(PAULI[2], PAULI[2]))
     lines = []
 
     psi = sep_I_state(1.0, 0.0)

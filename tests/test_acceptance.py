@@ -18,7 +18,6 @@ from entloc import (
     classify_sep_III,
     construct_sep_I_preserver,
     embed_ll,
-    embed_tensor_square,
     find_violation_witness,
     fit_sep_I_preserver,
     is_block_scalar,
@@ -85,8 +84,8 @@ def unitary_defect(O):
 def test_criterion_1_reference_residuals(tmp_path, capsys):
     """Squared pauli pair on the squared family: -1 and -9/25 at 1e-12."""
     with Timer(1, limit=1.0):
-        A = project_symmetric(embed_tensor_square(PAULI[1]))
-        B = project_symmetric(embed_tensor_square(PAULI[2]))
+        A = project_symmetric(np.kron(PAULI[1], PAULI[1]))
+        B = project_symmetric(np.kron(PAULI[2], PAULI[2]))
         assert abs(residual(A, B, sep_I_state(1.0, 0.0)) - (-1.0)) <= 1e-12
         psi = sep_I_state(1 / np.sqrt(5.0), 2 / np.sqrt(5.0))
         assert abs(residual(A, B, psi) - (-9 / 25)) <= 1e-12
@@ -123,7 +122,7 @@ def test_criterion_3_preserver_round_trip():
         for _ in range(1000):
             O = rand_complex(rng, (2, 2))
             A = construct_sep_I_preserver(O)
-            mismatch = np.max(np.abs(project_symmetric(embed_tensor_square(O)) - A))
+            mismatch = np.max(np.abs(project_symmetric(np.kron(O, O)) - A))
             assert mismatch <= 1e-12 * max(1.0, np.linalg.norm(O) ** 2)
             fit = fit_sep_I_preserver(A)
             assert fit.fits and fit.defect <= 1e-10

@@ -20,6 +20,7 @@ from entloc.cli import (
     EXIT_INTERNAL,
     MAX_CONTROL_PAIR_STATES,
     MAX_DECIMAL_EXPONENT,
+    MAX_N_MAX,
     _COMMANDS,
     build_parser,
     main,
@@ -458,14 +459,40 @@ def run_capped(argv, timeout=None):
     "argv",
     [
         ["sample", "--set", "I", "--n", "30000000"],
-        ["audit", "--set", "mode", "--pair", "ladder:0:+,ladder:1:-", "--n-max", "200"],
-        ["witness", "--set", "mode", "--pair", "number:0,number:1", "--n-max", "200"],
+        # within the --n-max bound, a group of 1000 one-state pairs stacks 2 x 1000 dense operators
+        ["audit", "--set", "mode", "--pairs", "random:1000", "--states", "1", "--n-max", str(MAX_N_MAX)],
     ],
 )
 def test_a_request_too_large_for_memory_exits_2_with_one_line(argv):
     proc = run_capped(argv)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: not enough memory: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--set", "mode", "--pair", "ladder:0:+,ladder:1:-", "--n-max", "200"],
+        ["witness", "--set", "mode", "--pair", "number:0,number:1", "--n-max", "200"],
+        ["audit", "--set", "mode", "--pairs", "random:1", "--n-max", str(MAX_N_MAX + 1)],
+    ],
+)
+def test_an_n_max_past_its_bound_exits_2_with_one_line(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock space was built")
+
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"entloc: input error: --n-max {argv[-1]} is past {MAX_N_MAX}\n"
+
+
+def test_an_n_max_at_its_bound_is_taken(capsys):
+    code, doc = run_json(
+        capsys, "witness", "--set", "mode", "--pair", "number:0,number:1", "--budget", "20",
+        "--n-max", str(MAX_N_MAX),
+    )
+    assert code == 0 and doc["results"] == {"found": False, "budget": 20, "threshold": 1e-6}
 
 
 @pytest.mark.parametrize("text", ["1e10000", "1e43000", "-2E+000043001", "3e-43000j"])

@@ -14,7 +14,6 @@ from entloc import (
     ZeroNormError,
     audit,
     construct_sep_I_preserver,
-    embed_tensor_square,
     find_violation_witness,
     number_level_operator,
     occupation_imbalance_expectations,
@@ -33,8 +32,8 @@ from entloc.separability import Family, canonical_set_name, classify, family
 
 RNG = np.random.default_rng(777)
 
-A_PAIR = project_symmetric(embed_tensor_square(PAULI[1]))
-B_PAIR = project_symmetric(embed_tensor_square(PAULI[2]))
+A_PAIR = project_symmetric(np.kron(PAULI[1], PAULI[1]))
+B_PAIR = project_symmetric(np.kron(PAULI[2], PAULI[2]))
 
 
 def rand_vec(n, rng=RNG):
@@ -438,7 +437,7 @@ def counting_residuals(monkeypatch):
 
 def test_witness_batches_stay_within_the_block(monkeypatch):
     sizes = counting_residuals(monkeypatch)
-    A = project_symmetric(embed_tensor_square(PAULI[0]))
+    A = project_symmetric(np.kron(PAULI[0], PAULI[0]))
     assert find_violation_witness(A, B_PAIR, "I", budget=100_000, seed=12) is None
     assert max(sizes) <= AUDIT_BLOCK
     assert sum(sizes) == 100_000

@@ -10,7 +10,6 @@ from entloc import (
     SECTOR_SLOTS,
     FockSpace,
     ZeroNormError,
-    embed_tensor_square,
     partial_trace_second_particle,
     pauli_decompose,
     project_symmetric,
@@ -138,19 +137,13 @@ def test_symmetrize_equals_the_embedding_product(dim, shape):
 
 # --- operator embeddings ------------------------------------------------------
 
-def test_embed_tensor_square():
-    assert np.allclose(embed_tensor_square(np.eye(2)), np.eye(4))
-    assert np.allclose(embed_tensor_square(PAULI[1]), np.fliplr(np.eye(4)))
-    assert np.allclose(embed_tensor_square(np.diag([1, 2])), np.diag([1, 2, 2, 4]))
-
-
 def test_project_symmetric_identity_and_swap():
     assert np.allclose(project_symmetric(np.eye(4)), np.eye(3))
     assert np.allclose(project_symmetric(swap_matrix(2)), np.eye(3))
 
 
 def test_project_symmetric_pauli_square():
-    got = project_symmetric(embed_tensor_square(PAULI[1]))
+    got = project_symmetric(np.kron(PAULI[1], PAULI[1]))
     assert np.allclose(got, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 

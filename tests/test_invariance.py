@@ -4,13 +4,13 @@ import numpy as np
 
 from entloc import (
     PAULI,
+    SECTOR_SLOTS,
     SECTORS,
     SepClass,
     classify_sep_I,
     classify_sep_II,
     commutativity_condition,
     construct_sep_I_preserver,
-    embed_tensor_square,
     fit_sep_I_preserver,
     is_block_scalar,
     is_sep_II_preserver,
@@ -19,7 +19,6 @@ from entloc import (
     project_symmetric,
     sample_separable,
     sector_blocks,
-    sector_projector,
     sep_I_discriminant,
     sym_one_body,
 )
@@ -57,7 +56,7 @@ def test_construct_equals_projected_kronecker_square():
     for _ in range(200):
         O = rand_op()
         got = construct_sep_I_preserver(O)
-        want = project_symmetric(embed_tensor_square(O))
+        want = project_symmetric(np.kron(O, O))
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.linalg.norm(O) ** 2)
 
 
@@ -197,23 +196,21 @@ def test_commutativity_necessary_condition_on_constructed_pairs():
 
 # --- sector structure -----------------------------------------------------------
 
-def test_sector_projectors():
-    total = np.zeros((10, 10), dtype=complex)
-    ranks = {}
-    for X in SECTORS:
-        P = sector_projector(X)
-        assert np.allclose(P @ P, P)
-        assert np.allclose(P, P.conj().T)
-        ranks[X] = int(round(np.trace(P).real))
-        total += P
-    assert ranks == {"LL": 3, "LR": 4, "RR": 3}
-    assert np.allclose(total, np.eye(10))
+def projector(X):
+    """Orthogonal projector onto sector ``X`` of the 10-dim pair space."""
+    return np.diag([complex(k in SECTOR_SLOTS[X]) for k in range(10)])
+
+
+def test_sector_slots_partition_the_ten_slots():
+    assert tuple(SECTOR_SLOTS) == SECTORS
+    assert {X: len(S) for X, S in SECTOR_SLOTS.items()} == {"LL": 3, "LR": 4, "RR": 3}
+    assert sorted(k for S in SECTOR_SLOTS.values() for k in S) == list(range(10))
 
 
 def test_sector_blocks_of_identity_and_transfer():
     blocks = sector_blocks(np.eye(10, dtype=complex))
     for X in SECTORS:
-        assert np.allclose(blocks[(X, X)], sector_projector(X))
+        assert np.allclose(blocks[(X, X)], np.eye(len(SECTOR_SLOTS[X])))
         for Y in SECTORS:
             if X != Y:
                 assert np.allclose(blocks[(X, Y)], 0)
@@ -231,13 +228,39 @@ def test_block_scalar_reports():
     assert rep.block_scalar and rep.identity_proportional
     assert all(abs(a - 1) < 1e-12 for a in rep.alphas.values())
 
-    rep = is_block_scalar(sector_projector("LL"))
+    rep = is_block_scalar(projector("LL"))
     assert rep.block_scalar and not rep.identity_proportional
     assert abs(rep.alphas["LL"] - 1) < 1e-12
     assert abs(rep.alphas["LR"]) < 1e-12 and abs(rep.alphas["RR"]) < 1e-12
 
     imbalance = number_level_operator(0) - number_level_operator(1)
     assert not is_block_scalar(imbalance).block_scalar
+
+
+def test_sector_blocks_are_the_projected_blocks_bit_for_bit():
+    rng = np.random.default_rng(2310)
+    for _ in range(200):
+        A = rand_op(10, rng)
+        blocks = sector_blocks(A)
+        for X in SECTORS:
+            for Y in SECTORS:
+                want = (projector(X) @ A @ projector(Y))[np.ix_(SECTOR_SLOTS[X], SECTOR_SLOTS[Y])]
+                assert blocks[(X, Y)].shape == (len(SECTOR_SLOTS[X]), len(SECTOR_SLOTS[Y]))
+                assert blocks[(X, Y)].tobytes() == want.tobytes()
+
+
+def test_block_scalar_alphas_are_the_projected_traces_bit_for_bit():
+    # a sum over the LR slice alone groups its four terms otherwise and fails this
+    rng = np.random.default_rng(2311)
+    for t in range(1200):
+        A = rand_op(10, rng)
+        if t % 2:  # a sector-constant diagonal, real as `preserve-check --op diag:...` reads it, or complex
+            alpha = A[0, :3].real if t % 4 == 1 else A[0, :3]
+            A = np.diag(sum(c * np.diag(projector(X)) for c, X in zip(alpha, SECTORS)))
+        alphas = is_block_scalar(A).alphas
+        for X in SECTORS:
+            want = np.trace(projector(X) @ A @ projector(X)) / len(SECTOR_SLOTS[X])
+            assert np.complex128(alphas[X]).tobytes() == np.complex128(want).tobytes()
 
 
 def test_classifier_agreement_for_verdict_sets():
