@@ -239,7 +239,7 @@ def _parse_atom(spec: str, exact: bool, fock: FockSpace | None) -> np.ndarray:
         mode, _, kind = rest.partition(":")
         if kind not in ("+", "-"):
             raise ValueError(f"ladder direction must be + or -, got {kind!r}")
-        mat = fock.create(mode) if kind == "+" else fock.annihilate(mode)
+        mat = fock.ladder(mode, 1 if kind == "+" else -1)
     elif head == "oxo":
         if exact:
             raise ValueError("oxo wrapping is not supported in exact mode")
@@ -496,6 +496,8 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
     set_name = canonical_set_name(args.set)
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
+    if args.n > MAX_SAMPLE_N:
+        raise ValueError(f"--n {args.n} is past {MAX_SAMPLE_N}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     psis = family(set_name).sample(rng, args.n)
     verdicts = classify_states(set_name, psis, tol)
@@ -512,10 +514,15 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 
 MAX_CONTROL_PAIR_STATES = 10**6
 """Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
-At it, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the time grows with the pairs."""
+At it and the default ``--n-max``, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the
+time grows with the pairs. At ``--n-max 44`` one mode pair costs about 87-91 ms."""
 
 MAX_N_MAX = 44
-"""Largest mode ``--n-max``: operators are dense, dim (n+1)(n+2)/2; README's mode control took 1 GiB at it."""
+"""Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""
+
+MAX_SAMPLE_N = 10**5
+"""Most ``sample --n``: every state is held, classified and printed at once. At it, ``--set III``,
+the costliest, took 7.7-12 s and 680 MiB RSS (2-CPU x86-64); at 3x it, 28 s and 1.9 GiB."""
 
 _OPTIONS = {
     "--amps": dict(help="comma-separated amplitudes"),
@@ -631,6 +638,9 @@ def _run(args: argparse.Namespace) -> int:
     except ConsistencyError as exc:
         print(f"entloc: internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:  # the report's text is made whole before any of it is written
+        print(f"entloc: input error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         if not args.out:
             raise  # stdout: a closed pipe is handled in main

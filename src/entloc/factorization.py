@@ -402,8 +402,9 @@ def positive_control(
     block-diagonal by construction) on single-sector separable states.
     The expected outcome is ``max |residual| <= 1e-10``.
 
-    Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states (at least
-    one), each built when it runs and folded into the report when it is done.
+    Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states and in
+    ``AUDIT_BLOCK**2`` entries per operator stack (at least one), each built
+    when it runs and folded into the report when it is done.
     One generator seeded from ``(seed, 2)`` draws the states of every group in
     turn: each block of ``m`` states of a ``p``-pair group is one draw of
     ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.
@@ -419,9 +420,10 @@ def positive_control(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
     # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
-    ladders = [(space.annihilate(m), space.create(m)) for m in space.modes] if space else []
-    terms = [np.stack([np.eye(space.dim), a, ad, ad @ a, a @ a, ad @ ad]) for a, ad in ladders]
-    per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
+    terms = [np.stack([np.eye(space.dim), space.ladder(m, -1), space.ladder(m, 1), space.number(m),
+                       space.ladder(m, -2), space.ladder(m, 2)]) for m in space.modes] if space else []
+    dim = space.dim if space else 10  # ssr operators act on the ten pair slots of four levels
+    per_call = max(1, min(AUDIT_BLOCK // min(n_states, AUDIT_BLOCK), AUDIT_BLOCK**2 // dim**2))
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
     groups = (_local_pairs(kind, g, rng_ops, terms) for g in sizes)  # each built when its group runs
     pair = f"{kind}-local random pairs x{n_pairs}"

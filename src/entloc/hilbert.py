@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -260,19 +260,19 @@ class FockSpace:
         except ValueError:
             raise ValueError(f"unknown mode label {mode!r}, have {self.modes}") from None
 
-    def create(self, mode: str) -> np.ndarray:
-        """Creation matrix for one mode."""
+    def ladder(self, mode: str, k: int) -> np.ndarray:
+        """Creation matrix of one mode to the power ``k > 0``, annihilation matrix to ``-k`` for ``k < 0``.
+
+        Entry ``(n + k, n)`` is the product of ``sqrt(q)`` for ``q`` between ``n`` and ``n + k``, the
+        larger included; elements past the cutoff are dropped."""
         m = self._mode_index(mode)
         op = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, occ in enumerate(self.basis):
-            up = occ[:m] + (occ[m] + 1,) + occ[m + 1 :]
-            if up in self.index:  # within the cutoff
-                op[self.index[up], k] = np.sqrt(occ[m] + 1)
+        for j, occ in enumerate(self.basis):
+            n = occ[m]
+            to = occ[:m] + (n + k,) + occ[m + 1 :]
+            if to in self.index:  # within the cutoff, and no occupation below 0
+                op[self.index[to], j] = prod(map(sqrt, range(min(n, n + k) + 1, max(n, n + k) + 1)))
         return op
-
-    def annihilate(self, mode: str) -> np.ndarray:
-        # annihilation is the transpose: it has the same entries, reversed
-        return self.create(mode).T.copy()
 
     def number(self, mode: str) -> np.ndarray:
         m = self._mode_index(mode)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entloc import report as report_module
 from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
@@ -21,6 +22,7 @@ from entloc.cli import (
     MAX_CONTROL_PAIR_STATES,
     MAX_DECIMAL_EXPONENT,
     MAX_N_MAX,
+    MAX_SAMPLE_N,
     _COMMANDS,
     build_parser,
     main,
@@ -31,6 +33,7 @@ from entloc.cli import (
 from entloc.exact import GaussianRational
 from entloc.hilbert import FockSpace
 from entloc.report import CONFIG_KNOBS, results_bytes
+from entloc.separability import Family
 
 SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "report-schema-v1.md"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -249,7 +252,7 @@ def test_classify_error_exits(capsys):
 def test_a_positive_control_past_its_size_bound_exits_2_at_once(argv):
     # the group sizes were one list: random:100000000000 took 5 GB, then ended in
     # MemoryError after 34 s. Capped and timed out, so that a lost bound fails at once
-    proc = run_capped(["audit", "--set", "ssr", *argv], timeout=20)
+    proc = run_capped(["audit", "--set", "ssr", *argv], 1536, timeout=20)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: pairs x states: ")
     assert proc.stderr.endswith(f" is past {MAX_CONTROL_PAIR_STATES}\n")
@@ -439,10 +442,10 @@ def test_a_scalar_of_5000_digits_is_an_infinity_on_the_numeric_path(capsys):
     assert err.count("\n") == 1 and err.startswith("entloc: input error: ") and "non-finite entries" in err
 
 
-def run_capped(argv, timeout=None):
-    """Run the CLI in a child process whose address space is capped at 1.5 GiB."""
+def run_capped(argv, cap_mib, timeout=None):
+    """Run the CLI in a child process whose address space is capped at ``cap_mib`` MiB."""
     resource = pytest.importorskip("resource")
-    limit = 3 << 29
+    limit = cap_mib << 20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -458,15 +461,49 @@ def run_capped(argv, timeout=None):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sample", "--set", "I", "--n", "30000000"],
-        # within the --n-max bound, a group of 1000 one-state pairs stacks 2 x 1000 dense operators
-        ["audit", "--set", "mode", "--pairs", "random:1000", "--states", "1", "--n-max", str(MAX_N_MAX)],
+        # within every bound, README's costliest mode control peaks at about 343 MiB RSS
+        ["audit", "--set", "mode", "--pairs", "random:100", "--states", "100", "--n-max", str(MAX_N_MAX)],
     ],
 )
 def test_a_request_too_large_for_memory_exits_2_with_one_line(argv):
-    proc = run_capped(argv)
+    proc = run_capped(argv, 256)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: not enough memory: ")
+
+
+def test_a_report_too_large_to_serialize_exits_2_with_one_line(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(report_module.json, "dumps", refuse)
+    assert main(["sample", "--set", "I", "--n", "2"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == "entloc: input error: not enough memory: \n"
+
+
+def test_a_mode_control_at_the_n_max_bound_fits_in_512_mib():
+    # a group holds at most AUDIT_BLOCK**2 operator entries: one pair at a time at --n-max 44
+    argv = ["audit", "--set", "mode", "--pairs", "random:10", "--states", "100", "--n-max", str(MAX_N_MAX)]
+    proc = run_capped(argv, 512, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["audit"]["max_abs_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--set", "III", "--n", str(MAX_SAMPLE_N + 1)],
+        ["sample", "--set", "I", "--n", "30000000"],
+        ["sample", "--set", "mode", "--n", str(10**30)],
+    ],
+)
+def test_a_sample_count_past_its_bound_exits_2_with_one_line(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family was drawn")
+
+    monkeypatch.setattr(Family, "draw", refuse)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"entloc: input error: --n {argv[-1]} is past {MAX_SAMPLE_N}\n"
 
 
 @pytest.mark.parametrize(
@@ -670,6 +707,40 @@ def test_audit_command_and_determinism(capsys):
     assert doc1["config"]["witness_threshold"] == doc1["results"]["audit"]["threshold"] == 1e-6
     _, doc2 = run_json(capsys, *args)
     assert results_bytes(doc1) == results_bytes(doc2)
+
+
+# one command of each kind, as a fresh process and as repeated main calls in one process
+REPEATED_COMMANDS = [
+    ["classify", "--amps", "1,0,1"],
+    ["certify", "--pair", "pauli:1,pauli:2"],
+    ["preserve-check", "--op", "pauli:1"],
+    ["sample", "--set", "ssr", "--n", "3", "--seed", "5"],
+    ["audit", "--set", "III", "--pair", "number:L0,number:R0", "--samples", "100", "--seed", "2"],
+    ["witness", "--set", "mode", "--pair", "ladder:0:+,ladder:1:-", "--seed", "4"],
+    ["reproduce-paper"],
+]
+
+
+def test_main_called_again_and_again_gives_the_fresh_process_bytes(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    fresh = []
+    for argv in REPEATED_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "entloc.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(results_bytes(json.loads(proc.stdout)))
+
+    def run_all():
+        for argv, want in zip(REPEATED_COMMANDS, fresh):
+            code, doc = run_json(capsys, *argv)
+            assert code == 0 and results_bytes(doc) == want, argv
+
+    run_all()
+    with pytest.raises(SystemExit) as usage:
+        main(["audit", "--set", "I", "--budget", "5"])
+    assert usage.value.code == 2
+    assert main(["classify", "--amps", "0,0,0"]) == EXIT_INPUT
+    capsys.readouterr()
+    run_all()
 
 
 def test_audit_positive_control_command(capsys):

@@ -147,7 +147,7 @@ def test_residuals_reject_non_finite_input():
 
 def mode_pairs(space, rng):
     """A ladder, a number and a dense random pair on ``space``."""
-    a0, a1 = space.annihilate("0"), space.annihilate("1")
+    a0, a1 = space.ladder("0", -1), space.ladder("1", -1)
     x, y = a0 + a0.conj().T, a1.conj().T - a1
     n0, n1 = space.number("0"), space.number("1")
     return [
@@ -249,7 +249,7 @@ def test_mode_audit_equals_evaluating_every_drawn_row(n_max):
     space = FockSpace(("0", "1"), n_max)
     fam = family("mode", space)
     rng = np.random.default_rng(n_max)
-    a = space.annihilate("0")
+    a = space.ladder("0", -1)
     pairs = [
         (a, a.conj().T),
         (space.number("0"), space.number("1")),
@@ -560,8 +560,8 @@ def test_positive_control_rejects_other_kinds():
 
 def _mode_polynomial(space, mode, rng):
     """Random degree-<=2 polynomial in the ladder operators of one mode."""
-    a = space.annihilate(mode)
-    ad = space.create(mode)
+    a = space.ladder(mode, -1)
+    ad = space.ladder(mode, 1)
     basis = [np.eye(space.dim, dtype=complex), a, ad, ad @ a, a @ a, ad @ ad]
     coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     return sum(c * m for c, m in zip(coeff, basis))

@@ -258,7 +258,7 @@ def test_fock_dimension_and_order():
 
 def test_fock_commutator_below_cutoff():
     space = FockSpace(("0", "1"), 4)
-    a, ad = space.annihilate("0"), space.create("0")
+    a, ad = space.ladder("0", -1), space.ladder("0", 1)
     comm = a @ ad - ad @ a
     for occ in space.basis:
         if sum(occ) < space.n_max:
@@ -270,15 +270,24 @@ def test_fock_number_and_creation():
     space = FockSpace(("0", "1"), 4)
     v = space.occupation_state((2, 0))
     assert abs(np.vdot(v, space.number("0") @ v) - 2) < 1e-14
-    out = space.create("0") @ (space.create("1") @ space.occupation_state((0, 0)))
+    out = space.ladder("0", 1) @ (space.ladder("1", 1) @ space.occupation_state((0, 0)))
     assert abs(out[space.index[(1, 1)]] - 1) < 1e-14
 
 
 def test_fock_creation_truncates_at_cutoff():
     space = FockSpace(("0", "1"), 2)
     top = space.occupation_state((2, 0))
-    assert np.allclose(space.create("0") @ top, 0)
-    assert np.allclose(space.create("1") @ top, 0)
+    assert np.allclose(space.ladder("0", 1) @ top, 0)
+    assert np.allclose(space.ladder("1", 1) @ top, 0)
+
+
+@pytest.mark.parametrize("k", [-3, -2, 2, 3])
+def test_fock_ladder_powers_are_products_of_single_steps(k):
+    space = FockSpace(("0", "1"), 5)
+    for mode in space.modes:
+        step = space.ladder(mode, 1 if k > 0 else -1)
+        assert np.allclose(space.ladder(mode, k), np.linalg.matrix_power(step, abs(k)), rtol=0, atol=1e-14)
+    assert np.allclose(space.ladder("0", 1) @ space.ladder("0", -1), space.number("0"), rtol=0, atol=1e-14)
 
 
 def test_fock_unknown_mode():
