@@ -387,6 +387,10 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
         if int(count) * args.states > MAX_CONTROL_PAIR_STATES:
             raise ValueError(f"pairs x states: {count} x {args.states} is past {MAX_CONTROL_PAIR_STATES}")
+        if set_name == "mode":  # checked before the control builds its Fock space
+            dim = (args.n_max + 1) * (args.n_max + 2) // 2
+            if int(count) * dim**2 > MAX_MODE_CONTROL_PAIR_ENTRIES:
+                raise ValueError(f"pairs x dim^2: {count} x {dim}^2 is past {MAX_MODE_CONTROL_PAIR_ENTRIES}")
         rep = positive_control(
             set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
             threshold=args.threshold,
@@ -515,7 +519,13 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 MAX_CONTROL_PAIR_STATES = 10**6
 """Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
 At it and the default ``--n-max``, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the
-time grows with the pairs. At ``--n-max 44`` one mode pair costs about 87-91 ms."""
+time grows with the pairs."""
+
+MAX_MODE_CONTROL_PAIR_ENTRIES = MAX_CONTROL_PAIR_STATES * 15**2
+"""Most pairs x dim^2 of ``audit --set mode --pairs``, dim = (n+1)(n+2)/2 for ``--n-max n``: each pair builds
+dense dim x dim operators, so its time grows with dim^2. At the default ``--n-max`` (dim 15) it allows 10^6
+pairs, as ``MAX_CONTROL_PAIR_STATES`` does; at ``--n-max 44`` (dim 1035) it allows 210, which took 13.0 s and
+343 MiB RSS with one state each (2-CPU x86-64)."""
 
 MAX_N_MAX = 44
 """Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""
@@ -565,18 +575,25 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; the flags of ``command`` alone, or of all when it is None.
+
+    A call that names its command builds its 2-12 flags, where the whole tree has 51.
+    """
     parser = argparse.ArgumentParser(prog="entloc", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in (*flags.split(), "--format", "--out"):
-            p.add_argument(flag, **_OPTIONS[flag])
+        if command in (None, name):
+            for flag in (*flags.split(), "--format", "--out"):
+                p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads a leading command name as the command, so only its flags are needed
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # report them with the subcommand's usage, which lists its flags
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

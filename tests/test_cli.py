@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entloc import cli as cli_module
 from entloc import report as report_module
 from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
@@ -21,6 +22,7 @@ from entloc.cli import (
     EXIT_INTERNAL,
     MAX_CONTROL_PAIR_STATES,
     MAX_DECIMAL_EXPONENT,
+    MAX_MODE_CONTROL_PAIR_ENTRIES,
     MAX_N_MAX,
     MAX_SAMPLE_N,
     _COMMANDS,
@@ -489,6 +491,45 @@ def test_a_mode_control_at_the_n_max_bound_fits_in_512_mib():
     assert json.loads(proc.stdout)["results"]["audit"]["max_abs_residual"] == 0.0
 
 
+def test_a_mode_control_past_its_time_bound_exits_2_at_once():
+    # at --n-max 44 a one-state mode pair takes 60-90 ms, so these 10^6 pairs would run for 17-25 hours
+    argv = ["audit", "--set", "mode", "--pairs", "random:1000000", "--states", "1", "--n-max", str(MAX_N_MAX)]
+    proc = run_capped(argv, 512, timeout=20)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == (
+        f"entloc: input error: pairs x dim^2: 1000000 x 1035^2 is past {MAX_MODE_CONTROL_PAIR_ENTRIES}\n"
+    )
+
+
+def _mode_control(pairs, n_max):
+    return ["audit", "--set", "mode", "--pairs", f"random:{pairs}", "--states", "1", "--n-max", str(n_max)]
+
+
+class _Ran(Exception):
+    pass
+
+
+@pytest.mark.parametrize("pairs, n_max", [(210, MAX_N_MAX), (100, MAX_N_MAX), (51652, 10), (10**6, 4)])
+def test_a_mode_control_within_its_time_bound_is_run(pairs, n_max, monkeypatch):
+    def ran(*args, **kwargs):
+        raise _Ran
+
+    monkeypatch.setattr(cli_module, "positive_control", ran)
+    with pytest.raises(_Ran):
+        main(_mode_control(pairs, n_max))
+
+
+@pytest.mark.parametrize("pairs, n_max, dim", [(211, MAX_N_MAX, 1035), (51653, 10, 66)])
+def test_a_mode_control_past_its_time_bound_builds_no_fock_space(pairs, n_max, dim, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock space was built")
+
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    assert main(_mode_control(pairs, n_max)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"entloc: input error: pairs x dim^2: {pairs} x {dim}^2 is past {MAX_MODE_CONTROL_PAIR_ENTRIES}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -563,11 +604,15 @@ COMMAND_FLAGS = {
 }
 
 
+def _subparsers(parser):
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return commands.choices
+
+
 def test_each_command_takes_only_the_flags_it_reads():
-    (commands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
     taken = {
         name: {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers(build_parser()).items()
     }
     assert taken == {name: {*flags, "--format", "--out"} for name, flags in COMMAND_FLAGS.items()}
     assert sum(map(len, taken.values())) == 51
@@ -579,6 +624,55 @@ def test_the_readme_flag_table_names_the_flags_each_command_takes():
         command, flags = line.strip("|").split(" | ")
         rows[command.strip().strip("`")] = set(re.findall(r"--[A-Za-z][A-Za-z-]*", flags))
     assert rows == {name: set(flags.split()) for name, (_, _, flags) in _COMMANDS.items()}
+
+
+def _action_fields(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required) for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_a_parser_built_for_one_command_gives_it_the_full_trees_flags_and_help(name):
+    one, full = build_parser(name), build_parser()
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    assert _action_fields(_subparsers(one)[name]) == _action_fields(_subparsers(full)[name])
+    # the top-level help lists every command, whichever flags were built
+    assert one.format_help() == full.format_help()
+
+
+def test_main_builds_the_flags_of_the_command_it_runs(monkeypatch, capsys):
+    asked = []
+
+    def spy(command=None):
+        asked.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli_module, "build_parser", spy)
+    assert run(capsys, "classify", "--amps", "0,0,1")[0] == 0
+    assert asked == ["classify"]
+
+
+def test_no_command_exits_2_with_the_usage_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: entloc ") and "error: the following arguments are required: command" in err
+
+
+def test_an_unknown_command_exits_2_with_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == EXIT_INPUT
+    assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_top_level_help_exits_0_and_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: entloc ")
+    assert all(re.search(rf"^\s+{name}\s+\S", out, re.M) for name in _COMMANDS) and len(_COMMANDS) == 7
 
 
 @pytest.mark.parametrize(
