@@ -12,8 +12,8 @@ from entloc import (
     PAULI,
     audit,
     construct_sep_I_preserver,
+    expectations,
     find_violation_witness,
-    occupation_imbalance_expectations,
     occupation_imbalance_pair,
     project_symmetric,
     residual,
@@ -56,9 +56,11 @@ the separable set.
 
 print("=== the four-level reference family in closed form ===\n")
 print("state: c_ll |L0,L0> + c_lr pair(L0,R1) + c_rr |R1,R1>")
-for c in ((1 / np.sqrt(2), 0, 1 / np.sqrt(2)), (3 / 5, 4 / 5, 0), (0, 1, 0)):
-    ab, a, b = occupation_imbalance_expectations(*c)
-    print(f"  c = {tuple(round(abs(x), 3) for x in c)}: "
+coeffs = [(1 / np.sqrt(2), 0, 1 / np.sqrt(2)), (3 / 5, 4 / 5, 0), (0, 1, 0)]
+S = np.zeros((len(coeffs), 10), dtype=complex)
+S[:, [0, 3, 9]] = coeffs  # the slots of |L0,L0>, pair(L0,R1) and |R1,R1>
+for c, ab, a, b in zip(coeffs, *expectations(*occupation_imbalance_pair(), S)):
+    print(f"  c = {tuple(round(float(abs(x)), 3) for x in c)}: "
           f"<AB> = {ab.real:+.3f}, <A><B> = {(a * b).real:+.3f}, "
           f"residual = {(ab - a * b).real:+.3f}")
 print("\nOnly the pure LR state factorizes; superpositions with doubly")

@@ -19,8 +19,8 @@ from .factorization import (
     WITNESS_THRESHOLD,
     Witness,
     audit,
+    expectations,
     find_violation_witness,
-    occupation_imbalance_expectations,
     occupation_imbalance_pair,
     positive_control,
     residual,
@@ -77,4 +77,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

@@ -414,6 +414,8 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
 
 
 def cmd_witness(args, tol: Tolerances) -> tuple[dict, str]:
+    if args.budget > MAX_WITNESS_BUDGET:
+        raise ValueError(f"--budget {args.budget} is past {MAX_WITNESS_BUDGET}")
     set_name = canonical_set_name(args.set)
     fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
     A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
@@ -533,6 +535,11 @@ MAX_N_MAX = 44
 MAX_SAMPLE_N = 10**5
 """Most ``sample --n``: every state is held, classified and printed at once. At it, ``--set III``,
 the costliest, took 7.7-12 s and 680 MiB RSS (2-CPU x86-64); at 3x it, 28 s and 1.9 GiB."""
+
+MAX_WITNESS_BUDGET = 10**7
+"""Most ``witness --budget``: 100 times the largest budget of README, tests, demos or perfbench. A search
+that finds nothing spends all of it; at it, searches of a factorizing pair took 3.6 s (I), 4.8 s (II),
+6.8 s (III) and 7.3 s (ssr) at 37-38 MiB RSS (2-CPU x86-64); only the time grows with the budget."""
 
 _OPTIONS = {
     "--amps": dict(help="comma-separated amplitudes"),

@@ -51,6 +51,21 @@ AUDIT_BLOCK = 1024
 or :func:`find_violation_witness` evaluates: bounds their working memory."""
 
 
+def _moments(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The unnormalized sums ``(<AB>, <A>, <B>, <1>)`` of each state of ``S``, checked as
+    :func:`residuals` documents.  Overflows are left to the caller's finiteness check."""
+    S = np.asarray(S, dtype=complex)
+    A, B = _checked_pair(A, B, S)
+    n = check_state(S)
+    At, Bt, conj = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2), S.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        BS = S @ Bt
+        ab = np.einsum("...j,...j->...", conj, BS @ At)
+        a = np.einsum("...j,...j->...", conj, S @ At)
+        b = np.einsum("...j,...j->...", conj, BS)
+    return ab, a, b, n
+
+
 def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Normalized connected correlators ``<AB> - <A><B>``, one per state of ``S``.
 
@@ -64,17 +79,18 @@ def residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     one-row stack as a vector product; the states of an ``(m, 1, d)`` stack
     are vector products, so each rounds bit for bit as a one-row call.
     """
-    S = np.asarray(S, dtype=complex)
-    A, B = _checked_pair(A, B, S)
-    n = check_state(S)
-    At, Bt, conj = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2), S.conj()
+    ab, a, b, n = _moments(A, B, S)
     # an overflow shows as a non-finite result, which _finite reports
     with np.errstate(over="ignore", invalid="ignore"):
-        BS = S @ Bt
-        ab = np.einsum("...j,...j->...", conj, BS @ At)
-        a = np.einsum("...j,...j->...", conj, S @ At)
-        b = np.einsum("...j,...j->...", conj, BS)
         return _finite((ab - a * b / n) / n)
+
+
+def expectations(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized ``(<AB>, <A>, <B>)``, each one per state of ``S``, from the sums of
+    :func:`residuals`, with its shapes and its refusals."""
+    ab, a, b, n = _moments(A, B, S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(_finite(x / n, "expectation") for x in (ab, a, b))
 
 
 def basis_residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -98,9 +114,9 @@ def _checked_pair(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarr
     return A, B
 
 
-def _finite(r: np.ndarray) -> np.ndarray:
+def _finite(r: np.ndarray, what: str = "residual") -> np.ndarray:
     if not np.isfinite(r).all():
-        raise ValueError("residual overflowed: operator entries are too large")
+        raise ValueError(f"{what} overflowed: operator entries are too large")
     return r
 
 
@@ -322,7 +338,7 @@ def find_violation_witness(
     return None
 
 
-# --- canonical four-level pair and its expectation triple ------------------
+# --- canonical four-level pair --------------------------------------------
 
 def occupation_imbalance_pair() -> tuple[np.ndarray, np.ndarray]:
     """Left and right occupation-imbalance operators on the 10-dim space.
@@ -334,27 +350,6 @@ def occupation_imbalance_pair() -> tuple[np.ndarray, np.ndarray]:
     A = number_level_operator(0) - number_level_operator(1)
     B = number_level_operator(2) - number_level_operator(3)
     return A, B
-
-
-def occupation_imbalance_expectations(
-    c_ll: complex, c_lr: complex, c_rr: complex
-) -> tuple[complex, complex, complex]:
-    """``(<AB>, <A>, <B>)`` of the imbalance pair on the three-sector family.
-
-    The state is ``c_ll |L0,L0> + c_lr |L0,R1-pair> + c_rr |R1,R1>``
-    (coefficients are normalized internally); everything is computed from
-    the 10x10 matrices.
-    """
-    A, B = occupation_imbalance_pair()
-    psi = np.zeros(10, dtype=complex)
-    psi[0] = c_ll  # (L0,L0)
-    psi[3] = c_lr  # (L0,R1) pair
-    psi[9] = c_rr  # (R1,R1)
-    n = check_state(psi)
-    ab = complex(np.vdot(psi, A @ (B @ psi)) / n)
-    a = complex(np.vdot(psi, A @ psi) / n)
-    b = complex(np.vdot(psi, B @ psi) / n)
-    return ab, a, b
 
 
 # --- positive controls ------------------------------------------------------

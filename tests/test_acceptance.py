@@ -18,10 +18,11 @@ from entloc import (
     classify_sep_III,
     construct_sep_I_preserver,
     embed_ll,
+    expectations,
     find_violation_witness,
     fit_sep_I_preserver,
     is_block_scalar,
-    occupation_imbalance_expectations,
+    occupation_imbalance_pair,
     partial_trace_second_particle,
     positive_control,
     project_symmetric,
@@ -95,6 +96,13 @@ def test_criterion_1_reference_residuals(tmp_path, capsys):
         capsys.readouterr()
 
 
+def three_sector_states(c):
+    """``c_ll |L0,L0> + c_lr pair(L0,R1) + c_rr |R1,R1>`` per row of ``c``, in slots 0, 3, 9."""
+    S = np.zeros((len(c), 10), dtype=complex)
+    S[:, [0, 3, 9]] = c
+    return S
+
+
 def test_criterion_2_sector_expectation_triple():
     """Imbalance-pair triple from 10x10 matrices at 20 random draws, 1e-12."""
     with Timer(2, limit=1.0):
@@ -102,17 +110,17 @@ def test_criterion_2_sector_expectation_triple():
         for _ in range(20):
             c = rand_complex(rng, 3)
             c /= np.linalg.norm(c)
-            ab, a, b = occupation_imbalance_expectations(*c)
+            (ab,), (a,), (b,) = expectations(*occupation_imbalance_pair(), three_sector_states([c]))
             want = (
                 -abs(c[1]) ** 2,
                 2 * abs(c[0]) ** 2 + abs(c[1]) ** 2,
                 -2 * abs(c[2]) ** 2 - abs(c[1]) ** 2,
             )
             assert max(abs(np.array([ab, a, b]) - np.array(want))) <= 1e-12
-        ab, a, b = occupation_imbalance_expectations(1 / np.sqrt(2.0), 0.0, 1 / np.sqrt(2.0))
-        assert abs(ab) <= 1e-12 and abs(a * b - (-1.0)) <= 1e-12
-        ab, a, b = occupation_imbalance_expectations(3 / 5, 4 / 5, 0.0)
-        assert abs(a * b / ab - (1 + 9 / 25)) <= 1e-12
+        points = [[1 / np.sqrt(2.0), 0.0, 1 / np.sqrt(2.0)], [3 / 5, 4 / 5, 0.0]]
+        ab, a, b = expectations(*occupation_imbalance_pair(), three_sector_states(points))
+        assert abs(ab[0]) <= 1e-12 and abs(a[0] * b[0] - (-1.0)) <= 1e-12
+        assert abs(a[1] * b[1] / ab[1] - (1 + 9 / 25)) <= 1e-12
 
 
 def test_criterion_3_preserver_round_trip():

@@ -25,6 +25,7 @@ from entloc.cli import (
     MAX_MODE_CONTROL_PAIR_ENTRIES,
     MAX_N_MAX,
     MAX_SAMPLE_N,
+    MAX_WITNESS_BUDGET,
     _COMMANDS,
     build_parser,
     main,
@@ -545,6 +546,24 @@ def test_a_sample_count_past_its_bound_exits_2_with_one_line(argv, capsys, monke
     monkeypatch.setattr(Family, "draw", refuse)
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"entloc: input error: --n {argv[-1]} is past {MAX_SAMPLE_N}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--set", "I", "--pair", "pauli:0,pauli:1", "--budget", str(MAX_WITNESS_BUDGET + 1)],
+        ["witness", "--set", "ssr", "--A", "number:L0", "--B", "number:R0", "--budget", str(10**12)],
+        ["witness", "--set", "mode", "--pair", "number:0,number:1", "--budget", str(10**30)],
+    ],
+)
+def test_a_witness_budget_past_its_bound_exits_2_with_one_line(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search was started")
+
+    monkeypatch.setattr(cli_module, "find_violation_witness", refuse)
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"entloc: input error: --budget {argv[-1]} is past {MAX_WITNESS_BUDGET}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,9 @@ from entloc import (
     ZeroNormError,
     audit,
     construct_sep_I_preserver,
+    expectations,
     find_violation_witness,
     number_level_operator,
-    occupation_imbalance_expectations,
     occupation_imbalance_pair,
     positive_control,
     project_symmetric,
@@ -143,6 +143,50 @@ def test_residuals_reject_non_finite_input():
             residuals(A, B, S)
     with pytest.raises(ValueError, match="overflowed"):
         residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+
+
+# --- expectations -----------------------------------------------------------------
+
+EXPECTATION_DIMS = {"sym3": 3, "sym10": 10, "fock": FockSpace(("0", "1"), 4).dim}
+
+
+def random_operands(d, seed):
+    """A random complex pair on ``d`` levels and eight random states."""
+    rng = np.random.default_rng(seed)
+    A, B = (rand_vec(d * d, rng).reshape(d, d) for _ in range(2))
+    return A, B, rand_vec(8 * d, rng).reshape(8, d)
+
+
+@pytest.mark.parametrize("space", EXPECTATION_DIMS)
+def test_expectations_match_a_vdot_route(space):
+    A, B, S = random_operands(EXPECTATION_DIMS[space], 41)
+    got = expectations(A, B, S)
+    for j, psi in enumerate(S):
+        n = np.vdot(psi, psi)
+        want = (np.vdot(psi, A @ (B @ psi)) / n, np.vdot(psi, A @ psi) / n, np.vdot(psi, B @ psi) / n)
+        assert max(abs(g[j] - w) for g, w in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", EXPECTATION_DIMS)
+def test_expectations_give_the_residuals(space):
+    A, B, S = random_operands(EXPECTATION_DIMS[space], 42)
+    ab, a, b = expectations(A, B, S)
+    assert np.max(np.abs(ab - a * b - residuals(A, B, S))) <= 1e-12
+
+
+def test_expectations_keep_the_refusals_of_residuals():
+    S = np.eye(3, dtype=complex)
+    bad = np.eye(3, dtype=complex)
+    bad[0, 0] = np.nan
+    with pytest.raises(ZeroNormError):
+        expectations(np.eye(3), np.eye(3), np.zeros((1, 3), dtype=complex))
+    for A, B in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            expectations(A, B, S)
+    with pytest.raises(ValueError, match="dimensions"):
+        expectations(np.eye(4), np.eye(4), S)
+    with pytest.raises(ValueError, match="expectation overflowed"):
+        expectations(1e200 * np.eye(3), 1e200 * np.eye(3), S)
 
 
 def mode_pairs(space, rng):
@@ -501,14 +545,20 @@ def test_witness_spends_exactly_the_budget(kind, monkeypatch):
 
 # --- sector expectation triple ------------------------------------------------------
 
+def three_sector_states(c):
+    """``c_ll |L0,L0> + c_lr pair(L0,R1) + c_rr |R1,R1>`` per row of ``c``, in slots 0, 3, 9."""
+    S = np.zeros((len(c), 10), dtype=complex)
+    S[:, [0, 3, 9]] = c
+    return S
+
+
 def test_imbalance_triple_reference_points():
-    ab, a, b = occupation_imbalance_expectations(1 / np.sqrt(2), 0.0, 1 / np.sqrt(2))
-    assert np.allclose([ab, a, b], [0.0, 1.0, -1.0], atol=1e-12)
-    ab, a, b = occupation_imbalance_expectations(0.0, 1.0, 0.0)
-    assert np.allclose([ab, a, b], [-1.0, 1.0, -1.0], atol=1e-12)
-    assert abs((ab - a * b)) < 1e-12
-    ab, a, b = occupation_imbalance_expectations(3 / 5, 4 / 5, 0.0)
-    assert abs(a * b / ab - (1 + (3 / 5) ** 2)) < 1e-12
+    points = [[1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)], [0.0, 1.0, 0.0], [3 / 5, 4 / 5, 0.0]]
+    ab, a, b = expectations(*occupation_imbalance_pair(), three_sector_states(points))
+    assert np.allclose([ab[0], a[0], b[0]], [0.0, 1.0, -1.0], atol=1e-12)
+    assert np.allclose([ab[1], a[1], b[1]], [-1.0, 1.0, -1.0], atol=1e-12)
+    assert abs((ab[1] - a[1] * b[1])) < 1e-12
+    assert abs(a[2] * b[2] / ab[2] - (1 + (3 / 5) ** 2)) < 1e-12
 
 
 def test_imbalance_triple_closed_form_on_random_draws():
@@ -516,7 +566,7 @@ def test_imbalance_triple_closed_form_on_random_draws():
     for _ in range(20):
         c = rand_vec(3, rng)
         c /= np.linalg.norm(c)
-        ab, a, b = occupation_imbalance_expectations(*c)
+        (ab,), (a,), (b,) = expectations(*occupation_imbalance_pair(), three_sector_states([c]))
         want = (
             -abs(c[1]) ** 2,
             2 * abs(c[0]) ** 2 + abs(c[1]) ** 2,
