@@ -37,7 +37,7 @@ from .certificates import (
     certify_factorization_sep_I,
     certify_sector_coupling,
 )
-from .errors import ConsistencyError, ConvergenceError, ZeroNormError
+from .errors import ConsistencyError
 from .exact import GaussianRational
 from .factorization import (
     CONTROL_STATES,
@@ -316,7 +316,7 @@ def _verdict_json(v) -> dict:
 def _parse_amps(text: str) -> np.ndarray:
     try:
         return np.asarray([parse_scalar(s) for s in _split_top_level(text)], dtype=complex)
-    except Exception as exc:
+    except ValueError as exc:  # parse_scalar's one refusal; a MemoryError keeps its own message
         raise ValueError(f"malformed amplitudes {text!r}: {exc}") from None
 
 
@@ -605,8 +605,15 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:  # report them with the subcommand's usage, which lists its flags
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
+        args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
+    start = time.perf_counter()
     try:
-        return _run(args)
+        config = _config(args)
+        tol = Tolerances(getattr(args, "tol_class", DEFAULT_TOL.eps_class))
+        results, summary = _COMMANDS[args.command][0](args, tol)
+        emit(build_report(config, results, summary, time.perf_counter() - start), args.out, args.fmt)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the flush at
         # interpreter exit does not raise into the closed pipe again
@@ -614,6 +621,21 @@ def main(argv: list[str] | None = None) -> int:
             out = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), out)
         return EXIT_CLOSED_OUTPUT
+    except (ValueError, KeyError) as exc:
+        code, message = EXIT_INPUT, f"input error: {exc}"
+    except MemoryError as exc:  # also a report too large to make whole: none of it is written
+        code, message = EXIT_INPUT, f"input error: not enough memory: {exc}"
+    except ConsistencyError as exc:
+        code, message = EXIT_INTERNAL, f"internal consistency error: {exc}"
+    except OSError as exc:
+        if not args.out:
+            raise  # a failed write to stdout is no input error; a closed pipe is caught above
+        code, message = EXIT_INPUT, f"input error: cannot write --out {args.out!r}: {exc.strerror or exc}"
+    else:
+        return EXIT_REFERENCE_FAIL if args.command == "reproduce-paper" and summary != "PASS" else EXIT_OK
+    with contextlib.suppress(BrokenPipeError):  # a closed stderr: the exit code still tells
+        print(f"entloc: {message}", file=sys.stderr)
+    return code
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -634,46 +656,6 @@ def _config(args: argparse.Namespace) -> dict:
     config = {k: inputs.pop(k, None) for k in CONFIG_KNOBS}
     config["extra"] = {k: v for k, v in inputs.items() if v is not None}
     return config
-
-
-def _run(args: argparse.Namespace) -> int:
-    if "threshold" in vars(args) and args.threshold is None:  # the default of what the command runs
-        args.threshold = CONTROL_THRESHOLD if getattr(args, "pairs", None) else WITNESS_THRESHOLD
-    start = time.perf_counter()
-    try:
-        config = _config(args)
-        tol = Tolerances(getattr(args, "tol_class", DEFAULT_TOL.eps_class))
-        results, summary = _COMMANDS[args.command][0](args, tol)
-    except (ZeroNormError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"entloc: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MemoryError as exc:
-        print(f"entloc: input error: not enough memory: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConsistencyError as exc:
-        print(f"entloc: internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ConvergenceError as exc:
-        print(f"entloc: solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    report = build_report(config, results, summary, time.perf_counter() - start)
-    try:
-        emit(report, args.out, args.fmt)
-    except ConsistencyError as exc:
-        print(f"entloc: internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except MemoryError as exc:  # the report's text is made whole before any of it is written
-        print(f"entloc: input error: not enough memory: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        if not args.out:
-            raise  # stdout: a closed pipe is handled in main
-        print(f"entloc: input error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    if args.command == "reproduce-paper" and summary != "PASS":
-        return EXIT_REFERENCE_FAIL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .factorization import expectations, occupation_imbalance_pair
 from .factorization import residual  # noqa: F401
 from .hilbert import PAULI, check_state, project_symmetric, sym_one_body
 from .invariance import commutativity_condition
+from .report import complex_pair
 from .separability import sep_I_discriminant, sep_I_state, sep_II_orthogonal_state
 
 TOL = 1e-12
@@ -25,8 +26,8 @@ def _line(line_id: str, description: str, pairs: list[tuple[complex, complex]]) 
     return {
         "id": line_id,
         "description": description,
-        "computed": [[complex(g).real, complex(g).imag] for g, _ in pairs],
-        "expected": [[complex(w).real, complex(w).imag] for _, w in pairs],
+        "computed": [complex_pair(g) for g, _ in pairs],
+        "expected": [complex_pair(w) for _, w in pairs],
         "max_abs_error": float(err),
         "pass": bool(err <= TOL),
     }

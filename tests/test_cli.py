@@ -33,6 +33,7 @@ from entloc.cli import (
     parse_operator,
     parse_scalar,
 )
+from entloc.errors import ConsistencyError
 from entloc.exact import GaussianRational
 from entloc.hilbert import FockSpace
 from entloc.report import CONFIG_KNOBS, results_bytes
@@ -1116,6 +1117,44 @@ def test_a_report_holding_a_non_finite_number_exits_4_with_one_line(value, fmt, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (ConsistencyError("two routes disagree"), EXIT_INTERNAL, "entloc: internal consistency error: two routes disagree"),
+        (MemoryError("no room"), EXIT_INPUT, "entloc: input error: not enough memory: no room"),
+        (ValueError("bad input"), EXIT_INPUT, "entloc: input error: bad input"),
+        (KeyError("no-such-key"), EXIT_INPUT, "entloc: input error: 'no-such-key'"),
+    ],
+    ids=["ConsistencyError", "MemoryError", "ValueError", "KeyError"],
+)
+def test_an_exception_in_a_handler_exits_with_its_code_and_one_line(exc, code, line, monkeypatch, capsys):
+    def handler(args, tol):
+        raise exc
+
+    monkeypatch.setitem(_COMMANDS, "reproduce-paper", (handler, "a command that fails", ""))
+    assert main(["reproduce-paper"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+def test_amplitudes_that_exhaust_memory_read_as_not_enough_memory(monkeypatch, capsys):
+    # only parse_scalar's ValueError reads as malformed amplitudes
+    def refuse(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "parse_scalar", refuse)
+    assert main(["classify", "--amps", "0,0,1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "entloc: input error: not enough memory: \n"
+
+
+def test_an_out_path_with_a_null_byte_exits_2_with_one_line(capsys):
+    # open() refuses it with a ValueError, raised while the report is written
+    assert main(["classify", "--amps", "0,0,1", "--out", "a\x00b"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "entloc: input error: embedded null byte\n"
+
+
 # --- closed stdout ------------------------------------------------------------------
 
 class _ClosedPipe(io.StringIO):
@@ -1128,6 +1167,12 @@ def test_closed_stdout_ends_quietly_with_exit_1(argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert main(argv) == EXIT_CLOSED_OUTPUT == 1
     assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stderr_still_ends_in_the_errors_exit_code(monkeypatch):
+    # the message cannot be shown; the code of the error is still returned
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    assert main(["classify", "--amps", "1,2"]) == EXIT_INPUT
 
 
 def test_closed_pipe_is_quiet_at_interpreter_exit(tmp_path):

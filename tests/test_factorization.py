@@ -134,6 +134,13 @@ def test_operator_stacks_round_as_per_pair_calls(p, m, d):
         assert got[j].tobytes() == residuals(A[j], B[j], S[j]).tobytes()
 
 
+# a NaN amplitude, and amplitudes whose squared norm overflows: check_state refuses both
+NON_FINITE_STATES = [
+    (np.array([[1.0, np.nan, 0.0]], dtype=complex), "state contains non-finite amplitudes"),
+    (np.full((1, 3), 1e200, dtype=complex), "state norm overflowed"),
+]
+
+
 def test_residuals_reject_non_finite_input():
     S = np.eye(3, dtype=complex)
     bad = np.eye(3, dtype=complex)
@@ -143,6 +150,9 @@ def test_residuals_reject_non_finite_input():
             residuals(A, B, S)
     with pytest.raises(ValueError, match="overflowed"):
         residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+    for state, message in NON_FINITE_STATES:
+        with pytest.raises(ValueError, match=message):
+            residuals(np.eye(3), np.eye(3), state)
 
 
 # --- expectations -----------------------------------------------------------------
@@ -187,6 +197,9 @@ def test_expectations_keep_the_refusals_of_residuals():
         expectations(np.eye(4), np.eye(4), S)
     with pytest.raises(ValueError, match="expectation overflowed"):
         expectations(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+    for state, message in NON_FINITE_STATES:
+        with pytest.raises(ValueError, match=message):
+            expectations(np.eye(3), np.eye(3), state)
 
 
 def mode_pairs(space, rng):
