@@ -19,7 +19,7 @@ from entloc.exact import GaussianRational
 
 print("=== the squared pauli-1 / pauli-2 pair ===\n")
 poly = expand_residual_sep_I(PAULI_EXACT[1], PAULI_EXACT[2])
-print(f"residual polynomial: {len(poly.terms)} terms, total degree {poly.total_degree()}")
+print(f"residual polynomial: {len(poly.terms)} terms, total degree {max(map(sum, poly.terms), default=0)}")
 print("canonical form:", poly.canonical_text())
 
 cert = certify_factorization_sep_I(PAULI_EXACT[1], PAULI_EXACT[2])

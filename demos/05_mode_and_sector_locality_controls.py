@@ -12,7 +12,7 @@ import numpy as np
 from entloc import FockSpace, occupation_imbalance_pair, positive_control, residual
 
 print("=== mode locality on the truncated two-mode Fock space ===\n")
-space = FockSpace(("0", "1"), n_max=4)
+space = FockSpace(n_max=4)
 n0, n1 = space.number("0"), space.number("1")
 for occ in ((1, 1), (2, 0)):
     v = space.occupation_state(occ)

@@ -44,9 +44,9 @@ PAULI_EXACT = (
 )
 
 
-def exact_matrix(entries, ring=GaussianRational) -> tuple[tuple, ...]:
-    """Coerce a nested sequence (or object array) into exact ring entries."""
-    rows = tuple(tuple(map(ring.coerce, row)) for row in entries)
+def exact_matrix(entries) -> tuple[tuple, ...]:
+    """Coerce a nested sequence (or object array) into exact Gaussian-rational entries."""
+    rows = tuple(tuple(map(GaussianRational.coerce, row)) for row in entries)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -114,10 +114,6 @@ class Certificate:
     check_value: object
     n_terms: int
     structural: dict[str, bool] | None = None
-
-    @property
-    def identically_zero(self) -> bool:
-        return self.verdict == "IdenticallyZero"
 
     def canonical_text(self) -> str:
         lines = [f"verdict={self.verdict}", f"variables={','.join(self.variables)}"]

@@ -396,7 +396,7 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
             threshold=args.threshold,
         )
         return {"audit": _audit_results(rep)}, rep.verdict
-    fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
+    fock = FockSpace(args.n_max) if set_name == "mode" else None
     A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
     rep = audit(
         A,
@@ -417,7 +417,7 @@ def cmd_witness(args, tol: Tolerances) -> tuple[dict, str]:
     if args.budget > MAX_WITNESS_BUDGET:
         raise ValueError(f"--budget {args.budget} is past {MAX_WITNESS_BUDGET}")
     set_name = canonical_set_name(args.set)
-    fock = FockSpace(("0", "1"), args.n_max) if set_name == "mode" else None
+    fock = FockSpace(args.n_max) if set_name == "mode" else None
     A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
     w = find_violation_witness(
         A, B, set_name, budget=args.budget, seed=args.seed, threshold=args.threshold, tol=tol,

@@ -306,10 +306,6 @@ class MultiPoly:
 
     # -- constructors --------------------------------------------------
     @classmethod
-    def zero(cls, variables, max_degree=None) -> "MultiPoly":
-        return cls(variables, {}, max_degree)
-
-    @classmethod
     def const(cls, variables, coeff, max_degree=None) -> "MultiPoly":
         return cls(variables, {(0,) * len(variables): coeff}, max_degree)
 
@@ -354,9 +350,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
@@ -398,15 +391,6 @@ class MultiPoly:
             n = _scale(n, scale)
             total = n if total is None else tuple(map(add, total, n))
         return ring._make(total, d)
-
-    def evaluate_complex(self, values: dict[str, complex]) -> complex:
-        acc = 0j
-        for exps, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for name, e in zip(self.variables, exps):
-                term *= values[name] ** e
-            acc += term
-        return acc
 
     def canonical_text(self) -> str:
         """Deterministic text form: sorted exponent tuples, exact coefficients."""

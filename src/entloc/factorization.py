@@ -413,7 +413,7 @@ def positive_control(
     _check_threshold(threshold)
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
+    space = FockSpace(n_max) if kind == "mode" else None
     # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
     terms = [np.stack([np.eye(space.dim), space.ladder(m, -1), space.ladder(m, 1), space.number(m),
                        space.ladder(m, -2), space.ladder(m, 2)]) for m in space.modes] if space else []

@@ -16,8 +16,7 @@ All functions are pure; arrays are never mutated in place.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import comb, prod, sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -153,13 +152,13 @@ def sym_one_body(h: np.ndarray) -> np.ndarray:
     return project_symmetric(M.reshape(*h.shape[:-2], d * d, d * d))
 
 
-def number_level_operator(level: int, dim: int = 4) -> np.ndarray:
+def number_level_operator(level: int) -> np.ndarray:
     """Occupation-number operator of one single-particle level, symmetric basis.
 
     Diagonal: each pair basis vector counts how many of its two labels equal
     ``level``.
     """
-    counts = [(i == level) + (j == level) for i, j in sym_pairs(dim)]
+    counts = [(i == level) + (j == level) for i, j in sym_pairs(4)]
     return np.diag(np.asarray(counts, dtype=complex))
 
 
@@ -230,25 +229,22 @@ def reduced_single_particle_dm(
 
 
 class FockSpace:
-    """Bosonic Fock space with a total-occupation cutoff.
+    """Bosonic Fock space of the two modes ``"0"`` and ``"1"``, with a total-occupation cutoff.
 
-    The basis consists of all occupation tuples with total number at most
-    ``n_max``, in lexicographic order.  Creation matrix elements that would
-    exceed the cutoff are dropped, so degree-``k`` ladder polynomials act
-    exactly on states with total number at most ``n_max - k``.
+    The basis is every occupation pair ``(n0, n1)`` with ``n0 + n1 <= n_max``, in lexicographic
+    order.  Creation matrix elements past the cutoff are dropped, so degree-``k`` ladder
+    polynomials act exactly on states with total number at most ``n_max - k``.
     """
 
-    def __init__(self, modes: tuple[str, ...] = ("0", "1"), n_max: int = N_MAX):
+    modes = ("0", "1")
+
+    def __init__(self, n_max: int = N_MAX):
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        self.modes = tuple(str(m) for m in modes)
         self.n_max = int(n_max)
-        m = len(self.modes)
-        self.basis: tuple[tuple[int, ...], ...] = tuple(
-            sorted(occ for occ in product(range(n_max + 1), repeat=m) if sum(occ) <= n_max)
-        )
-        self.index: dict[tuple[int, ...], int] = {occ: k for k, occ in enumerate(self.basis)}
-        assert len(self.basis) == comb(m + n_max, m)
+        self.basis: tuple[tuple[int, int], ...] = tuple(
+            (n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0))
+        self.index: dict[tuple[int, int], int] = {occ: k for k, occ in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:

@@ -94,7 +94,10 @@ def emit(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv":  # a CSV ends with its row terminator
         text = render_csv(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except ValueError as exc:  # a null byte in the path: unwritable, as a missing directory is
+            raise OSError(str(exc)) from None
     else:
         sys.stdout.write(text)

@@ -166,7 +166,7 @@ def test_criterion_4_exact_certificates():
             O = ((lam, zero), (zero, lam))
             Q = rand_exact()
             cert = certify_factorization_sep_I(O, Q)
-            assert cert.identically_zero
+            assert cert.verdict == "IdenticallyZero"
             A = construct_sep_I_preserver(to_complex(O))
             B = construct_sep_I_preserver(to_complex(Q))
             assert find_violation_witness(A, B, "I", budget=500, seed=k) is None

@@ -28,6 +28,7 @@ from entloc.certificates import (
 from entloc.exact import RootTwoRational, conjugate_name
 from entloc.hilbert import SECTOR_SLOTS, SECTORS
 from entloc.separability import FAMILIES
+from exact_reference import evaluate_complex
 
 RNG = np.random.default_rng(555)
 
@@ -85,7 +86,7 @@ def test_expansion_reference_evaluations():
 def test_expansion_degree_bound():
     for _ in range(10):
         p = expand_residual_sep_I(rand_exact_2x2(), rand_exact_2x2())
-        assert p.total_degree() <= 8
+        assert max(map(sum, p.terms), default=0) <= 8
 
 
 def test_expansion_matches_raw_identity_numerically():
@@ -100,7 +101,7 @@ def test_expansion_matches_raw_identity_numerically():
         lhs = n**2 * np.vdot(c, On @ Qn @ c) ** 2
         rhs = np.vdot(c, On @ c) ** 2 * np.vdot(c, Qn @ c) ** 2
         scale = max(1.0, abs(lhs) + abs(rhs))
-        assert abs(poly.evaluate_complex(vals) - (lhs - rhs)) < 1e-9 * scale
+        assert abs(evaluate_complex(poly, vals) - (lhs - rhs)) < 1e-9 * scale
 
 
 def test_expansion_is_norm4_times_the_numeric_residual():
@@ -120,7 +121,7 @@ def test_expansion_is_norm4_times_the_numeric_residual():
         norm4 = np.vdot(c, c).real ** 4  # ||psi||^2 = ||c||^4
         want = norm4 * residual(A, B, sep_I_state(c[0], c[1]))
         scale = norm4 * np.linalg.norm(A, 2) * np.linalg.norm(B, 2)
-        assert abs(expand_residual_sep_I(O, Q).evaluate_complex(vals) - want) <= 1e-12 * scale
+        assert abs(evaluate_complex(expand_residual_sep_I(O, Q), vals) - want) <= 1e-12 * scale
 
 
 def test_conjugation_identity_general():
@@ -155,7 +156,7 @@ def test_certify_identity_proportional_is_zero():
     lam = exact_matrix([[gr(3, 1), gr(0)], [gr(0), gr(3, 1)]])
     for Q in (PAULI_EXACT[1], rand_exact_2x2()):
         cert = certify_factorization_sep_I(lam, Q)
-        assert cert.identically_zero
+        assert cert.verdict == "IdenticallyZero"
         assert cert.structural["both_bases"]
         # a zero certificate prints its check value in the ring of its point
         assert type(cert.check_value) is GaussianRational
@@ -188,7 +189,7 @@ def test_structural_two_basis_test_detects_scalars():
         On = to_complex(O)
         is_scalar = np.allclose(On - np.trace(On) / 2 * np.eye(2), 0, atol=1e-14)
         assert cert.structural["identity_proportional"] == is_scalar
-        assert cert.identically_zero == is_scalar
+        assert (cert.verdict == "IdenticallyZero") == is_scalar
 
 
 def test_structural_per_basis_flags_are_weaker_than_the_verdict():
@@ -208,7 +209,7 @@ def test_certificate_verdict_always_matches_identity_flag():
     for _ in range(100):
         O, Q = rand_exact_2x2(rng), rand_exact_2x2(rng)
         cert = certify_factorization_sep_I(O, Q)
-        assert cert.identically_zero == cert.structural["identity_proportional"]
+        assert (cert.verdict == "IdenticallyZero") == cert.structural["identity_proportional"]
 
 
 def hadamard_conjugate(M):
@@ -246,7 +247,7 @@ def test_certificates_agree_with_numeric_search():
         cert = certify_factorization_sep_I(O, Q)
         A = construct_sep_I_preserver(to_complex(O))
         B = construct_sep_I_preserver(to_complex(Q))
-        if cert.identically_zero:
+        if cert.verdict == "IdenticallyZero":
             rep = audit(A, B, "I", 2000, seed=1)
             assert rep.max_abs_residual <= 1e-10
         else:
@@ -268,9 +269,9 @@ def test_sector_zero_block_is_identically_zero():
     B = np.eye(10, dtype=int)
     # A couples only (LL,RR); every other sector pair vanishes regardless of B
     cert = certify_sector_coupling(A, A, "LL", "LR")
-    assert cert.identically_zero
+    assert cert.verdict == "IdenticallyZero"
     cert = certify_sector_coupling(np.eye(10, dtype=int), B, "LL", "RR")
-    assert cert.identically_zero
+    assert cert.verdict == "IdenticallyZero"
     assert type(cert.check_value) is RootTwoRational
     assert cert.to_dict()["check_value"] == "(0)+(0)i+[(0)+(0)i]sqrt2"
 
@@ -289,7 +290,7 @@ def test_sector_certificates_for_block_diagonal_pairs():
     Ai = np.rint(A.real).astype(int)
     Bi = np.rint(B.real).astype(int)
     for X, Y in (("LL", "LR"), ("LL", "RR"), ("LR", "RR"), ("RR", "LL")):
-        assert certify_sector_coupling(Ai, Bi, X, Y).identically_zero
+        assert certify_sector_coupling(Ai, Bi, X, Y).verdict == "IdenticallyZero"
 
 
 def test_sector_certificate_matches_numeric_coupling():
@@ -333,7 +334,7 @@ def test_exact_amplitudes_equal_the_ssr_family_build():
                 want = ssr.build(row)[slots]
                 if ket_names[0].endswith("*"):
                     want = want.conj()
-                got = np.array([a.evaluate_complex(sector_point(ket_names, c)) for a in amps])
+                got = np.array([evaluate_complex(a, sector_point(ket_names, c)) for a in amps])
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -351,7 +352,7 @@ def test_sector_forms_equal_the_numeric_coupling():
                 sorted({v for name in bra_names + ket_names for v in (name, conjugate_name(name))})
             )
             f, g = _forms(
-                (exact_matrix(A, RootTwoRational), exact_matrix(B, RootTwoRational)),
+                [[list(map(RootTwoRational.coerce, row)) for row in M] for M in (A, B)],
                 _amplitudes(X, bra_names, variables, RootTwoRational),
                 _amplitudes(Y, ket_names, variables, RootTwoRational),
                 SECTOR_SLOTS[X],
@@ -372,7 +373,7 @@ def test_sector_forms_equal_the_numeric_coupling():
                 for form, M in ((f, A), (g, B)):
                     want = np.vdot(psi_x, M @ psi_y)
                     scale = np.linalg.norm(psi_x) * np.linalg.norm(M, 2) * np.linalg.norm(psi_y)
-                    assert abs(form.evaluate_complex(values) - want) <= 1e-12 * scale
+                    assert abs(evaluate_complex(form, values) - want) <= 1e-12 * scale
 
 
 def test_sector_certificate_rejects_bad_sectors():

@@ -247,6 +247,11 @@ def test_classify_error_exits(capsys):
         (["preserve-check", "--op", "entries:[[true,0],[0,1]]"], "operator entry True is not a number"),
         (["certify", "--A", "entries:[[true,0],[0,1]]", "--B", "pauli:1"], "operator entry True is not a number"),
         (["witness", "--set", "ssr", "--pair", "number:X0,number:R0"], "'X0', the levels are L0, L1, R0, R1"),
+        (["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", "0"], "n_samples must be at least 1"),
+        (["witness", "--set", "I", "--pair", "pauli:1,pauli:2", "--budget", "0"], "budget must be at least 1"),
+        (["witness", "--set", "mode", "--n-max", "0", "--pair", "number:0,number:1"], "n_max must be at least 1"),
+        (["preserve-check", "--pair", "entries:[[1,0,0],[0,1,0],[0,0,1]],pauli:1"], "expected a 2x2 matrix"),
+        (["preserve-check", "--op", "entries:[[[1,2,3],0],[0,1]]"], "complex entries as [re, im] pairs"),
     ):
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
@@ -1009,6 +1014,13 @@ def test_preserve_check_commands(capsys):
     assert doc["summary"] == "commutes"
     code, doc = run_json(capsys, "preserve-check", "--op", "number:L0-number:L1")
     assert doc["summary"] == "not-block-scalar"
+    # the zero operator: zero times a unitary, and the pair square of zero
+    code, doc = run_json(capsys, "preserve-check", "--op", "entries:[[0,0],[0,0]]")
+    assert code == 0 and doc["summary"] == "sep-II-preserver"
+    assert doc["results"]["round_trip_defect"] == 0.0
+    code, doc = run_json(capsys, "preserve-check", "--op", "entries:[[0,0,0],[0,0,0],[0,0,0]]")
+    assert code == 0 and doc["summary"] == "fits"
+    assert doc["results"]["defect"] == 0.0
 
 
 def test_sample_command(capsys):
@@ -1149,10 +1161,11 @@ def test_amplitudes_that_exhaust_memory_read_as_not_enough_memory(monkeypatch, c
 
 
 def test_an_out_path_with_a_null_byte_exits_2_with_one_line(capsys):
-    # open() refuses it with a ValueError, raised while the report is written
+    # open() refuses it with a ValueError; it reads like every other unwritable --out
     assert main(["classify", "--amps", "0,0,1", "--out", "a\x00b"]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "entloc: input error: embedded null byte\n"
+    assert captured.out == ""
+    assert captured.err == "entloc: input error: cannot write --out 'a\\x00b': embedded null byte\n"
 
 
 # --- closed stdout ------------------------------------------------------------------

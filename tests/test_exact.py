@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entloc import DegreeOverflowError, GaussianRational, MultiPoly, RootTwoRational
 from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2, conjugate_name, sum_of_products
+from exact_reference import evaluate_complex
 
 
 def gr(re, im=0):
@@ -172,7 +173,7 @@ def test_multipoly_arithmetic_and_zero_pruning():
     assert prod.terms[(2, 0, 0, 0)] == GR_ONE
     assert prod.terms[(0, 0, 2, 0)] == gr(-1)
     assert (p - p).is_zero
-    assert prod.total_degree() == 2
+    assert max(map(sum, prod.terms), default=0) == 2
 
 
 def test_multipoly_conjugation():
@@ -212,7 +213,7 @@ def test_multipoly_exact_vs_complex_evaluation():
             vals[base] = point[base].to_complex()
             vals[base + "*"] = vals[base].conjugate()
         exact = p.evaluate(point).to_complex()
-        approx = p.evaluate_complex(vals)
+        approx = evaluate_complex(p, vals)
         assert abs(exact - approx) < 1e-10 * max(1.0, abs(exact))
 
 
@@ -221,7 +222,7 @@ def test_canonical_text_is_sorted_and_stable():
     p = var("c1") * var("c1") + var("c0", gr("1/2"))
     text = p.canonical_text()
     assert text == "c1^2: (1)+(0)i; c0^1: (1/2)+(0)i"
-    assert MultiPoly.zero(VARS).canonical_text() == "0"
+    assert MultiPoly(VARS).canonical_text() == "0"
 
 
 def test_leading_monomial_order():

@@ -157,7 +157,7 @@ def test_residuals_reject_non_finite_input():
 
 # --- expectations -----------------------------------------------------------------
 
-EXPECTATION_DIMS = {"sym3": 3, "sym10": 10, "fock": FockSpace(("0", "1"), 4).dim}
+EXPECTATION_DIMS = {"sym3": 3, "sym10": 10, "fock": FockSpace(4).dim}
 
 
 def random_operands(d, seed):
@@ -216,7 +216,7 @@ def mode_pairs(space, rng):
 
 @pytest.mark.parametrize("n_max", range(2, 9))
 def test_the_diagonal_formula_matches_residuals_on_every_headroom_state(n_max):
-    space = FockSpace(("0", "1"), n_max)
+    space = FockSpace(n_max)
     fam = family("mode", space)
     S = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
     for A, B in mode_pairs(space, np.random.default_rng(n_max)):
@@ -261,7 +261,7 @@ def test_audit_deterministic_and_order_independent():
 
 
 def test_audit_number_polynomials_factorize_on_mode_states():
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     n0, n1 = space.number("0"), space.number("1")
     A = n0 @ n0 + 0.5 * n0
     B = 2.0 * n1 - n1 @ n1
@@ -303,7 +303,7 @@ def block_sizes(n_samples):
 def test_mode_audit_equals_evaluating_every_drawn_row(n_max):
     # at n_max 2 the family is the single state |0,0>; the dense pair has
     # residuals that no sparse shortcut would round as the formula does
-    space = FockSpace(("0", "1"), n_max)
+    space = FockSpace(n_max)
     fam = family("mode", space)
     rng = np.random.default_rng(n_max)
     a = space.ladder("0", -1)
@@ -511,7 +511,7 @@ def test_mode_witness_reads_min_branches_budget_states_at_once(monkeypatch):
 
     monkeypatch.setattr(factorization, "basis_residuals", counting_formula)
     monkeypatch.setattr(factorization, "AUDIT_BLOCK", 4)  # no block splits the read
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     n0, n1 = space.number("0"), space.number("1")
     # six headroom occupation states, on which number operators factorize
     assert find_violation_witness(n0, n1, "mode", budget=100, fock=space) is None
@@ -591,7 +591,7 @@ def test_imbalance_triple_closed_form_on_random_draws():
 # --- positive controls ------------------------------------------------------------------
 
 def test_mode_eigenstate_factorization_by_hand():
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     n0, n1 = space.number("0"), space.number("1")
     v = space.occupation_state((1, 1))
     assert abs(residual(n0, n1, v)) < 1e-14
@@ -642,7 +642,7 @@ def _one_body_sector_op(side, h):
 def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e-10):
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    space = FockSpace(("0", "1"), n_max) if kind == "mode" else None
+    space = FockSpace(n_max) if kind == "mode" else None
     fam = family(kind, space)
     # groups of pairs, as many as fit in one block (at least one), draw each
     # block together: pair i of a group reads rows i*m to (i+1)*m of it

@@ -1,5 +1,7 @@
 """Basis conventions, symmetrization, reductions and the truncated Fock space."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,14 +252,22 @@ def test_reduced_dm_is_a_state_and_basis_independent():
 # --- Fock space ---------------------------------------------------------------
 
 def test_fock_dimension_and_order():
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     assert space.dim == 15
     assert space.basis[0] == (0, 0)
     assert space.basis == tuple(sorted(space.basis))
 
 
+def test_fock_basis_is_the_generic_two_mode_construction():
+    for n in range(1, 45):  # up to the CLI's --n-max bound
+        space = FockSpace(n)
+        assert space.basis == tuple(sorted(o for o in product(range(n + 1), repeat=2) if sum(o) <= n))
+        assert space.index == {occ: k for k, occ in enumerate(space.basis)}
+        assert space.dim == (n + 1) * (n + 2) // 2
+
+
 def test_fock_commutator_below_cutoff():
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     a, ad = space.ladder("0", -1), space.ladder("0", 1)
     comm = a @ ad - ad @ a
     for occ in space.basis:
@@ -267,7 +277,7 @@ def test_fock_commutator_below_cutoff():
 
 
 def test_fock_number_and_creation():
-    space = FockSpace(("0", "1"), 4)
+    space = FockSpace(4)
     v = space.occupation_state((2, 0))
     assert abs(np.vdot(v, space.number("0") @ v) - 2) < 1e-14
     out = space.ladder("0", 1) @ (space.ladder("1", 1) @ space.occupation_state((0, 0)))
@@ -275,7 +285,7 @@ def test_fock_number_and_creation():
 
 
 def test_fock_creation_truncates_at_cutoff():
-    space = FockSpace(("0", "1"), 2)
+    space = FockSpace(2)
     top = space.occupation_state((2, 0))
     assert np.allclose(space.ladder("0", 1) @ top, 0)
     assert np.allclose(space.ladder("1", 1) @ top, 0)
@@ -283,7 +293,7 @@ def test_fock_creation_truncates_at_cutoff():
 
 @pytest.mark.parametrize("k", [-3, -2, 2, 3])
 def test_fock_ladder_powers_are_products_of_single_steps(k):
-    space = FockSpace(("0", "1"), 5)
+    space = FockSpace(5)
     for mode in space.modes:
         step = space.ladder(mode, 1 if k > 0 else -1)
         assert np.allclose(space.ladder(mode, k), np.linalg.matrix_power(step, abs(k)), rtol=0, atol=1e-14)
@@ -292,7 +302,7 @@ def test_fock_ladder_powers_are_products_of_single_steps(k):
 
 def test_fock_unknown_mode():
     with pytest.raises(ValueError):
-        FockSpace(("0", "1"), 2).number("2")
+        FockSpace(2).number("2")
 
 
 # --- Pauli decomposition -------------------------------------------------------

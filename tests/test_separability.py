@@ -462,6 +462,11 @@ def test_quartic_requires_nonzero_c0():
         solve_preservation_quartic(np.eye(3, dtype=complex), 0.0)
 
 
+def test_quartic_requires_a_3x3_operator():
+    with pytest.raises(ValueError, match="expected a 3x3 operator"):
+        solve_preservation_quartic(np.eye(2), 1.0)
+
+
 def test_quartic_roots_solve_the_membership_condition():
     rng = np.random.default_rng(31)
     for _ in range(25):
