@@ -387,10 +387,6 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
         if int(count) * args.states > MAX_CONTROL_PAIR_STATES:
             raise ValueError(f"pairs x states: {count} x {args.states} is past {MAX_CONTROL_PAIR_STATES}")
-        if set_name == "mode":  # checked before the control builds its Fock space
-            dim = (args.n_max + 1) * (args.n_max + 2) // 2
-            if int(count) * dim**2 > MAX_MODE_CONTROL_PAIR_ENTRIES:
-                raise ValueError(f"pairs x dim^2: {count} x {dim}^2 is past {MAX_MODE_CONTROL_PAIR_ENTRIES}")
         rep = positive_control(
             set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
             threshold=args.threshold,
@@ -520,14 +516,8 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 
 MAX_CONTROL_PAIR_STATES = 10**6
 """Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
-At it and the default ``--n-max``, one state per pair took 15-17 s and 55-58 MB RSS (2-CPU x86-64); only the
-time grows with the pairs."""
-
-MAX_MODE_CONTROL_PAIR_ENTRIES = MAX_CONTROL_PAIR_STATES * 15**2
-"""Most pairs x dim^2 of ``audit --set mode --pairs``, dim = (n+1)(n+2)/2 for ``--n-max n``: each pair builds
-dense dim x dim operators, so its time grows with dim^2. At the default ``--n-max`` (dim 15) it allows 10^6
-pairs, as ``MAX_CONTROL_PAIR_STATES`` does; at ``--n-max 44`` (dim 1035) it allows 210, which took 13.0 s and
-343 MiB RSS with one state each (2-CPU x86-64)."""
+At it, one state per pair took 14-16.5 s and 58 MiB RSS for ssr, 0.9-1.1 s and 39 MiB for mode, and 8.8-12.6 s
+and 345 MiB for mode at ``--n-max 44`` (2-CPU x86-64); only the time grows with the pairs."""
 
 MAX_N_MAX = 44
 """Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""

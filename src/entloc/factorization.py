@@ -152,40 +152,40 @@ class AuditReport:
 
 def _audit_pairs(
     groups, rng: np.random.Generator, fam: Family, n_states: int,
-    pair: str, set_name: str, seed: int, threshold: float,
+    pair: str, set_name: str, seed: int, threshold: float, distinct: np.ndarray | None = None,
 ) -> AuditReport:
-    """One report of the ``(A, B)`` pair stacks in ``groups``, ``n_states`` states per
-    pair drawn from ``rng``: the first pair at the maximum |residual|, and the mean
-    of the per-pair means added in pair order.  A group joins it once its blocks end.
+    """One report of the pair groups in ``groups``, ``n_states`` states per pair drawn
+    from ``rng``: the first pair at the maximum |residual|, and the mean of the
+    per-pair means added in pair order.  A group joins it once its blocks end.
 
     Each ``AUDIT_BLOCK`` block of ``m`` states of a ``p``-pair group makes one
     ``fam.draw(rng, p*m)`` call, and pair ``j`` reads rows ``j*m`` to
     ``(j+1)*m`` of it, so one pair is one generator drawing block after block.
-    A block's states are evaluated in one ``residuals`` call.  A discrete
-    family (mode) has only ``branches`` states: each block picks its values
-    from one :func:`basis_residuals` table per pair, and its states, by branch.
+    A group of a continuous family is its ``(p, d, d)`` stacks ``(A, B)``, and a
+    block's states are evaluated in one ``residuals`` call.  A discrete family
+    (mode) has only ``branches`` states, the rows of ``distinct``.  Its group is
+    ``(a, b, table)``: the residual of pair ``j`` on branch ``k`` is
+    ``sum_il a[j, i] b[j, l] table[i, l, k]``, so each block reads its values
+    from the table, and its states from ``distinct``, by branch.
     """
     max_abs, max_r, max_s, mean, n_pairs = -1.0, 0j, None, 0.0, 0
-    if fam.n_real == 0:
-        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
-    for A, B in groups:
-        p, rows = A.shape[0], np.arange(A.shape[0])
+    for group in groups:
+        p, rows = len(group[0]), np.arange(len(group[0]))
         best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
-        best_s = np.zeros((p, A.shape[-1]), dtype=complex)
-        if fam.n_real == 0:
-            table = basis_residuals(A, B, distinct)
+        best_s = np.zeros((p, (group[0] if fam.n_real else distinct).shape[-1]), dtype=complex)
         for start in range(0, n_states, AUDIT_BLOCK):
             m = min(AUDIT_BLOCK, n_states - start)
             P = fam.draw(rng, p * m).reshape(p, m, -1)
             if fam.n_real == 0:
+                a, b, table = group
                 branch = P[..., 0].astype(int)
-                values, states = table[rows[:, None], branch], None
+                values = np.einsum("pi,pl,ilpm->pm", a, b, table[:, :, branch])
             else:
                 states = fam.build_normalized(P)
-                values = residuals(A, B, states)
+                values = residuals(*group, states)
             mags = np.abs(values)
             k = np.argmax(mags, axis=-1)
-            top = distinct[branch[rows, k]] if states is None else states[rows, k]
+            top = states[rows, k] if fam.n_real else distinct[branch[rows, k]]
             total += np.sum(mags, axis=-1)
             # strict: a later block wins only above the best so far, as in one run
             better = mags[rows, k] > best
@@ -231,8 +231,12 @@ def audit(
     _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    fam, distinct = family(set_name, fock), None
     groups = [(np.asarray(A)[None], np.asarray(B)[None])]
-    return _audit_pairs(groups, rng, family(set_name, fock), n_samples, pair, set_name, seed, threshold)
+    if fam.n_real == 0:  # the one-pair case of a discrete group: weights 1 and its own table
+        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
+        groups = [(np.ones((1, 1)), np.ones((1, 1)), basis_residuals(*groups[0], distinct)[None])]
+    return _audit_pairs(groups, rng, fam, n_samples, pair, set_name, seed, threshold, distinct)
 
 
 @dataclass
@@ -354,29 +358,25 @@ def occupation_imbalance_pair() -> tuple[np.ndarray, np.ndarray]:
 
 # --- positive controls ------------------------------------------------------
 
-def _local_pairs(
-    kind: str, g: int, rng: np.random.Generator, terms: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(g, d, d)`` stacks of ``g`` random local pairs ``A`` (side 0), ``B`` (side 1).
+def _local_pairs(kind: str, g: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``g`` random local pairs: ``A`` of side 0, ``B`` of side 1.
 
     Per pair the draws are A's real then imaginary coefficients, then B's.
-    mode: polynomials in the ``(6, d, d)`` stack ``terms`` of each mode's ladder
-    monomials.  ssr: symmetrized one-body operators of Hermitian 2x2 blocks on
-    the L and R levels.
+    mode: the ``(g, 6)`` weights of each side's polynomial in its mode's ladder
+    monomials.  ssr: ``(g, 10, 10)`` symmetrized one-body operators of Hermitian
+    2x2 blocks on the L and R levels.
     """
     c = rng.normal(size=(g, 2, 2, 6) if kind == "mode" else (g, 2, 2, 2, 2))
+    coeff = c[:, :, 0] + 1j * c[:, :, 1]
+    if kind == "mode":
+        return coeff[:, 0], coeff[:, 1]
     ops = []
     for side in (0, 1):
-        coeff = c[:, side, 0] + 1j * c[:, side, 1]
-        if kind == "mode":
-            op = np.einsum("gi,ijk->gjk", coeff, terms[side])
-        else:
-            H = np.zeros((g, 4, 4), dtype=complex)
-            H[:, 2 * side : 2 * side + 2, 2 * side : 2 * side + 2] = (
-                coeff + np.swapaxes(coeff.conj(), -1, -2)
-            ) / 2
-            op = sym_one_body(H)
-        ops.append(op)
+        H = np.zeros((g, 4, 4), dtype=complex)
+        H[:, 2 * side : 2 * side + 2, 2 * side : 2 * side + 2] = (
+            coeff[:, side] + np.swapaxes(coeff[:, side].conj(), -1, -2)
+        ) / 2
+        ops.append(sym_one_body(H))
     return ops[0], ops[1]
 
 
@@ -397,12 +397,13 @@ def positive_control(
     block-diagonal by construction) on single-sector separable states.
     The expected outcome is ``max |residual| <= 1e-10``.
 
-    Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states and in
-    ``AUDIT_BLOCK**2`` entries per operator stack (at least one), each built
-    when it runs and folded into the report when it is done.
+    Pairs run in groups, as many as fit in ``AUDIT_BLOCK`` states (at least
+    one), each drawn when it runs and folded into the report when it is done.
     One generator seeded from ``(seed, 2)`` draws the states of every group in
     turn: each block of ``m`` states of a ``p``-pair group is one draw of
-    ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.
+    ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.  A mode
+    pair is a pair of weight vectors over the monomials, and every pair reads
+    its values from one :func:`basis_residuals` table of the 36 monomial pairs.
     """
     if kind not in ("mode", "ssr"):
         raise ValueError("positive controls exist for 'mode' and 'ssr' only")
@@ -414,12 +415,16 @@ def positive_control(
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     space = FockSpace(n_max) if kind == "mode" else None
-    # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
-    terms = [np.stack([np.eye(space.dim), space.ladder(m, -1), space.ladder(m, 1), space.number(m),
-                       space.ladder(m, -2), space.ladder(m, 2)]) for m in space.modes] if space else []
-    dim = space.dim if space else 10  # ssr operators act on the ten pair slots of four levels
-    per_call = max(1, min(AUDIT_BLOCK // min(n_states, AUDIT_BLOCK), AUDIT_BLOCK**2 // dim**2))
+    fam, distinct = family(kind, space), None
+    per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
-    groups = (_local_pairs(kind, g, rng_ops, terms) for g in sizes)  # each built when its group runs
+    groups = (_local_pairs(kind, g, rng_ops) for g in sizes)  # each drawn when its group runs
+    if space:
+        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
+        # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
+        T, U = (np.stack([np.eye(space.dim), space.ladder(m, -1), space.ladder(m, 1), space.number(m),
+                          space.ladder(m, -2), space.ladder(m, 2)]) for m in space.modes)
+        table = basis_residuals(T[:, None], U[None], distinct)
+        groups = ((a, b, table) for a, b in groups)
     pair = f"{kind}-local random pairs x{n_pairs}"
-    return _audit_pairs(groups, rng, family(kind, space), n_states, pair, kind, seed, threshold)
+    return _audit_pairs(groups, rng, fam, n_states, pair, kind, seed, threshold, distinct)

@@ -670,7 +670,7 @@ def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e
         "n_samples": n_pairs * n_states,
         "max_abs_residual": worst[0],
         "mean_abs_residual": mean_acc / n_pairs,
-        "argmax_residual": worst[1],
+        "argmax_residual": np.array(worst[1]).tobytes(),
         "argmax_state": worst[2].tobytes(),
         "verdict": "FactorizesOnSamples" if worst[0] <= threshold else "ViolationFound",
     }
@@ -686,7 +686,7 @@ CONTROL_SHAPES = [(1, 1), (1, 100), (3, 1), (7, 33), (10, 100), (11, 100), (100,
 def test_batched_control_matches_per_pair_audits(kind):
     cases = 0
     for seed in (0, 7, 13):
-        for n_max in (2, 4, 5) if kind == "mode" else (4,):
+        for n_max in (2, 4, 5, 8, 12) if kind == "mode" else (4,):
             for n_pairs, n_states in CONTROL_SHAPES:
                 want = per_pair_positive_control(kind, n_pairs, n_states, seed, n_max)
                 rep = positive_control(kind, n_pairs, n_states, seed=seed, n_max=n_max)
@@ -695,27 +695,33 @@ def test_batched_control_matches_per_pair_audits(kind):
                     "n_samples": rep.n_samples,
                     "max_abs_residual": rep.max_abs_residual,
                     "mean_abs_residual": rep.mean_abs_residual,
-                    "argmax_residual": rep.argmax_residual,
+                    # as bytes, so that -0.0 and 0.0 differ
+                    "argmax_residual": np.array(rep.argmax_residual).tobytes(),
                     "argmax_state": rep.argmax_state.tobytes(),
                     "verdict": rep.verdict,
                 }
                 assert got == want, (seed, n_max, n_pairs, n_states)
                 cases += 1
-    assert cases == (81 if kind == "mode" else 27)
+    assert cases == (135 if kind == "mode" else 27)
 
 
 def test_control_calls_stay_within_the_block(monkeypatch):
-    calls = []
+    calls, tables, formula = [], [], factorization.basis_residuals
 
     def counting(A, B, S):
         calls.append((A.shape[:-2], S.shape[:-1]))
         return residuals(A, B, S)
 
+    def counting_tables(A, B, S):
+        tables.append(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
+        return formula(A, B, S)
+
     monkeypatch.setattr(factorization, "residuals", counting)
-    # mode reads its headroom states' residuals from the operators' rows and
-    # columns, where a mode-local pair has only the j = k term: exactly 0
+    monkeypatch.setattr(factorization, "basis_residuals", counting_tables)
+    # mode reads every pair's values on its headroom states from one table of the
+    # 36 ladder-monomial pairs, where a mode-local pair has only the j = k term: exactly 0
     assert positive_control("mode", 100, 100).max_abs_residual == 0.0
-    assert calls == []
+    assert calls == [] and tables == [(6, 6)]
     positive_control("ssr", 3, 1030)
     assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
 
