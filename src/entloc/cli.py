@@ -385,13 +385,15 @@ def cmd_audit(args, tol: Tolerances) -> tuple[dict, str]:
             raise ValueError(f"--pairs takes random:<n> with n a whole number, got {args.pairs!r}")
         if set_name not in ("mode", "ssr"):
             raise ValueError("random pair audits are the positive controls: use --set mode|ssr")
-        if int(count) * args.states > MAX_CONTROL_PAIR_STATES:
-            raise ValueError(f"pairs x states: {count} x {args.states} is past {MAX_CONTROL_PAIR_STATES}")
+        if int(count) * args.states > MAX_AUDIT_STATES:
+            raise ValueError(f"pairs x states: {count} x {args.states} is past {MAX_AUDIT_STATES}")
         rep = positive_control(
             set_name, int(count), args.states, seed=args.seed, n_max=args.n_max,
             threshold=args.threshold,
         )
         return {"audit": _audit_results(rep)}, rep.verdict
+    if args.samples > MAX_AUDIT_STATES:
+        raise ValueError(f"--samples {args.samples} is past {MAX_AUDIT_STATES}")
     fock = FockSpace(args.n_max) if set_name == "mode" else None
     A, B = (_resolve_for_set(s, set_name, fock) for s in _pair_specs(args))
     rep = audit(
@@ -514,10 +516,10 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 # every flag once, with its default; a command takes only the flags its
 # handler or ``main`` reads
 
-MAX_CONTROL_PAIR_STATES = 10**6
-"""Most pairs x states of ``audit --pairs``: 100 times the largest control of README, tests or perfbench.
-At it, one state per pair took 14-16.5 s and 58 MiB RSS for ssr, 0.9-1.1 s and 39 MiB for mode, and 8.8-12.6 s
-and 345 MiB for mode at ``--n-max 44`` (2-CPU x86-64); only the time grows with the pairs."""
+MAX_AUDIT_STATES = 10**6
+"""Most states one audit evaluates, ``--samples`` or pairs x ``--states``: 100 x perfbench's largest, 10^4.
+At it, pair audits took 0.3-1.4 s at 38 MiB RSS; one-state controls 15-20 s at 57 MiB (ssr), 1.0-1.1 s at
+38 MiB (mode), 1.5-1.9 s at 346 MiB (mode, ``--n-max 44``), 2-CPU x86-64; only time grows with states."""
 
 MAX_N_MAX = 44
 """Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""

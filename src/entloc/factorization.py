@@ -152,7 +152,7 @@ class AuditReport:
 
 def _audit_pairs(
     groups, rng: np.random.Generator, fam: Family, n_states: int,
-    pair: str, set_name: str, seed: int, threshold: float, distinct: np.ndarray | None = None,
+    pair: str, set_name: str, seed: int, threshold: float,
 ) -> AuditReport:
     """One report of the pair groups in ``groups``, ``n_states`` states per pair drawn
     from ``rng``: the first pair at the maximum |residual|, and the mean of the
@@ -162,47 +162,44 @@ def _audit_pairs(
     ``fam.draw(rng, p*m)`` call, and pair ``j`` reads rows ``j*m`` to
     ``(j+1)*m`` of it, so one pair is one generator drawing block after block.
     A group of a continuous family is its ``(p, d, d)`` stacks ``(A, B)``, and a
-    block's states are evaluated in one ``residuals`` call.  A discrete family
-    (mode) has only ``branches`` states, the rows of ``distinct``.  Its group is
-    ``(a, b, table)``: the residual of pair ``j`` on branch ``k`` is
-    ``sum_il a[j, i] b[j, l] table[i, l, k]``, so each block reads its values
-    from the table, and its states from ``distinct``, by branch.
+    block's states are evaluated in one ``residuals`` call.  A group of a
+    discrete family (mode) is ``(a, b, table)``: the residual of pair ``j`` on
+    branch ``k`` is ``sum_il a[j, i] b[j, l] table[i, l, k]``, read by branch.
+    Each pair keeps its best parameter row, and the report builds one state,
+    the winner's; :class:`Family` builds a row alike alone or in a block.
     """
-    max_abs, max_r, max_s, mean, n_pairs = -1.0, 0j, None, 0.0, 0
+    max_abs, max_r, max_P, mean, n_pairs = -1.0, 0j, None, 0.0, 0
     for group in groups:
         p, rows = len(group[0]), np.arange(len(group[0]))
         best, total, best_r = np.full(p, -1.0), np.zeros(p), np.zeros(p, dtype=complex)
-        best_s = np.zeros((p, (group[0] if fam.n_real else distinct).shape[-1]), dtype=complex)
+        best_P = np.zeros((p, 1 + fam.n_real))
         for start in range(0, n_states, AUDIT_BLOCK):
             m = min(AUDIT_BLOCK, n_states - start)
             P = fam.draw(rng, p * m).reshape(p, m, -1)
             if fam.n_real == 0:
                 a, b, table = group
-                branch = P[..., 0].astype(int)
-                values = np.einsum("pi,pl,ilpm->pm", a, b, table[:, :, branch])
+                values = np.einsum("pi,pl,ilpm->pm", a, b, table[:, :, P[..., 0].astype(int)])
             else:
-                states = fam.build_normalized(P)
-                values = residuals(*group, states)
+                values = residuals(*group, fam.build_normalized(P))
             mags = np.abs(values)
             k = np.argmax(mags, axis=-1)
-            top = states[rows, k] if fam.n_real else distinct[branch[rows, k]]
             total += np.sum(mags, axis=-1)
             # strict: a later block wins only above the best so far, as in one run
             better = mags[rows, k] > best
             best[better] = mags[rows, k][better]
             best_r[better] = values[rows, k][better]
-            best_s[better] = top[better]
+            best_P[better] = P[rows, k][better]
         # strict again, so the first pair at the maximum wins as np.argmax would
         w = int(np.argmax(best))
         if best[w] > max_abs:
-            max_abs, max_r, max_s = float(best[w]), complex(best_r[w]), best_s[w]
+            max_abs, max_r, max_P = float(best[w]), complex(best_r[w]), best_P[w]
         # the running sum of the per-pair means, one add per pair as np.cumsum makes
         mean = np.cumsum(np.concatenate(([mean], total / n_states)))[-1]
         n_pairs += p
     return AuditReport(
         pair=pair, set_name=set_name, n_samples=n_pairs * n_states, seed=seed,
         max_abs_residual=max_abs, mean_abs_residual=float(mean) / n_pairs,
-        argmax_state=max_s, argmax_residual=max_r, threshold=threshold,
+        argmax_state=fam.build_normalized(max_P[None])[0], argmax_residual=max_r, threshold=threshold,
         verdict="ViolationFound" if max_abs > threshold else "FactorizesOnSamples",
     )
 
@@ -231,12 +228,12 @@ def audit(
     _check_threshold(threshold)
     set_name = canonical_set_name(set_name)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    fam, distinct = family(set_name, fock), None
+    fam = family(set_name, fock)
     groups = [(np.asarray(A)[None], np.asarray(B)[None])]
     if fam.n_real == 0:  # the one-pair case of a discrete group: weights 1 and its own table
         distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
         groups = [(np.ones((1, 1)), np.ones((1, 1)), basis_residuals(*groups[0], distinct)[None])]
-    return _audit_pairs(groups, rng, fam, n_samples, pair, set_name, seed, threshold, distinct)
+    return _audit_pairs(groups, rng, fam, n_samples, pair, set_name, seed, threshold)
 
 
 @dataclass
@@ -415,7 +412,7 @@ def positive_control(
     rng_ops = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     space = FockSpace(n_max) if kind == "mode" else None
-    fam, distinct = family(kind, space), None
+    fam = family(kind, space)
     per_call = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
     groups = (_local_pairs(kind, g, rng_ops) for g in sizes)  # each drawn when its group runs
@@ -427,4 +424,4 @@ def positive_control(
         table = basis_residuals(T[:, None], U[None], distinct)
         groups = ((a, b, table) for a, b in groups)
     pair = f"{kind}-local random pairs x{n_pairs}"
-    return _audit_pairs(groups, rng, fam, n_states, pair, kind, seed, threshold, distinct)
+    return _audit_pairs(groups, rng, fam, n_states, pair, kind, seed, threshold)

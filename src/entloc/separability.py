@@ -319,8 +319,9 @@ class Family:
     ``k = n_real`` real coordinates pair up into the complex coefficients of
     that piece, so every row with an integer branch builds a state exactly
     inside the family.  Each branch is built only on its own rows and
-    elementwise: its amplitudes go straight into its slots, no row builds a
-    piece it does not keep, and no batch or BLAS kernel set moves a byte.
+    elementwise: its amplitudes go straight into its slots and no row builds
+    a piece it does not keep, so no BLAS kernel set moves a byte, and a row's
+    normalized state is the same built alone or in a block.
     """
 
     branches: int

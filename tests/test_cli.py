@@ -20,7 +20,7 @@ from entloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INPUT,
     EXIT_INTERNAL,
-    MAX_CONTROL_PAIR_STATES,
+    MAX_AUDIT_STATES,
     MAX_DECIMAL_EXPONENT,
     MAX_N_MAX,
     MAX_SAMPLE_N,
@@ -263,7 +263,7 @@ def test_a_positive_control_past_its_size_bound_exits_2_at_once(argv):
     proc = run_capped(["audit", "--set", "ssr", *argv], 1536, timeout=20)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("entloc: input error: pairs x states: ")
-    assert proc.stderr.endswith(f" is past {MAX_CONTROL_PAIR_STATES}\n")
+    assert proc.stderr.endswith(f" is past {MAX_AUDIT_STATES}\n")
 
 
 @pytest.mark.parametrize("value", ["random:1e3", "random:", "random:-2", "foo:3", "random:\u00b2"])
@@ -525,6 +525,25 @@ def test_a_sample_count_past_its_bound_exits_2_with_one_line(argv, capsys, monke
     monkeypatch.setattr(Family, "draw", refuse)
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"entloc: input error: --n {argv[-1]} is past {MAX_SAMPLE_N}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--set", "I", "--pair", "pauli:1,pauli:2", "--samples", str(MAX_AUDIT_STATES + 1)],
+        ["audit", "--set", "III", "--A", "number:L0", "--B", "number:R0", "--samples", str(10**12)],
+        ["audit", "--set", "mode", "--pair", "number:0,number:1", "--samples", str(10**30)],
+    ],
+)
+def test_an_audit_sample_count_past_its_bound_exits_2_with_one_line(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an audit was started")
+
+    monkeypatch.setattr(cli_module, "audit", refuse)
+    monkeypatch.setattr(Family, "draw", refuse)
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"entloc: input error: --samples {argv[-1]} is past {MAX_AUDIT_STATES}\n"
 
 
 @pytest.mark.parametrize(

@@ -707,6 +707,11 @@ def test_batched_control_matches_per_pair_audits(kind):
 
 def test_control_calls_stay_within_the_block(monkeypatch):
     calls, tables, formula = [], [], factorization.basis_residuals
+    builds, build = [], Family.build_normalized
+
+    def counting_builds(self, P):
+        builds.append(P.shape[:-1])
+        return build(self, P)
 
     def counting(A, B, S):
         calls.append((A.shape[:-2], S.shape[:-1]))
@@ -718,12 +723,18 @@ def test_control_calls_stay_within_the_block(monkeypatch):
 
     monkeypatch.setattr(factorization, "residuals", counting)
     monkeypatch.setattr(factorization, "basis_residuals", counting_tables)
+    monkeypatch.setattr(Family, "build_normalized", counting_builds)
     # mode reads every pair's values on its headroom states from one table of the
     # 36 ladder-monomial pairs, where a mode-local pair has only the j = k term: exactly 0
     assert positive_control("mode", 100, 100).max_abs_residual == 0.0
     assert calls == [] and tables == [(6, 6)]
+    # the table's six headroom states, then the report's one state: no block is built
+    assert builds == [(6,), (1,)]
+    builds.clear()
     positive_control("ssr", 3, 1030)
     assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
+    # each pair keeps its best parameter row, and the report builds the winner's state alone
+    assert builds == [(1, AUDIT_BLOCK), (1, 6)] * 3 + [(1,)]
 
 
 def _control_peak(kind, n_pairs):

@@ -36,7 +36,7 @@ from entloc import (
     sym_one_body,
     symmetrize_product,
 )
-from entloc.hilbert import EPS_STATE, pi_reduction_matrix
+from entloc.hilbert import EPS_STATE, FockSpace, pi_reduction_matrix
 from entloc.separability import Tolerances, family
 
 RNG = np.random.default_rng(99)
@@ -269,14 +269,21 @@ def test_sampler_is_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("kind", ["I", "II", "III", "ssr"])
+@pytest.mark.parametrize("kind", ["I", "II", "III", "ssr", "mode"])
 def test_stacked_build_rounds_as_one_row_builds(kind):
     # the witness search builds its start states as one (n, 1, 1 + k) stack
-    fam = family(kind)
-    P = fam.draw(np.random.default_rng(SAMPLER_SEEDS[kind]), 40)
+    fam = family(kind, FockSpace(6) if kind == "mode" else None)
+    rng = np.random.default_rng(SAMPLER_SEEDS[kind])
+    P = fam.draw(rng, 40)
     stacked = fam.build(P[:, None, :])[:, 0]
     for j in range(len(P)):
         assert stacked[j].tobytes() == fam.build(P[j : j + 1])[0].tobytes()
+    # an audit normalizes (p, m, 1 + k) blocks, and its report builds the winning row alone
+    for p, m in [(1, 1024), (7, 33), (1024, 1), (2, 1030)]:
+        P = fam.draw(rng, p * m).reshape(p, m, -1)
+        block = fam.build_normalized(P).reshape(p * m, -1)
+        rows = P.reshape(p * m, -1)
+        assert [s.tobytes() for s in block] == [fam.build_normalized(r[None])[0].tobytes() for r in rows]
 
 
 def build_every_branch_then_select(kind, P):
