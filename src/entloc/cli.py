@@ -518,8 +518,8 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 
 MAX_AUDIT_STATES = 10**6
 """Most states one audit evaluates, ``--samples`` or pairs x ``--states``: 100 x perfbench's largest, 10^4.
-At it, pair audits took 0.3-1.4 s at 38 MiB RSS; one-state controls 15-20 s at 57 MiB (ssr), 1.0-1.1 s at
-38 MiB (mode), 1.5-1.9 s at 346 MiB (mode, ``--n-max 44``), 2-CPU x86-64; only time grows with states."""
+At it, pair audits took 0.1-0.6 s at 37-38 MiB RSS; one-state controls 2.0 s at 45 MiB (ssr), 0.4 s at
+38 MiB (mode), 0.5 s at 65 MiB (mode, ``--n-max 44``), 2-CPU x86-64; only time grows with states."""
 
 MAX_N_MAX = 44
 """Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""

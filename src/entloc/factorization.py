@@ -356,25 +356,33 @@ def occupation_imbalance_pair() -> tuple[np.ndarray, np.ndarray]:
 # --- positive controls ------------------------------------------------------
 
 def _local_pairs(kind: str, g: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``g`` random local pairs: ``A`` of side 0, ``B`` of side 1.
+    """``g`` random local pairs as weights over one operator basis per side: ``A`` of side 0, ``B`` of 1.
 
-    Per pair the draws are A's real then imaginary coefficients, then B's.
-    mode: the ``(g, 6)`` weights of each side's polynomial in its mode's ladder
-    monomials.  ssr: ``(g, 10, 10)`` symmetrized one-body operators of Hermitian
-    2x2 blocks on the L and R levels.
+    Per pair the draws are A's real then imaginary coefficients, then B's.  mode: a side's
+    ``(g, 6)`` ladder-monomial weights.  ssr: its ``(g, 2, 2)`` Hermitian L or R block.
     """
     c = rng.normal(size=(g, 2, 2, 6) if kind == "mode" else (g, 2, 2, 2, 2))
     coeff = c[:, :, 0] + 1j * c[:, :, 1]
-    if kind == "mode":
-        return coeff[:, 0], coeff[:, 1]
-    ops = []
-    for side in (0, 1):
-        H = np.zeros((g, 4, 4), dtype=complex)
-        H[:, 2 * side : 2 * side + 2, 2 * side : 2 * side + 2] = (
-            coeff[:, side] + np.swapaxes(coeff[:, side].conj(), -1, -2)
-        ) / 2
-        ops.append(sym_one_body(H))
-    return ops[0], ops[1]
+    if kind == "ssr":
+        coeff = (coeff + np.swapaxes(coeff.conj(), -1, -2)) / 2
+    return coeff[:, 0], coeff[:, 1]
+
+
+def _monomial_maps(space: FockSpace, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`FockSpace.ladder_map` column maps of one mode's monomials ``1, a, a+, a+ a, a a, a+ a+``."""
+    maps = [space.ladder_map(mode, k) for k in (0, -1, 1, 0, -2, 2)]
+    maps[3] = maps[0][0], np.array(space.basis, dtype=float)[:, space.modes.index(mode)]  # a+ a
+    return tuple(map(np.stack, zip(*maps)))
+
+
+def _map_residuals(T, U, k: np.ndarray) -> np.ndarray:
+    """:func:`basis_residuals` of every pair of the column maps ``T = (rows, values)`` and ``U``,
+    each ``(n, dim)``, on the unit basis states ``e_k``, as an ``(n_T, n_U, len(k))`` array.  Column
+    ``k`` of ``U`` holds its one nonzero in row ``j``, so ``(TU)_kk = T_kj U_jk``."""
+    (rT, vT), (rU, vU) = T, U
+    j, u = rU[:, k], vU[:, k]  # a column with no nonzero reads row -1, with u = 0
+    t_kj, t_kk = (np.where(rT[:, i] == k, vT[:, i], 0.0) for i in (j, k))
+    return (t_kj * u - t_kk[:, None] * np.where(j == k, u, 0.0)).astype(complex)
 
 
 def positive_control(
@@ -398,9 +406,11 @@ def positive_control(
     one), each drawn when it runs and folded into the report when it is done.
     One generator seeded from ``(seed, 2)`` draws the states of every group in
     turn: each block of ``m`` states of a ``p``-pair group is one draw of
-    ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.  A mode
-    pair is a pair of weight vectors over the monomials, and every pair reads
-    its values from one :func:`basis_residuals` table of the 36 monomial pairs.
+    ``p*m`` rows, of which pair ``j`` reads rows ``j*m`` to ``(j+1)*m``.  A pair
+    is weights over one operator basis per side, built once per control.  mode:
+    six ladder monomials, and every pair reads its values from one table of the
+    36 monomial pairs, computed from their column maps.  ssr: the one-body
+    operators of a side's four 2x2 matrix units.
     """
     if kind not in ("mode", "ssr"):
         raise ValueError("positive controls exist for 'mode' and 'ssr' only")
@@ -417,11 +427,12 @@ def positive_control(
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
     groups = (_local_pairs(kind, g, rng_ops) for g in sizes)  # each drawn when its group runs
     if space:
-        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
-        # the ladder monomials 1, a, a+, a+ a, a a, a+ a+ of each mode
-        T, U = (np.stack([np.eye(space.dim), space.ladder(m, -1), space.ladder(m, 1), space.number(m),
-                          space.ladder(m, -2), space.ladder(m, 2)]) for m in space.modes)
-        table = basis_residuals(T[:, None], U[None], distinct)
+        headroom = np.flatnonzero(np.sum(space.basis, axis=1) <= n_max - 2)  # fam's states, branch by branch
+        table = _map_residuals(*(_monomial_maps(space, m) for m in space.modes), headroom)
         groups = ((a, b, table) for a, b in groups)
+    else:  # a side's weights are over the one-body operators of its four 2x2 matrix units
+        units = np.eye(16).reshape(4, 4, 4, 4)  # units[i, j] is the 4x4 matrix unit e_ij
+        L, R = sym_one_body(units[:2, :2]), sym_one_body(units[2:, 2:])
+        groups = ((np.einsum("gij,ijkl->gkl", a, L), np.einsum("gij,ijkl->gkl", b, R)) for a, b in groups)
     pair = f"{kind}-local random pairs x{n_pairs}"
     return _audit_pairs(groups, rng, fam, n_states, pair, kind, seed, threshold)

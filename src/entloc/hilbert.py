@@ -16,7 +16,6 @@ All functions are pure; arrays are never mutated in place.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod, sqrt
 
 import numpy as np
 
@@ -256,18 +255,27 @@ class FockSpace:
         except ValueError:
             raise ValueError(f"unknown mode label {mode!r}, have {self.modes}") from None
 
+    def ladder_map(self, mode: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column map of :meth:`ladder`: the row of each column's one nonzero, or -1 where the
+        column is zero, and that entry's value (0 where the row is -1)."""
+        occ, m = np.array(self.basis), self._mode_index(mode)
+        to = occ + k * np.eye(2, dtype=int)[m]
+        kept = (to[:, m] >= 0) & (to.sum(axis=1) <= self.n_max)  # within the cutoff, none below 0
+        # (n0, n1) is basis entry n0 (n_max + 1) - n0 (n0 - 1) / 2 + n1, in lexicographic order
+        rows = np.where(kept, to[:, 0] * (self.n_max + 1) - to[:, 0] * (to[:, 0] - 1) // 2 + to[:, 1], -1)
+        low, values = np.minimum(occ[:, m], to[:, m]), np.ones(self.dim)
+        for q in range(1, abs(k) + 1):  # the product of sqrt(low + q), smallest factor first
+            values = values * np.sqrt(np.maximum(low + q, 0))
+        return rows, np.where(kept, values, 0.0)
+
     def ladder(self, mode: str, k: int) -> np.ndarray:
         """Creation matrix of one mode to the power ``k > 0``, annihilation matrix to ``-k`` for ``k < 0``.
 
         Entry ``(n + k, n)`` is the product of ``sqrt(q)`` for ``q`` between ``n`` and ``n + k``, the
         larger included; elements past the cutoff are dropped."""
-        m = self._mode_index(mode)
+        rows, values = self.ladder_map(mode, k)
         op = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, occ in enumerate(self.basis):
-            n = occ[m]
-            to = occ[:m] + (n + k,) + occ[m + 1 :]
-            if to in self.index:  # within the cutoff, and no occupation below 0
-                op[self.index[to], j] = prod(map(sqrt, range(min(n, n + k) + 1, max(n, n + k) + 1)))
+        op[rows, np.arange(self.dim)] = values  # a zero column writes its 0 to the last row
         return op
 
     def number(self, mode: str) -> np.ndarray:

@@ -469,9 +469,9 @@ def run_capped(argv, cap_mib, timeout=None):
 @pytest.mark.parametrize(
     "argv",
     [
-        # within every bound, README's costliest mode control peaks at about 344 MiB RSS,
-        # most of it the two dense (6, dim, dim) ladder-monomial stacks its table is built from
-        ["audit", "--set", "mode", "--pairs", "random:100", "--states", "100", "--n-max", str(MAX_N_MAX)],
+        # within every bound, the costliest sample holds, classifies and prints its 10^5
+        # family-III states at once, at about 680 MiB RSS
+        ["sample", "--set", "III", "--n", str(MAX_SAMPLE_N)],
     ],
 )
 def test_a_request_too_large_for_memory_exits_2_with_one_line(argv):
@@ -490,10 +490,10 @@ def test_a_report_too_large_to_serialize_exits_2_with_one_line(capsys, monkeypat
     assert out == "" and err == "entloc: input error: not enough memory: \n"
 
 
-def test_a_mode_control_at_the_n_max_bound_fits_in_512_mib():
-    # whatever its pair count, a mode control holds one dense (6, dim, dim) monomial stack per mode
+def test_a_mode_control_at_the_n_max_bound_fits_in_256_mib():
+    # a mode control holds no dense ladder monomial, only its headroom states and column maps
     argv = ["audit", "--set", "mode", "--pairs", "random:10", "--states", "100", "--n-max", str(MAX_N_MAX)]
-    proc = run_capped(argv, 512, timeout=120)
+    proc = run_capped(argv, 256, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["results"]["audit"]["max_abs_residual"] == 0.0
 

@@ -630,13 +630,18 @@ def _mode_polynomial(space, mode, rng):
     return sum(c * m for c, m in zip(coeff, basis))
 
 
-def _one_body_sector_op(side, h):
-    """Symmetrized one-body operator supported on the L or R level block."""
-    H = np.zeros((4, 4), dtype=complex)
+def _one_body_sector_basis(side):
+    """Symmetrized one-body operators ``E† (h x 1 + 1 x h) E`` of the four 2x2 matrix units
+    ``h`` on the L or R level block, as a ``(2, 2, 10, 10)`` stack."""
     ofs = 0 if side == "L" else 2
-    H[ofs : ofs + 2, ofs : ofs + 2] = h
     E = sym_embedding(4)
-    return E.conj().T @ (np.kron(H, np.eye(4)) + np.kron(np.eye(4), H)) @ E
+    T = np.zeros((2, 2, 10, 10), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            H = np.zeros((4, 4), dtype=complex)
+            H[ofs + i, ofs + j] = 1.0
+            T[i, j] = E.conj().T @ (np.kron(H, np.eye(4)) + np.kron(np.eye(4), H)) @ E
+    return T
 
 
 def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e-10):
@@ -649,6 +654,7 @@ def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e
     per_group = max(1, AUDIT_BLOCK // min(n_states, AUDIT_BLOCK))
     sizes = block_sizes(n_states)
     worst, mean_acc = None, 0.0
+    basis = {side: _one_body_sector_basis(side) for side in "LR"}
     for first in range(0, n_pairs, per_group):
         g = min(per_group, n_pairs - first)
         draws = [fam.draw(rng, g * m) for m in sizes]
@@ -659,8 +665,9 @@ def per_pair_positive_control(kind, n_pairs, n_states, seed, n_max, threshold=1e
             else:
                 hA = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
                 hB = rng_ops.normal(size=(2, 2)) + 1j * rng_ops.normal(size=(2, 2))
-                A = _one_body_sector_op("L", (hA + hA.conj().T) / 2)
-                B = _one_body_sector_op("R", (hB + hB.conj().T) / 2)
+                # each operator is its Hermitian block's weights over its side's basis
+                A = np.einsum("ij,ijkl->kl", (hA + hA.conj().T) / 2, basis["L"])
+                B = np.einsum("ij,ijkl->kl", (hB + hB.conj().T) / 2, basis["R"])
             best, mean = per_row_audit(A, B, fam, [P[i * m : (i + 1) * m] for P, m in zip(draws, sizes)])
             mean_acc += mean
             if worst is None or best[0] > worst[0]:
@@ -705,9 +712,36 @@ def test_batched_control_matches_per_pair_audits(kind):
     assert cases == (135 if kind == "mode" else 27)
 
 
+def _dense_monomials(space, mode):
+    """The ladder monomials 1, a, a+, a+ a, a a, a+ a+ of one mode, as a dense (6, dim, dim) stack."""
+    return np.stack([np.eye(space.dim), space.ladder(mode, -1), space.ladder(mode, 1), space.number(mode),
+                     space.ladder(mode, -2), space.ladder(mode, 2)])
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 5, 8, 12, 20])
+def test_the_mode_table_is_basis_residuals_on_dense_monomials(n_max, monkeypatch):
+    space = FockSpace(n_max)
+    fam = family("mode", space)
+    states = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
+    headroom = np.argmax(np.abs(states), axis=-1)
+    # the control reads its table on the family's states, branch by branch
+    read, table = [], factorization._map_residuals
+    monkeypatch.setattr(factorization, "_map_residuals", lambda T, U, k: read.append(k) or table(T, U, k))
+    positive_control("mode", 1, 1, n_max=n_max)
+    assert len(read) == 1 and np.array_equal(read[0], headroom)
+    # the control's pairs are of modes 0 and 1, where the table is exactly 0; a pair of one
+    # mode's monomials has nonzero entries, so the same-mode tables check the formula
+    for m0, m1 in (("0", "1"), ("1", "0"), ("0", "0"), ("1", "1")):
+        T, U = _dense_monomials(space, m0), _dense_monomials(space, m1)
+        want = factorization.basis_residuals(T[:, None], U[None], states)
+        maps = factorization._monomial_maps(space, m0), factorization._monomial_maps(space, m1)
+        assert factorization._map_residuals(*maps, headroom).tobytes() == want.tobytes(), (m0, m1)
+        assert (np.abs(want).max() > 0) == (m0 == m1)
+
+
 def test_control_calls_stay_within_the_block(monkeypatch):
-    calls, tables, formula = [], [], factorization.basis_residuals
-    builds, build = [], Family.build_normalized
+    calls, tables, builds, one_body = [], [], [], []
+    formula, build, sym = factorization.basis_residuals, Family.build_normalized, factorization.sym_one_body
 
     def counting_builds(self, P):
         builds.append(P.shape[:-1])
@@ -721,20 +755,44 @@ def test_control_calls_stay_within_the_block(monkeypatch):
         tables.append(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
         return formula(A, B, S)
 
+    def counting_one_body(h):
+        one_body.append(np.shape(h)[:-2])
+        return sym(h)
+
+    def refuse(*args):
+        raise AssertionError("a dense ladder monomial was built")
+
     monkeypatch.setattr(factorization, "residuals", counting)
     monkeypatch.setattr(factorization, "basis_residuals", counting_tables)
+    monkeypatch.setattr(factorization, "sym_one_body", counting_one_body)
     monkeypatch.setattr(Family, "build_normalized", counting_builds)
-    # mode reads every pair's values on its headroom states from one table of the
-    # 36 ladder-monomial pairs, where a mode-local pair has only the j = k term: exactly 0
+    monkeypatch.setattr(FockSpace, "ladder", refuse)
+    monkeypatch.setattr(FockSpace, "number", refuse)
+    # mode reads every pair's values on its headroom states from one table of the 36
+    # ladder-monomial pairs, read from their column maps, where a mode-local pair has only
+    # the j = k term: exactly 0, with no dense monomial, no basis state and no residuals call
     assert positive_control("mode", 100, 100).max_abs_residual == 0.0
-    assert calls == [] and tables == [(6, 6)]
-    # the table's six headroom states, then the report's one state: no block is built
-    assert builds == [(6,), (1,)]
+    assert calls == [] and tables == [] and one_body == []
+    # the report's one state is the only state built: no block is built
+    assert builds == [(1,)]
     builds.clear()
     positive_control("ssr", 3, 1030)
     assert calls == [((1,), (1, AUDIT_BLOCK)), ((1,), (1, 6))] * 3
     # each pair keeps its best parameter row, and the report builds the winner's state alone
     assert builds == [(1, AUDIT_BLOCK), (1, 6)] * 3 + [(1,)]
+    # the three groups' pairs are weights over one basis per side, of its four matrix units' operators
+    assert one_body == [(2, 2), (2, 2)] and tables == []
+
+
+def test_a_mode_control_at_the_n_max_bound_holds_no_dense_monomial():
+    # two dense (6, dim, dim) monomial stacks at n_max 44 would take 205 MB; the headroom
+    # states, (946, 1035) complex, are 15.7 MB
+    tracemalloc.start()
+    try:
+        assert positive_control("mode", 10, 10, n_max=44).max_abs_residual == 0.0
+        assert tracemalloc.get_traced_memory()[1] <= 64 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _control_peak(kind, n_pairs):

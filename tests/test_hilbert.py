@@ -1,6 +1,7 @@
 """Basis conventions, symmetrization, reductions and the truncated Fock space."""
 
 from itertools import product
+from math import prod, sqrt
 
 import numpy as np
 import pytest
@@ -298,6 +299,32 @@ def test_fock_ladder_powers_are_products_of_single_steps(k):
         step = space.ladder(mode, 1 if k > 0 else -1)
         assert np.allclose(space.ladder(mode, k), np.linalg.matrix_power(step, abs(k)), rtol=0, atol=1e-14)
     assert np.allclose(space.ladder("0", 1) @ space.ladder("0", -1), space.number("0"), rtol=0, atol=1e-14)
+
+
+def per_column_ladder(space, mode, k):
+    """The per-column loop that built :meth:`FockSpace.ladder` before its column map, kept as its reference."""
+    m = space.modes.index(mode)
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, occ in enumerate(space.basis):
+        n = occ[m]
+        to = occ[:m] + (n + k,) + occ[m + 1 :]
+        if to in space.index:  # within the cutoff, and no occupation below 0
+            op[space.index[to], j] = prod(map(sqrt, range(min(n, n + k) + 1, max(n, n + k) + 1)))
+    return op
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 4, 12, 44])
+def test_fock_ladder_is_the_per_column_loop_byte_for_byte(n_max):
+    space = FockSpace(n_max)
+    for mode in space.modes:
+        for k in (-2, -1, 1, 2):
+            want = per_column_ladder(space, mode, k)
+            assert space.ladder(mode, k).tobytes() == want.tobytes(), (mode, k)
+            rows, values = space.ladder_map(mode, k)
+            # each column holds at most one nonzero, in the row and with the value of its map
+            cols = np.arange(space.dim)
+            assert np.array_equal(np.count_nonzero(want, axis=0), rows >= 0)
+            assert np.array_equal(want[np.maximum(rows, 0), cols] * (rows >= 0), values)
 
 
 def test_fock_unknown_mode():
