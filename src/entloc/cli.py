@@ -518,8 +518,8 @@ def cmd_sample(args, tol: Tolerances) -> tuple[dict, str]:
 
 MAX_AUDIT_STATES = 10**6
 """Most states one audit evaluates, ``--samples`` or pairs x ``--states``: 100 x perfbench's largest, 10^4.
-At it, pair audits took 0.1-0.6 s at 37-38 MiB RSS; one-state controls 2.0 s at 45 MiB (ssr), 0.4 s at
-38 MiB (mode), 0.5 s at 65 MiB (mode, ``--n-max 44``), 2-CPU x86-64; only time grows with states."""
+At it (2-CPU x86-64; only time grows with states) pair audits took 0.1-0.6 s at 37-38 MiB RSS, 0.3 s at
+85 MiB for mode at ``--n-max 44``; one-state controls 2.0 s at 45 MiB (ssr), 0.4-1.0 s at 38-39 MiB (mode)."""
 
 MAX_N_MAX = 44
 """Largest mode ``--n-max``: operators are dense dim x dim, dim (n+1)(n+2)/2, about 16 MiB each at 44."""
@@ -592,8 +592,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # argparse reads a leading command name as the command, so only its flags are needed
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args, unknown = parser.parse_known_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # it would also read a value that begins with '-' as a flag: every flag takes one value, so
+    # such a value is bound as flag=value, unless it is a flag of the command, -h or --help
+    flags = {*_COMMANDS[command][2].split(), "--format", "--out"} if command else set()
+    bound = list(argv[:1])
+    for token in argv[1:]:
+        joins = bound[-1] in flags and token[:1] == "-" and token not in flags | {"-h", "--help"}
+        bound[-1:] = [f"{bound[-1]}={token}"] if joins else [bound[-1], token]
+    parser = build_parser(command)
+    args, unknown = parser.parse_known_args(bound)
     if unknown:  # report them with the subcommand's usage, which lists its flags
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -55,7 +55,7 @@ def _moments(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, .
     """The unnormalized sums ``(<AB>, <A>, <B>, <1>)`` of each state of ``S``, checked as
     :func:`residuals` documents.  Overflows are left to the caller's finiteness check."""
     S = np.asarray(S, dtype=complex)
-    A, B = _checked_pair(A, B, S)
+    A, B = _checked_pair(A, B, S.shape)
     n = check_state(S)
     At, Bt, conj = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2), S.conj()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -93,21 +93,21 @@ def expectations(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarra
         return tuple(_finite(x / n, "expectation") for x in (ab, a, b))
 
 
-def basis_residuals(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """:func:`residuals`, with its refusals, of ``(m, d)`` states that are each a unit
-    basis vector ``e_k``: ``(AB)_kk - A_kk B_kk = sum_j A_kj B_jk - A_kk B_kk``, from
-    row ``k`` of ``A`` and column ``k`` of ``B``.  einsum rounds every product as a
-    scalar does, so neither BLAS nor a fused multiply-add moves a byte."""
-    A, B = _checked_pair(A, B, S)
+def basis_residuals(A: np.ndarray, B: np.ndarray, slots: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`residuals`, with its refusals, of the unit basis vectors ``e_k`` of dimension
+    ``dim``, one per slot ``k`` of the ``(m,)`` array ``slots``: ``(AB)_kk - A_kk B_kk =
+    sum_j A_kj B_jk - A_kk B_kk``, from row ``k`` of ``A`` and column ``k`` of ``B``.  einsum
+    rounds every product as a scalar does, so neither BLAS nor a fused multiply-add moves a byte."""
+    A, B = _checked_pair(A, B, (*np.shape(slots), dim))
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.einsum("...kj,...jk->...k", A, B) - np.einsum("...kk,...kk->...k", A, B)
-    return _finite(r[..., np.argmax(np.abs(S), axis=-1)])
+    return _finite(r[..., slots])
 
 
-def _checked_pair(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex ``A`` and ``B``, refused unless finite and ``(..., d, d)`` for ``(..., d)`` states ``S``."""
+def _checked_pair(A: np.ndarray, B: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Complex ``A`` and ``B``, refused unless finite and ``(..., d, d)`` for ``(..., m, d)`` states."""
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    if S.ndim < 2 or not A.shape[-2:] == B.shape[-2:] == (S.shape[-1],) * 2:
+    if len(shape) < 2 or not A.shape[-2:] == B.shape[-2:] == (shape[-1],) * 2:
         raise ValueError("operator and state dimensions do not match")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("operators contain non-finite entries")
@@ -231,8 +231,7 @@ def audit(
     fam = family(set_name, fock)
     groups = [(np.asarray(A)[None], np.asarray(B)[None])]
     if fam.n_real == 0:  # the one-pair case of a discrete group: weights 1 and its own table
-        distinct = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
-        groups = [(np.ones((1, 1)), np.ones((1, 1)), basis_residuals(*groups[0], distinct)[None])]
+        groups = [(*np.ones((2, 1, 1)), basis_residuals(*groups[0], fam.slots, fam.dim)[None])]
     return _audit_pairs(groups, rng, fam, n_samples, pair, set_name, seed, threshold)
 
 
@@ -273,8 +272,8 @@ def find_violation_witness(
     probe.  Every evaluated state counts against ``budget``, and the last
     batch is cut to what is left of it, so a search that returns ``None``
     has evaluated exactly ``budget`` states.  A discrete family (mode)
-    reads its first ``min(branches, budget)`` states at once, through
-    :func:`basis_residuals`, and its witness reports that value.
+    reads its first ``min(branches, budget)`` slots at once, through
+    :func:`basis_residuals`, builds only the witness state, and reports that value.
 
     Each batch is one :func:`residuals` call, with the checks of :func:`audit`:
     a state of norm at most 1e-12 raises :class:`ZeroNormError`.  A family
@@ -301,12 +300,12 @@ def find_violation_witness(
         return r, Witness(psi, residual(A, B, psi), set_name, classify(set_name, psi, tol))
 
     if fam.n_real == 0:
-        S = fam.build_normalized(np.arange(min(fam.branches, budget), dtype=float)[:, None])
-        r = basis_residuals(A, B, S)
+        r = basis_residuals(A, B, fam.slots[:budget], fam.dim)
         hits = np.flatnonzero(np.abs(r) > threshold)
         if not hits.size:
             return None
-        return Witness(S[hits[0]], complex(r[hits[0]]), set_name, classify(set_name, S[hits[0]], tol))
+        psi = fam.build_normalized(hits[:1, None].astype(float))[0]
+        return Witness(psi, complex(r[hits[0]]), set_name, classify(set_name, psi, tol))
 
     width = 2 * fam.n_real
     # probe j of a restart moves coordinate j // 2 by +step (j even) or -step (j odd)
@@ -371,13 +370,13 @@ def _local_pairs(kind: str, g: int, rng: np.random.Generator) -> tuple[np.ndarra
 def _monomial_maps(space: FockSpace, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`FockSpace.ladder_map` column maps of one mode's monomials ``1, a, a+, a+ a, a a, a+ a+``."""
     maps = [space.ladder_map(mode, k) for k in (0, -1, 1, 0, -2, 2)]
-    maps[3] = maps[0][0], np.array(space.basis, dtype=float)[:, space.modes.index(mode)]  # a+ a
+    maps[3] = maps[0][0], space.occupations[:, space.modes.index(mode)].astype(float)  # a+ a
     return tuple(map(np.stack, zip(*maps)))
 
 
 def _map_residuals(T, U, k: np.ndarray) -> np.ndarray:
     """:func:`basis_residuals` of every pair of the column maps ``T = (rows, values)`` and ``U``,
-    each ``(n, dim)``, on the unit basis states ``e_k``, as an ``(n_T, n_U, len(k))`` array.  Column
+    each ``(n, dim)``, on the slots ``k``, as an ``(n_T, n_U, len(k))`` array.  Column
     ``k`` of ``U`` holds its one nonzero in row ``j``, so ``(TU)_kk = T_kj U_jk``."""
     (rT, vT), (rU, vU) = T, U
     j, u = rU[:, k], vU[:, k]  # a column with no nonzero reads row -1, with u = 0
@@ -427,8 +426,7 @@ def positive_control(
     sizes = (min(per_call, n_pairs - first) for first in range(0, n_pairs, per_call))
     groups = (_local_pairs(kind, g, rng_ops) for g in sizes)  # each drawn when its group runs
     if space:
-        headroom = np.flatnonzero(np.sum(space.basis, axis=1) <= n_max - 2)  # fam's states, branch by branch
-        table = _map_residuals(*(_monomial_maps(space, m) for m in space.modes), headroom)
+        table = _map_residuals(*(_monomial_maps(space, m) for m in space.modes), fam.slots)
         groups = ((a, b, table) for a, b in groups)
     else:  # a side's weights are over the one-body operators of its four 2x2 matrix units
         units = np.eye(16).reshape(4, 4, 4, 4)  # units[i, j] is the 4x4 matrix unit e_ij

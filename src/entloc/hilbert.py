@@ -230,9 +230,9 @@ def reduced_single_particle_dm(
 class FockSpace:
     """Bosonic Fock space of the two modes ``"0"`` and ``"1"``, with a total-occupation cutoff.
 
-    The basis is every occupation pair ``(n0, n1)`` with ``n0 + n1 <= n_max``, in lexicographic
-    order.  Creation matrix elements past the cutoff are dropped, so degree-``k`` ladder
-    polynomials act exactly on states with total number at most ``n_max - k``.
+    The basis is the occupation pairs ``(n0, n1)``, ``n0 + n1 <= n_max``, in lexicographic order, held
+    once as the read-only ``(dim, 2)`` array ``occupations``.  Creation elements past the cutoff are
+    dropped, so degree-``k`` ladder polynomials act exactly on states of total number at most ``n_max - k``.
     """
 
     modes = ("0", "1")
@@ -241,13 +241,12 @@ class FockSpace:
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         self.n_max = int(n_max)
-        self.basis: tuple[tuple[int, int], ...] = tuple(
-            (n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0))
-        self.index: dict[tuple[int, int], int] = {occ: k for k, occ in enumerate(self.basis)}
+        self.occupations = np.array([(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)])
+        self.occupations.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.occupations)
 
     def _mode_index(self, mode: str) -> int:
         try:
@@ -255,14 +254,17 @@ class FockSpace:
         except ValueError:
             raise ValueError(f"unknown mode label {mode!r}, have {self.modes}") from None
 
+    def slot(self, n0: int | np.ndarray, n1: int | np.ndarray) -> int | np.ndarray:
+        """Basis index of the occupations ``(n0, n1)`` (or of each pair of two arrays) within the cutoff."""
+        return n0 * (self.n_max + 1) - n0 * (n0 - 1) // 2 + n1  # lexicographic order
+
     def ladder_map(self, mode: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column map of :meth:`ladder`: the row of each column's one nonzero, or -1 where the
         column is zero, and that entry's value (0 where the row is -1)."""
-        occ, m = np.array(self.basis), self._mode_index(mode)
+        occ, m = self.occupations, self._mode_index(mode)
         to = occ + k * np.eye(2, dtype=int)[m]
         kept = (to[:, m] >= 0) & (to.sum(axis=1) <= self.n_max)  # within the cutoff, none below 0
-        # (n0, n1) is basis entry n0 (n_max + 1) - n0 (n0 - 1) / 2 + n1, in lexicographic order
-        rows = np.where(kept, to[:, 0] * (self.n_max + 1) - to[:, 0] * (to[:, 0] - 1) // 2 + to[:, 1], -1)
+        rows = np.where(kept, self.slot(*to.T), -1)
         low, values = np.minimum(occ[:, m], to[:, m]), np.ones(self.dim)
         for q in range(1, abs(k) + 1):  # the product of sqrt(low + q), smallest factor first
             values = values * np.sqrt(np.maximum(low + q, 0))
@@ -279,13 +281,10 @@ class FockSpace:
         return op
 
     def number(self, mode: str) -> np.ndarray:
-        m = self._mode_index(mode)
-        return np.diag(np.asarray([occ[m] for occ in self.basis], dtype=complex))
+        return np.diag(self.occupations[:, self._mode_index(mode)].astype(complex))
 
     def occupation_state(self, occ: tuple[int, ...]) -> np.ndarray:
         occ = tuple(int(n) for n in occ)
-        if occ not in self.index:
+        if len(occ) != 2 or min(occ) < 0 or sum(occ) > self.n_max:
             raise ValueError(f"occupation {occ} not in the truncated basis")
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index[occ]] = 1.0
-        return v
+        return (np.arange(self.dim) == self.slot(*occ)).astype(complex)

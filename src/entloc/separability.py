@@ -328,6 +328,9 @@ class Family:
     n_real: int
     pieces: Callable[[np.ndarray, np.ndarray], np.ndarray]
     """``(branches (...,), coefficients (..., k/2))`` -> ``(..., d)`` unnormalized states."""
+    slots: np.ndarray | None = None
+    """A discrete family's (``n_real`` 0) read-only slots: branch ``b`` is ``e_slots[b]`` of ``dim``."""
+    dim: int | None = None
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` parameter rows: uniform branches, standard normal coordinates."""
@@ -379,40 +382,37 @@ def _ssr_states(branch: np.ndarray, c: np.ndarray) -> np.ndarray:
     return psi.reshape(*branch.shape, 10)
 
 
-def _occupation_family(states: np.ndarray) -> Family:
-    states = np.asarray(states, dtype=complex)
-    return Family(len(states), 0, lambda branch, c: states[branch])
+def _occupation_family(slots: np.ndarray, dim: int) -> Family:
+    slots.setflags(write=False)
+    return Family(len(slots), 0, lambda b, c: (slots[b][..., None] == np.arange(dim)).astype(complex),
+                  slots, dim)
 
 
 FAMILIES = {
     "I": Family(1, 4, lambda branch, c: sep_I_state(c[..., 0], c[..., 1])),
     "II": Family(2, 4, _sep_II_states),
-    "III": Family(1, 16, lambda branch, c: sep_III_state(
-        c[..., 0:2], c[..., 2], c[..., 3:5], c[..., 5:8]
-    )),
-    "mode": _occupation_family(np.eye(3)),
+    "III": Family(1, 16, lambda branch, c: sep_III_state(c[..., 0:2], c[..., 2], c[..., 3:5], c[..., 5:8])),
+    "mode": _occupation_family(np.arange(3), 3),
     "ssr": Family(3, 8, _ssr_states),
 }
-"""Parametrization per family; ``mode`` holds the two-particle states
-``|2,0>, |0,2>, |1,1>`` in the symmetric basis."""
+"""Parametrization per family; ``mode`` holds the slots of the two-particle states
+``|2,0>, |0,2>, |1,1>`` in the symmetric basis, and builds no state until asked."""
 
 
 def family(kind: str, fock: FockSpace | None = None) -> Family:
     """The parametrization of one separable family.
 
-    Given ``fock``, the ``mode`` family is instead the occupation states of
-    that space with total number at most ``n_max - 2``: the headroom keeps
-    degree-<=2 ladder polynomials exact under the truncation.
+    Given ``fock``, the ``mode`` family is instead the slots of that space's occupation states
+    with total number at most ``n_max - 2``: the headroom keeps degree-<=2 ladder polynomials
+    exact under the truncation.
     """
     kind = canonical_set_name(kind)
     if kind != "mode" or fock is None:
         return FAMILIES[kind]
-    headroom = [occ for occ in fock.basis if sum(occ) <= fock.n_max - 2]
-    if not headroom:
-        raise ValueError(
-            f"mode states need n_max >= 2 for ladder-polynomial headroom, got {fock.n_max}"
-        )
-    return _occupation_family([fock.occupation_state(occ) for occ in headroom])
+    headroom = np.flatnonzero(fock.occupations.sum(axis=1) <= fock.n_max - 2)
+    if not headroom.size:
+        raise ValueError(f"mode states need n_max >= 2 for ladder-polynomial headroom, got {fock.n_max}")
+    return _occupation_family(headroom, fock.dim)
 
 
 def sample_separable(kind: str, rng: np.random.Generator) -> np.ndarray:

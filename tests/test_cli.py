@@ -718,6 +718,48 @@ def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert f"entloc {argv[0]}: error: unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
+@pytest.mark.parametrize(
+    "argv, equals_form",
+    [
+        (["classify", "--amps", "-0.6,0.8,0"], ["classify", "--amps=-0.6,0.8,0"]),
+        (["classify", "--family", "I", "--coeffs", "-1,1"], ["classify", "--family", "I", "--coeffs=-1,1"]),
+        (["preserve-check", "--op", "-pauli:3"], ["preserve-check", "--op=-pauli:3"]),
+        (["certify", "--pair", "-pauli:1,pauli:2"], ["certify", "--pair=-pauli:1,pauli:2"]),
+        (["witness", "--set", "I", "--A", "-pauli:3", "--B", "-pauli:1"],
+         ["witness", "--set", "I", "--A=-pauli:3", "--B=-pauli:1"]),
+    ],
+)
+def test_a_flag_value_that_begins_with_a_dash_reads_as_its_equals_form(argv, equals_form, capsys):
+    code, doc = run_json(capsys, *argv)
+    want_code, want = run_json(capsys, *equals_form)
+    assert code == want_code == 0 and results_bytes(doc) == results_bytes(want)
+
+
+def test_a_dash_value_binds_to_no_flag_it_is_not_the_value_of(capsys):
+    # an unknown flag is still refused with the command's usage, its value left to it
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--bogus", "1"])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: entloc classify ") and "unrecognized arguments: --bogus 1" in err
+    # a flag of the command, or a help flag, after a flag is not its value
+    for after in (["--basis", "sym3"], ["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--amps", *after])
+        assert exc.value.code == EXIT_INPUT
+        assert "argument --amps: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_the_help_of_a_command_is_its_parsers_help(command, capsys):
+    (sub,) = (a for a in build_parser(command)._actions if a.dest == "command")
+    want = sub.choices[command].format_help()
+    for argv in ([command, "--help"], [command, "-h"], [command, "--format", "json", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == want, argv
+
+
 def test_config_echoes_null_for_knobs_the_command_does_not_take(capsys):
     _, doc = run_json(capsys, "classify", "--amps", "0,0,1", "--tol-class", "1e-7")
     config = doc["config"]

@@ -221,20 +221,21 @@ def test_the_diagonal_formula_matches_residuals_on_every_headroom_state(n_max):
     S = fam.build_normalized(np.arange(fam.branches, dtype=float)[:, None])
     for A, B in mode_pairs(space, np.random.default_rng(n_max)):
         scale = np.linalg.norm(A) * np.linalg.norm(B)
-        assert np.max(np.abs(factorization.basis_residuals(A, B, S) - residuals(A, B, S))) <= 1e-15 * scale
+        diagonal = factorization.basis_residuals(A, B, fam.slots, space.dim)
+        assert np.max(np.abs(diagonal - residuals(A, B, S))) <= 1e-15 * scale
 
 
 def test_the_diagonal_formula_keeps_the_refusals_of_residuals():
-    S = np.eye(3, dtype=complex)
+    slots = np.arange(3)
     bad = np.eye(3, dtype=complex)
     bad[0, 0] = np.nan
     for A, B in ((bad, np.eye(3)), (np.eye(3), bad)):
         with pytest.raises(ValueError, match="non-finite"):
-            factorization.basis_residuals(A, B, S)
+            factorization.basis_residuals(A, B, slots, 3)
     with pytest.raises(ValueError, match="overflowed"):
-        factorization.basis_residuals(1e200 * np.eye(3), 1e200 * np.eye(3), S)
+        factorization.basis_residuals(1e200 * np.eye(3), 1e200 * np.eye(3), slots, 3)
     with pytest.raises(ValueError, match="dimensions"):
-        factorization.basis_residuals(np.eye(4), np.eye(4), S)
+        factorization.basis_residuals(np.eye(4), np.eye(4), slots, 3)
 
 
 # --- audits ----------------------------------------------------------------------
@@ -505,9 +506,9 @@ def test_mode_witness_reads_min_branches_budget_states_at_once(monkeypatch):
     read = []
     formula = factorization.basis_residuals
 
-    def counting_formula(A, B, S):
-        read.append(len(S))
-        return formula(A, B, S)
+    def counting_formula(A, B, slots, dim):
+        read.append(len(slots))
+        return formula(A, B, slots, dim)
 
     monkeypatch.setattr(factorization, "basis_residuals", counting_formula)
     monkeypatch.setattr(factorization, "AUDIT_BLOCK", 4)  # no block splits the read
@@ -523,14 +524,16 @@ def test_mode_witness_reads_min_branches_budget_states_at_once(monkeypatch):
 
 
 def test_a_zero_state_raises_in_the_witness_search_as_in_the_audit(monkeypatch):
-    # one policy for a degenerate family state: neither path scores it
+    # one policy for a degenerate family state: neither path scores it.  A discrete family
+    # holds only unit states, so the zero row is a branch of a continuous one
     states = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex)
-    monkeypatch.setattr(factorization, "family", lambda kind, fock=None: Family(3, 0, lambda b, c: states[b]))
+    zero_branch = Family(3, 2, lambda b, c: c[..., :1] * states[b])
+    monkeypatch.setattr(factorization, "family", lambda kind, fock=None: zero_branch)
     swap = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     with pytest.raises(ZeroNormError):
-        find_violation_witness(swap, swap, "mode")
+        find_violation_witness(swap, swap, "I")
     with pytest.raises(ZeroNormError):
-        audit(swap, swap, "mode", 10, seed=0)
+        audit(swap, swap, "I", 10, seed=0)
 
 
 def budget_pairs(kind):
@@ -733,7 +736,7 @@ def test_the_mode_table_is_basis_residuals_on_dense_monomials(n_max, monkeypatch
     # mode's monomials has nonzero entries, so the same-mode tables check the formula
     for m0, m1 in (("0", "1"), ("1", "0"), ("0", "0"), ("1", "1")):
         T, U = _dense_monomials(space, m0), _dense_monomials(space, m1)
-        want = factorization.basis_residuals(T[:, None], U[None], states)
+        want = factorization.basis_residuals(T[:, None], U[None], headroom, space.dim)
         maps = factorization._monomial_maps(space, m0), factorization._monomial_maps(space, m1)
         assert factorization._map_residuals(*maps, headroom).tobytes() == want.tobytes(), (m0, m1)
         assert (np.abs(want).max() > 0) == (m0 == m1)
@@ -751,9 +754,9 @@ def test_control_calls_stay_within_the_block(monkeypatch):
         calls.append((A.shape[:-2], S.shape[:-1]))
         return residuals(A, B, S)
 
-    def counting_tables(A, B, S):
+    def counting_tables(A, B, slots, dim):
         tables.append(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
-        return formula(A, B, S)
+        return formula(A, B, slots, dim)
 
     def counting_one_body(h):
         one_body.append(np.shape(h)[:-2])
@@ -784,31 +787,45 @@ def test_control_calls_stay_within_the_block(monkeypatch):
     assert one_body == [(2, 2), (2, 2)] and tables == []
 
 
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_mode_control_at_the_n_max_bound_holds_no_dense_monomial():
-    # two dense (6, dim, dim) monomial stacks at n_max 44 would take 205 MB; the headroom
-    # states, (946, 1035) complex, are 15.7 MB
-    tracemalloc.start()
-    try:
-        assert positive_control("mode", 10, 10, n_max=44).max_abs_residual == 0.0
-        assert tracemalloc.get_traced_memory()[1] <= 64 * 2**20
-    finally:
-        tracemalloc.stop()
+    # two dense (6, dim, dim) monomial stacks at n_max 44 would take 205 MB, and the headroom
+    # states as a dense (946, 1035) complex stack 15.7 MB; the control holds their column maps
+    # and slots, O(dim) each
+    rep, peak = _traced_peak(lambda: positive_control("mode", 10, 10, n_max=44))
+    assert rep.max_abs_residual == 0.0 and peak <= 8 * 2**20
 
 
-def _control_peak(kind, n_pairs):
-    tracemalloc.start()
-    try:
-        positive_control(kind, n_pairs, 1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_a_mode_audit_and_witness_at_the_n_max_bound_hold_no_dense_headroom_states():
+    # the pair's own dim x dim operators (16 MiB each) are built before tracing; the family
+    # is its (946,) slots, and the dense (946, 1035) headroom states would be 15.7 MB
+    space = FockSpace(44)
+    n0, n1, up = space.number("0"), space.number("1"), space.ladder("0", 1)
+    x = up + up.conj().T
+    rep, peak = _traced_peak(lambda: audit(n0, n1, "mode", 1000, seed=1, fock=space))
+    assert rep.max_abs_residual == 0.0 and peak <= 8 * 2**20
+    # a search that finds nothing reads every slot; a found one builds only its witness
+    found, peak = _traced_peak(lambda: find_violation_witness(n0, up, "mode", fock=space))
+    assert found is None and peak <= 8 * 2**20
+    found, peak = _traced_peak(lambda: find_violation_witness(x, x, "mode", fock=space))
+    assert found.state.shape == (space.dim,) and peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["mode", "ssr"])
 def test_control_memory_does_not_grow_with_the_pair_count(kind):
     # each group of pairs joins the report when it is done, so 20x the pairs
     # must not raise the peak (keeping every group's results until the end: 1.5x)
-    assert _control_peak(kind, 40_960) <= 1.1 * _control_peak(kind, 2_048)
+    peak = [_traced_peak(lambda: positive_control(kind, n_pairs, 1))[1] for n_pairs in (40_960, 2_048)]
+    assert peak[0] <= 1.1 * peak[1]
 
 
 def test_control_rejects_bad_inputs():

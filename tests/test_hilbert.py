@@ -255,23 +255,35 @@ def test_reduced_dm_is_a_state_and_basis_independent():
 def test_fock_dimension_and_order():
     space = FockSpace(4)
     assert space.dim == 15
-    assert space.basis[0] == (0, 0)
-    assert space.basis == tuple(sorted(space.basis))
+    assert space.occupations.shape == (15, 2) and not space.occupations.flags.writeable
+    assert space.occupations[0].tolist() == [0, 0]
+    assert space.occupations.tolist() == sorted(space.occupations.tolist())
 
 
 def test_fock_basis_is_the_generic_two_mode_construction():
     for n in range(1, 45):  # up to the CLI's --n-max bound
         space = FockSpace(n)
-        assert space.basis == tuple(sorted(o for o in product(range(n + 1), repeat=2) if sum(o) <= n))
-        assert space.index == {occ: k for k, occ in enumerate(space.basis)}
+        index = {occ: k for k, occ in enumerate(sorted(o for o in product(range(n + 1), repeat=2) if sum(o) <= n))}
+        assert space.occupations.tolist() == [list(occ) for occ in index]
+        # the slot formula is the dict's lookup, on every pair and on the array at once
+        assert [space.slot(*occ) for occ in index] == list(index.values())
+        assert space.slot(*space.occupations.T).tolist() == list(index.values())
         assert space.dim == (n + 1) * (n + 2) // 2
+
+
+def test_fock_occupation_states_outside_the_basis_are_refused():
+    space = FockSpace(4)
+    assert space.occupation_state((3, 1))[space.slot(3, 1)] == 1
+    for occ in ((3, 2), (-1, 0), (0, -1), (1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="not in the truncated basis"):
+            space.occupation_state(occ)
 
 
 def test_fock_commutator_below_cutoff():
     space = FockSpace(4)
     a, ad = space.ladder("0", -1), space.ladder("0", 1)
     comm = a @ ad - ad @ a
-    for occ in space.basis:
+    for occ in space.occupations:
         if sum(occ) < space.n_max:
             v = space.occupation_state(occ)
             assert np.allclose(comm @ v, v)
@@ -282,7 +294,7 @@ def test_fock_number_and_creation():
     v = space.occupation_state((2, 0))
     assert abs(np.vdot(v, space.number("0") @ v) - 2) < 1e-14
     out = space.ladder("0", 1) @ (space.ladder("1", 1) @ space.occupation_state((0, 0)))
-    assert abs(out[space.index[(1, 1)]] - 1) < 1e-14
+    assert abs(out[space.slot(1, 1)] - 1) < 1e-14
 
 
 def test_fock_creation_truncates_at_cutoff():
@@ -304,12 +316,13 @@ def test_fock_ladder_powers_are_products_of_single_steps(k):
 def per_column_ladder(space, mode, k):
     """The per-column loop that built :meth:`FockSpace.ladder` before its column map, kept as its reference."""
     m = space.modes.index(mode)
+    index = {tuple(occ): k for k, occ in enumerate(space.occupations.tolist())}
     op = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, occ in enumerate(space.basis):
+    for occ, j in index.items():
         n = occ[m]
         to = occ[:m] + (n + k,) + occ[m + 1 :]
-        if to in space.index:  # within the cutoff, and no occupation below 0
-            op[space.index[to], j] = prod(map(sqrt, range(min(n, n + k) + 1, max(n, n + k) + 1)))
+        if to in index:  # within the cutoff, and no occupation below 0
+            op[index[to], j] = prod(map(sqrt, range(min(n, n + k) + 1, max(n, n + k) + 1)))
     return op
 
 

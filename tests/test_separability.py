@@ -37,7 +37,7 @@ from entloc import (
     symmetrize_product,
 )
 from entloc.hilbert import EPS_STATE, FockSpace, pi_reduction_matrix
-from entloc.separability import Tolerances, family
+from entloc.separability import Family, Tolerances, family
 
 RNG = np.random.default_rng(99)
 
@@ -284,6 +284,37 @@ def test_stacked_build_rounds_as_one_row_builds(kind):
         block = fam.build_normalized(P).reshape(p * m, -1)
         rows = P.reshape(p * m, -1)
         assert [s.tobytes() for s in block] == [fam.build_normalized(r[None])[0].tobytes() for r in rows]
+
+
+def dense_headroom_family(n_max):
+    """The mode family of 0.22.0, kept as its reference: every headroom occupation state
+    (total number at most ``n_max - 2``) as one dense ``(branches, dim)`` stack, indexed by branch,
+    built from the basis tuple and index dict that ``FockSpace`` held then."""
+    basis = tuple((n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0))
+    index = {occ: k for k, occ in enumerate(basis)}
+    states = []
+    for occ in basis:
+        if sum(occ) <= n_max - 2:
+            v = np.zeros(len(basis), dtype=complex)
+            v[index[occ]] = 1.0
+            states.append(v)
+    states = np.asarray(states, dtype=complex)
+    return Family(len(states), 0, lambda branch, c: states[branch])
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 12, 44])
+def test_the_mode_family_builds_the_dense_headroom_states_byte_for_byte(n_max):
+    space = FockSpace(n_max)
+    fam, dense = family("mode", space), dense_headroom_family(n_max)
+    assert fam.branches == dense.branches and fam.dim == space.dim
+    assert not fam.slots.flags.writeable
+    P = np.arange(fam.branches, dtype=float)[:, None]
+    assert fam.build_normalized(P).tobytes() == dense.build_normalized(P).tobytes()
+    for row in P:  # one-row builds, as the report and the witness make
+        assert fam.build_normalized(row[None]).tobytes() == dense.build_normalized(row[None]).tobytes()
+    # the family without a Fock space is the three two-particle occupation states, by slot
+    three = family("mode")
+    assert three.build_normalized(np.arange(3.0)[:, None]).tobytes() == np.eye(3, dtype=complex).tobytes()
 
 
 def build_every_branch_then_select(kind, P):
