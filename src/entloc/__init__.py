@@ -77,4 +77,4 @@ from .separability import (
     solve_preservation_quartic,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"

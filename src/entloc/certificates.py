@@ -9,7 +9,8 @@ four-level analogue certifies that an off-diagonal sector block of a local
 pair must vanish.
 
 Both certificates expand through one table of exact branch amplitudes,
-:func:`_amplitudes`, and one bilinear form, :func:`_forms`.  The amplitudes
+:func:`_amplitudes`, each one term, and one bilinear form, :func:`_forms`,
+one pass over a block's entries.  The amplitudes
 are the numeric families' formulas: family I's single-particle factor, and
 each sector's parametrization in the ssr family, LL and RR three free
 amplitudes and LR the product of an L-side and an R-side superposition.
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
 
 from .errors import ConsistencyError
 from .exact import (
@@ -31,8 +31,8 @@ from .exact import (
     GaussianRational,
     MultiPoly,
     RootTwoRational,
+    bilinear_forms,
     conjugate_name,
-    sum_of_products,
 )
 from .hilbert import SECTOR_SLOTS, SECTORS
 
@@ -64,20 +64,30 @@ def _amplitudes(branch, names, variables, ring) -> list[MultiPoly]:
     free amplitudes, and ``"LR"`` is ``c_i d_j / sqrt2`` for ``names =
     (c0, c1, d0, d1)``, in ``SECTOR_SLOTS`` order: the formulas
     ``separability._ssr_states`` builds.  Every constant is real, so the
-    bra side's amplitudes are these with starred ``names``.
+    bra side's amplitudes are these with starred ``names``.  Each amplitude
+    is one term, built as such.
     """
-    amps = [MultiPoly.variable(variables, name, ring.coerce(1), _MAX_DEGREE) for name in names]
     if branch != "LR":
-        return amps
-    return [sum_of_products(variables, ((amps[i], amps[2 + j]),), ((HALF_SQRT2,),), _MAX_DEGREE)[0]
+        return [MultiPoly.variable(variables, name, ring.coerce(1), _MAX_DEGREE) for name in names]
+    return [MultiPoly.monomial(variables, (names[i], names[2 + j]), HALF_SQRT2, _MAX_DEGREE)
             for i in range(2) for j in range(2)]
 
 
 def _forms(matrices, bra, ket, rows, cols) -> list[MultiPoly]:
-    """``sum_{i,j} M[rows[i]][cols[j]] bra_i ket_j`` for every matrix ``M``."""
-    pairs = [(b, k) for b in bra for k in ket]
-    weights = [[M[r][c] for r in rows for c in cols] for M in matrices]
-    return sum_of_products(bra[0].variables, pairs, weights, _MAX_DEGREE)
+    """``sum_{i,j} M[rows[i]][cols[j]] bra_i ket_j`` for every matrix ``M``, from one-term amplitudes."""
+    weights = [[[M[r][c] for c in cols] for r in rows] for M in matrices]
+    return bilinear_forms(weights, bra, ket, _MAX_DEGREE)
+
+
+def _residual_poly(O, Q) -> MultiPoly:
+    """:func:`expand_residual_sep_I` of two 2x2 matrices of exact entries."""
+    bra = _amplitudes("I", ("c0*", "c1*"), SEP_I_VARIABLES, GaussianRational)
+    ket = _amplitudes("I", ("c0", "c1"), SEP_I_VARIABLES, GaussianRational)
+    OQ = [[O[i][0] * Q[0][j] + O[i][1] * Q[1][j] for j in range(2)] for i in range(2)]
+    norm, cross, form_o, form_q = _forms((PAULI_EXACT[0], OQ, O, Q), bra, ket, (0, 1), (0, 1))
+    left, right = norm * cross, form_o * form_q
+    # left^2 - right^2 as one product: both factors have the same few monomials
+    return (left - right) * (left + right)
 
 
 def expand_residual_sep_I(O, Q) -> MultiPoly:
@@ -88,13 +98,7 @@ def expand_residual_sep_I(O, Q) -> MultiPoly:
     minus (the product of the two expectation forms)^2.  The zero
     polynomial means the pair factorizes on every family member.
     """
-    O = np.array(exact_matrix(O), dtype=object)
-    Q = np.array(exact_matrix(Q), dtype=object)
-    bra = _amplitudes("I", ("c0*", "c1*"), SEP_I_VARIABLES, GaussianRational)
-    ket = _amplitudes("I", ("c0", "c1"), SEP_I_VARIABLES, GaussianRational)
-    norm, cross, form_o, form_q = _forms((PAULI_EXACT[0], O @ Q, O, Q), bra, ket, (0, 1), (0, 1))
-    left, right = norm * cross, form_o * form_q
-    return sum_of_products(SEP_I_VARIABLES, ((left, left), (right, right)), ((1, -1),), _MAX_DEGREE)[0]
+    return _residual_poly(exact_matrix(O), exact_matrix(Q))
 
 
 @dataclass
@@ -151,26 +155,43 @@ def _preferred_monomial(poly: MultiPoly):
     for diagonal pairs every monomial is balanced and the plain
     lexicographic leader is used.
     """
-    items = poly.sorted_terms()
-    if not items:
-        return None
     idx = {name: k for k, name in enumerate(poly.variables)}
-    for exps, coeff in items:
-        for name in poly.variables:
-            if not name.endswith("*") and exps[idx[name]] != exps[idx[conjugate_name(name)]]:
-                return exps, coeff
-    return items[0]
+    pairs = [(idx[name], idx[conjugate_name(name)]) for name in poly.variables if not name.endswith("*")]
+    first = None
+    for exps in poly.monomials():
+        if any(exps[i] != exps[j] for i, j in pairs):
+            return exps, poly.coefficient(exps)
+        first = first or (exps, poly.coefficient(exps))
+    return first
 
 
-def _certificate_from_poly(poly: MultiPoly, point: dict, structural=None) -> Certificate:
-    rendered_point = tuple((name, str(point[name])) for name in poly.variables)
+def _check_point(values: dict) -> tuple[dict, tuple]:
+    """A check point and its rendered ``(name, text)`` pairs."""
+    return values, tuple((name, str(v)) for name, v in values.items())
+
+
+@cache
+def _sector_point(variables: tuple[str, ...]) -> tuple[dict, tuple]:
+    """One real rational value per base parameter, ``1/(k + 2)`` in sorted order; starred
+    variables get the same value so the point is physically consistent."""
+    bases = sorted({n.rstrip("*") for n in variables})
+    values = {base: RootTwoRational.coerce(Fraction(1, k + 2)) for k, base in enumerate(bases)}
+    return _check_point({n: values[n.rstrip("*")] for n in variables})
+
+
+_PAIR_POINT = _check_point({"c0": GR_ONE, "c0*": GR_ONE, "c1": GaussianRational(Fraction(1, 2)),
+                            "c1*": GaussianRational(Fraction(1, 2))})
+
+
+def _certificate_from_poly(poly: MultiPoly, check_point: tuple, structural=None) -> Certificate:
+    point, rendered = check_point
     ring = type(next(iter(point.values())))  # the point's ring: a zero polynomial names none
     check = poly.evaluate(point) if not poly.is_zero else ring.coerce(0)
     lead = _preferred_monomial(poly)
     monomial, coefficient = lead or (None, None)
     verdict = "NonzeroMonomial" if lead else "IdenticallyZero"
-    return Certificate(verdict, poly.variables, monomial, coefficient, rendered_point, check,
-                       len(poly.terms), structural)
+    return Certificate(verdict, poly.variables, monomial, coefficient, rendered, check, poly.n_terms,
+                       structural)
 
 
 def _is_diagonal(M) -> bool:
@@ -197,7 +218,7 @@ def certify_factorization_sep_I(O, Q) -> Certificate:
     """
     O = exact_matrix(O)
     Q = exact_matrix(Q)
-    poly = expand_residual_sep_I(O, Q)
+    poly = _residual_poly(O, Q)
     # in a basis, every product <i|O|j><l|Q|k> with i != j, l != k vanishes
     # exactly when at least one operator is diagonal there
     structural = {
@@ -209,9 +230,7 @@ def certify_factorization_sep_I(O, Q) -> Certificate:
     structural["both_bases"] = (
         structural["computational_basis"] and structural["hadamard_basis"]
     )
-    one, half = GaussianRational.coerce(1), GaussianRational(Fraction(1, 2))
-    point = {"c0": one, "c0*": one, "c1": half, "c1*": half}
-    return _certificate_from_poly(poly, point, structural)
+    return _certificate_from_poly(poly, _PAIR_POINT, structural)
 
 
 # --- sector coupling certificates -------------------------------------------
@@ -249,9 +268,4 @@ def certify_sector_coupling(A, B, X: str, Y: str) -> Certificate:
         raise ConsistencyError(
             "sector polynomial and block matrices disagree on vanishing"
         )
-    # one real rational value per base parameter; starred variables get the
-    # same value so the point is physically consistent
-    bases = sorted({n.rstrip("*") for n in variables})
-    values = {base: RootTwoRational.coerce(Fraction(1, k + 2)) for k, base in enumerate(bases)}
-    point = {n: values[n.rstrip("*")] for n in variables}
-    return _certificate_from_poly(product, point)
+    return _certificate_from_poly(product, _sector_point(variables))

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -96,18 +97,25 @@ MAX_DECIMAL_EXPONENT = 4300
 
 def _exact_rational(text: str) -> Fraction:
     mantissa, e, exponent = text.lower().partition("e")
-    longest = max(sum(map(str.isdecimal, side)) for side in mantissa.split("/"))
-    if longest > MAX_DECIMAL_EXPONENT:  # the interpreter would name sys.set_int_max_str_digits()
-        raise ValueError(f"an exact scalar is too long: {longest} digits, at most {MAX_DECIMAL_EXPONENT}")
+    if len(text) > MAX_DECIMAL_EXPONENT:  # only such a text can have a side of more digits
+        longest = max(sum(map(str.isdecimal, side)) for side in mantissa.split("/"))
+        if longest > MAX_DECIMAL_EXPONENT:  # the interpreter would name sys.set_int_max_str_digits()
+            raise ValueError(f"an exact scalar is too long: {longest} digits, at most {MAX_DECIMAL_EXPONENT}")
     digits = exponent.lstrip("+-").lstrip("0")
     if e and digits.isdecimal() and int(digits[:5]) > MAX_DECIMAL_EXPONENT:  # 5 digits exceed 4300
         raise ValueError(
             f"decimal exponent out of range in {text!r}: at most {MAX_DECIMAL_EXPONENT} in magnitude"
         )
     try:
+        if _INTEGER_RATIO.fullmatch(text):  # the common spelling, read without Fraction's own regex
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den or 1))
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+_INTEGER_RATIO = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_exact_scalar(text: str) -> GaussianRational:
@@ -137,8 +145,8 @@ def parse_scalar(text: str) -> complex:
 
 def _coerce_entry(v, exact: bool):
     if type(v) is int:  # the common JSON entry; a bool is not one
-        if exact:
-            return GaussianRational.coerce(v)
+        if exact:  # every exact ring coerces a Python int as it is
+            return v
         try:
             return complex(v)
         except OverflowError:  # past the float range: read as its digits are, an infinity
@@ -150,6 +158,8 @@ def _coerce_entry(v, exact: bool):
             raise ValueError("complex entries as [re, im] pairs")
         # each part is read as a lone entry, and must be real
         re, im = (_coerce_entry(part, exact) for part in v)
+        if exact:
+            re, im = GaussianRational.coerce(re), GaussianRational.coerce(im)
         if (re.im or im.im) if exact else (re.imag or im.imag):
             raise ValueError(f"[re, im] parts must be real, got {v!r}")
         return GaussianRational(re.re, im.re) if exact else complex(re.real, im.real)
@@ -195,8 +205,14 @@ def _split_terms(text: str) -> list[str]:
     A sign only separates terms when the next character starts an atom name,
     so minus signs inside scalar arguments (``diag:1,-1/2``) are untouched.
     """
+    if not _SIGN_BEFORE_LETTER.search(text):  # no sign that could separate two terms
+        return [text] if text.strip() else []
     parts = _split(text, lambda k: text[k] in "+-" and text[k + 1 : k + 2].isalpha())
     return [p for p in parts if p.strip()]
+
+
+# a sign before a word character that is no digit and no underscore: every letter is one
+_SIGN_BEFORE_LETTER = re.compile(r"[+-][^\W\d_]")
 
 
 def _parse_atom(spec: str, exact: bool, fock: FockSpace | None) -> np.ndarray:
@@ -216,10 +232,11 @@ def _parse_atom(spec: str, exact: bool, fock: FockSpace | None) -> np.ndarray:
     elif head == "diag":
         mat = np.diag([_coerce_entry(s, exact) for s in _split_top_level(rest)])
     elif head == "entries":
-        rows = json.loads(rest, parse_int=_json_int)
+        # only a text longer than the digit bound can spell an integer past it
+        rows = json.loads(rest, parse_int=_json_int) if len(rest) > MAX_DECIMAL_EXPONENT else json.loads(rest)
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ValueError("entries: needs a JSON list of rows")
-        mat = [[_coerce_entry(v, exact) for v in row] for row in rows]
+        mat = [[v if exact and type(v) is int else _coerce_entry(v, exact) for v in row] for row in rows]
     elif head == "number":
         if rest in SINGLE_PARTICLE_LABELS:
             # integer counts, exact in either mode
@@ -579,10 +596,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     A call that names its command builds its 2-12 flags, where the whole tree has 51.
     """
-    parser = argparse.ArgumentParser(prog="entloc", description=__doc__.split("\n\n")[0])
+    # a flag is read by its full name only, as main binds its values
+    parser = argparse.ArgumentParser(prog="entloc", description=__doc__.split("\n\n")[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if command in (None, name):
             for flag in (*flags.split(), "--format", "--out"):
                 p.add_argument(flag, **_OPTIONS[flag])

@@ -2,29 +2,37 @@
 
 Coefficients are Gaussian rationals (complex numbers with rational real and
 imaginary parts), optionally extended by sqrt(2) where symmetrized pair
-amplitudes require it.  Polynomials store a map from exponent tuples to
-coefficients and support the handful of ring operations the certificates
-need; nothing is ever rounded.
+amplitudes require it.  Polynomials support the handful of ring operations
+the certificates need; nothing is ever rounded.
 
 Both rings store integer numerators over one positive denominator, reduced
 to gcd 1: ``(a + b*i) / d`` and ``(a + b*i + (c + e*i)*sqrt2) / d``.  The
 reduced form is unique, so ``==`` and ``hash`` compare integers.  Each
-ring's product is written once, as a function on numerator tuples
-(:func:`_gauss_mul`, :func:`_root_two_mul`); a ring element's ``*`` and the
-polynomial kernel both call it.  A polynomial product, sum or evaluation
-scales its operands' numerators to one common denominator, multiplies and
-adds plain integers, and reduces each surviving coefficient once, with one
-``math.gcd``; it builds no ring element per term.  ``Fraction`` appears
-only at the boundary: the constructors and the read-only
-``re``/``im``/``rat``/``irr`` parts.
+product is written once.  The Gaussian one is the loop over term pairs that
+the polynomial kernel runs (:func:`_gauss_products`); a scalar product is
+that loop on one pair.  The sqrt(2) ring's is :func:`_root_two_mul`, and the
+kernel reads its action on the two Gaussian halves of a numerator tuple off
+that function.
+
+A polynomial is one ring, one common denominator, and a dict from packed
+monomial keys to integer numerator tuples.  A key packs one byte per
+exponent, the first variable most significant, and the total degree in the
+lowest byte: keys sort as their exponent tuples do, a product of monomials
+is a sum of keys, and a degree bound reads one byte.  A product, sum or
+evaluation runs on these integers and builds no ring element per term; a
+coefficient is reduced, with one ``math.gcd``, only when it is read.
+``Fraction`` appears only at the boundary: the constructors and the
+read-only ``re``/``im``/``rat``/``irr`` parts.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from math import prod as prod_ints
+from operator import add, getitem, mul, or_
 
 from .errors import DegreeOverflowError
 
@@ -39,10 +47,30 @@ def _rational(v) -> int | Fraction:
     raise TypeError(f"cannot coerce {v!r} to an exact rational")
 
 
+def _gauss_products(xs, ys, acc: dict, c: int = 1) -> None:
+    """Add ``c * x * y`` under the key ``k1 + k2`` to ``acc``, for every ``(k1, x)`` of ``xs``
+    and ``(k2, y)`` of ``ys``, where ``(a, b)`` are the numerators of ``a + b*i``.
+
+    The one product of Gaussian numerators, written out in the loop over term
+    pairs because the polynomial kernel runs it on every pair.
+    """
+    for k1, (a, b) in xs:
+        a, b = c * a, c * b
+        for k2, (p, q) in ys:
+            k = k1 + k2
+            v = acc.get(k)
+            if v is None:
+                acc[k] = [a * p - b * q, a * q + b * p]
+            else:
+                v[0] += a * p - b * q
+                v[1] += a * q + b * p
+
+
 def _gauss_mul(x: tuple, y: tuple) -> tuple:
     """Numerators of the product of ``(a + b*i)`` and ``(c + e*i)``."""
-    (a, b), (c, e) = x, y
-    return (a * c - b * e, a * e + b * c)
+    acc: dict = {}
+    _gauss_products(((0, x),), ((0, y),), acc)
+    return tuple(acc[0])
 
 
 def _root_two_mul(x: tuple, y: tuple) -> tuple:
@@ -57,18 +85,30 @@ def _root_two_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
+def _half_table(product, width: int) -> tuple:
+    """``(s, t, r, c)``: the product of the units of the Gaussian halves ``s`` and ``t`` of a
+    numerator tuple is ``c`` times the unit of half ``r``, read off a ring's product function.
+    A Gaussian rational is one half; ``(a + b*i) + (c + e*i)*sqrt2`` is two, with
+    ``sqrt2 * sqrt2 = 2``."""
+    units = [tuple(int(i == 2 * h) for i in range(width)) for h in range(width // 2)]
+    return tuple((s, t, r // 2, c) for s in range(len(units)) for t in range(len(units))
+                 for r, c in enumerate(product(units[s], units[t])) if c)
+
+
 # complex conjugation negates every imaginary numerator; sqrt(2) is real
 _CONJUGATE_SIGNS = (1, -1, 1, -1)
 
 
 def _scale(n: tuple, k: int) -> tuple:
-    return tuple(map(k.__mul__, n))
+    return n if k == 1 else tuple(map(k.__mul__, n))
 
 
 class _IntegerRing:
     """Immutable tuple ``_n`` of integer numerators over a denominator ``_d > 0``.
 
-    A subclass sets ``_mul``, its product of numerator tuples.
+    A subclass sets ``_mul``, its product of numerator tuples, ``_width``, the
+    length of those tuples, and ``_half_products``, the table of ``_mul`` on
+    the units of their Gaussian halves, which the polynomial kernel reads.
     """
 
     __slots__ = ("_n", "_d")
@@ -158,7 +198,8 @@ class GaussianRational(_IntegerRing):
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ()
-    _mul = staticmethod(_gauss_mul)
+    _mul, _width = staticmethod(_gauss_mul), 2
+    _half_products = _half_table(_gauss_mul, 2)
 
     def __new__(cls, re=0, im=0):
         re, im = _rational(re), _rational(im)
@@ -204,7 +245,8 @@ class RootTwoRational(_IntegerRing):
     """Element ``rat + irr*sqrt(2)`` of the quadratic extension of the ring."""
 
     __slots__ = ()
-    _mul = staticmethod(_root_two_mul)
+    _mul, _width = staticmethod(_root_two_mul), 4
+    _half_products = _half_table(_root_two_mul, 4)
 
     def __new__(cls, rat=GR_ZERO, irr=GR_ZERO):
         rat, irr = GaussianRational.coerce(rat), GaussianRational.coerce(irr)
@@ -248,6 +290,31 @@ def conjugate_name(name: str) -> str:
     return name[:-1] if name.endswith("*") else name + "*"
 
 
+# a packed key's byte: each exponent and the total degree fit in one, so a key's degree is
+# ``key & _BYTE``, and a sum of keys adds exponents while no byte passes it
+_BYTE = 255
+
+
+def _pack(exps) -> int:
+    exps = tuple(map(int, exps))
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    degree = sum(exps)
+    if degree > _BYTE:
+        raise DegreeOverflowError(f"monomial degree {degree} exceeds the packed bound {_BYTE}")
+    return int.from_bytes(bytes((*exps, degree)), "big")
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key over ``n`` variables."""
+    return tuple(key.to_bytes(n + 1, "big")[:n])
+
+
+def _widest(rings) -> type:
+    """The sqrt(2) ring if one of ``rings`` is it, else the Gaussian rationals."""
+    return RootTwoRational if RootTwoRational in set(rings) else GaussianRational
+
+
 class MultiPoly:
     """Sparse exact polynomial in named variables.
 
@@ -255,77 +322,102 @@ class MultiPoly:
     :meth:`conjugate` swaps each pair and conjugates coefficients.  A degree
     bound, when set, is enforced after every product and propagated to
     results: exceeding it raises, because in this package any overflow means
-    a construction bug rather than a legitimate polynomial.
+    a construction bug rather than a legitimate polynomial.  A monomial of
+    total degree past 255, the width of its packed byte, is refused the same
+    way.
 
-    ``+``, ``*`` and :meth:`evaluate` run on integer numerators: ``+`` and
-    ``*`` go through :func:`sum_of_products`, and each builds one ring
-    element per surviving coefficient.
+    The store is one ring, one positive denominator ``_d`` and a dict
+    ``_terms`` from packed monomial keys to nonzero integer numerator tuples
+    over ``_d``, not reduced.  ``+``, ``*`` and :meth:`evaluate` run on those
+    integers; :attr:`terms`, :meth:`sorted_terms` and :meth:`coefficient`
+    build ring elements, each reduced once, when they are read.
     """
 
-    __slots__ = ("variables", "terms", "max_degree")
+    __slots__ = ("variables", "max_degree", "_ring", "_terms", "_d")
 
     def __init__(self, variables: tuple[str, ...], terms: dict | None = None,
                  max_degree: int | None = None):
         self.variables = tuple(variables)
-        clean = {}
+        coeffs = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != len(self.variables):
                 raise ValueError("exponent tuple does not match the variable list")
             if not coeff.is_zero:
-                clean[tuple(int(e) for e in exps)] = coeff
-        self._set(clean, max_degree)
+                coeffs[_pack(exps)] = coeff
+        ring = _widest(map(type, coeffs.values()))
+        coeffs = {k: ring.coerce(c) for k, c in coeffs.items()}
+        d = lcm(*[c._d for c in coeffs.values()])
+        self._set(ring, {k: _scale(c._n, d // c._d) for k, c in coeffs.items()}, d, max_degree)
 
-    def _set(self, terms: dict, max_degree: int | None) -> None:
-        self.terms = terms
-        self.max_degree = max_degree
-        if max_degree is not None:
-            for exps in terms:
-                if sum(exps) > max_degree:
-                    raise DegreeOverflowError(
-                        f"monomial degree {sum(exps)} exceeds bound {max_degree}"
-                    )
+    def _set(self, ring, terms: dict, d: int, max_degree: int | None, top: int | None = None) -> None:
+        """Store the terms; ``top``, when given, bounds their degrees, and spares the check."""
+        self._ring, self._terms, self._d, self.max_degree = ring, terms, d, max_degree
+        if max_degree is not None and (top is None or top > max_degree):
+            top = max((k & _BYTE for k in terms), default=0)
+            if top > max_degree:
+                raise DegreeOverflowError(f"monomial degree {top} exceeds bound {max_degree}")
 
     @staticmethod
-    def _new(variables: tuple, terms: dict, max_degree: int | None) -> "MultiPoly":
-        """A polynomial from a variable tuple and nonzero coefficients keyed by int tuples."""
+    def _packed(variables: tuple, ring, terms: dict, d: int, max_degree: int | None,
+                top: int | None = None) -> "MultiPoly":
+        """A polynomial from packed keys mapped to nonzero numerators of ``ring`` over ``d``."""
         new = object.__new__(MultiPoly)
         new.variables = variables
-        new._set(terms, max_degree)
+        new._set(ring, terms, d, max_degree, top)
         return new
 
-    def _ring(self):
-        """The ring of the first coefficient."""
-        return type(next(iter(self.terms.values())))
-
-    def _numerators(self, ring) -> tuple[list, int]:
-        """``(exps, numerators)`` of every term in ``ring``, over the least common denominator."""
-        coeffs = [c if type(c) is ring else ring.coerce(c) for c in self.terms.values()]
-        d = lcm(*[c._d for c in coeffs])
-        return [(e, c._n if c._d == d else _scale(c._n, d // c._d))
-                for e, c in zip(self.terms, coeffs)], d
+    def _numerators(self, ring) -> list:
+        """``(key, numerators)`` of every term in ``ring``, over ``_d``; a Gaussian store embeds
+        in the sqrt(2) ring, with zero sqrt(2) parts."""
+        if ring is self._ring:
+            return list(self._terms.items())
+        return [(k, n + (0, 0)) for k, n in self._terms.items()]
 
     # -- constructors --------------------------------------------------
     @classmethod
     def const(cls, variables, coeff, max_degree=None) -> "MultiPoly":
-        return cls(variables, {(0,) * len(variables): coeff}, max_degree)
+        return cls.monomial(variables, (), coeff, max_degree)
 
     @classmethod
     def variable(cls, variables, name, coeff, max_degree=None) -> "MultiPoly":
-        exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): coeff}, max_degree)
+        return cls.monomial(variables, (name,), coeff, max_degree)
+
+    @classmethod
+    def monomial(cls, variables, names, coeff, max_degree=None) -> "MultiPoly":
+        """``coeff`` times the product of the variables ``names``, built as its one packed term."""
+        variables = tuple(variables)
+        if len(names) > _BYTE:
+            raise DegreeOverflowError(f"monomial degree {len(names)} exceeds the packed bound {_BYTE}")
+        key = len(names) + sum(1 << 8 * (len(variables) - variables.index(name)) for name in names)
+        ring = _widest((type(coeff),))
+        c = ring.coerce(coeff)
+        return cls._packed(variables, ring, {key: c._n} if any(c._n) else {}, c._d, max_degree)
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        unit = MultiPoly.const(self.variables, GR_ONE)
-        return sum_of_products(self.variables, ((self, unit), (other, unit)), ((1, 1),),
-                               self._merge_degree(other))[0]
+        return self._combine(other, 1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._new(self.variables, {e: -c for e, c in self.terms.items()}, self.max_degree)
+        terms = {k: tuple(-x for x in n) for k, n in self._terms.items()}
+        return MultiPoly._packed(self.variables, self._ring, terms, self._d, self.max_degree)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """``self + sign * other``, in the wider ring, over the least common denominator."""
+        if other.variables != self.variables:
+            raise ValueError("polynomials are over different variable lists")
+        ring = _widest((self._ring, other._ring))
+        d = lcm(self._d, other._d)
+        m = d // self._d
+        acc = {k: _scale(n, m) for k, n in self._numerators(ring)}
+        m = sign * (d // other._d)
+        for k, n in other._numerators(ring):
+            n, a = _scale(n, m), acc.get(k)
+            acc[k] = n if a is None else tuple(map(add, a, n))
+        terms = {k: n for k, n in acc.items() if any(n)}
+        return MultiPoly._packed(self.variables, ring, terms, d, self._merge_degree(other))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return sum_of_products(self.variables, ((self, other),), ((1,),), self._merge_degree(other))[0]
@@ -341,56 +433,83 @@ class MultiPoly:
             if partner not in self.variables:
                 raise ValueError(f"variable {name!r} has no conjugate partner")
             order.append(self.variables.index(partner))
-        terms = {tuple(exps[k] for k in order): coeff.conjugate()
-                 for exps, coeff in self.terms.items()}
-        return MultiPoly._new(self.variables, terms, self.max_degree)
+        n = len(order)
+        order.append(n)  # the degree byte stays
+        terms = {}
+        for key, num in self._terms.items():
+            digits = key.to_bytes(n + 1, "big")
+            key = int.from_bytes(bytes([digits[k] for k in order]), "big")
+            terms[key] = tuple(map(mul, num, _CONJUGATE_SIGNS))
+        return MultiPoly._packed(self.variables, self._ring, terms, self._d, self.max_degree)
 
     # -- queries ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
+
+    @property
+    def n_terms(self) -> int:
+        return len(self._terms)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], object]:
+        """Every nonzero coefficient, keyed by its exponent tuple; built when read."""
+        n, make, d = len(self.variables), self._ring._make, self._d
+        return {_unpack(k, n): make(num, d) for k, num in self._terms.items()}
+
+    def monomials(self):
+        """The exponent tuples of the nonzero terms, in lexicographic order, each unpacked
+        when the iterator reaches it."""
+        n = len(self.variables)
+        return (_unpack(k, n) for k in sorted(self._terms))
+
+    def coefficient(self, exps) -> object:
+        """The coefficient of one monomial, zero when it has no term."""
+        num = self._terms.get(_pack(exps)) if len(exps) == len(self.variables) else None
+        return self._ring.coerce(0) if num is None else self._ring._make(num, self._d)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return [(exps, self.coefficient(exps)) for exps in self.monomials()]
 
     def evaluate(self, values: dict[str, object]):
         """Exact evaluation; every variable (starred ones too) needs a value.
 
-        Each value's powers are tabulated once on raw numerators, each scaled
-        by the power of the value's denominator that the variable's highest
-        exponent leaves, so every term lands on one common denominator and
-        the sum is reduced once.
+        Each value's powers are tabulated once on raw numerators, up to a
+        bound of the variable's exponents (its byte in the OR of the keys),
+        each scaled by the power of the value's denominator that the bound
+        leaves, so every term lands on one common denominator and the sum is
+        reduced once.  A real value's powers are integers: a term's product
+        of those is one ``math.prod`` over its key's bytes, and the sum is one
+        integer dot product per numerator slot.  Only the powers of other
+        values are ring products, applied to the terms they touch.
         """
-        if not self.terms:
+        if not self._terms:
             return GaussianRational.coerce(0)
-        ring = self._ring()
-        numerators, d = self._numerators(ring)
+        ring, n = self._ring, len(self.variables)
         prod = ring._mul
-        tables = []
-        for name, top in zip(self.variables, map(max, zip(*self.terms))):
-            v = ring.coerce(values[name])
-            powers = [v._n]
-            while len(powers) < top:
-                powers.append(prod(powers[-1], v._n))
-            # a real power only scales a term, so it is kept as its one numerator
-            table = [v._d**top]
-            for e, p in enumerate(powers[:top], 1):
-                p = _scale(p, v._d ** (top - e))
-                table.append(p if any(p[1:]) else p[0])
-            tables.append(table)
-            d *= table[0]
-        total = None
-        for exps, n in numerators:
-            scale = 1
-            for table, e in zip(tables, exps):
-                t = table[e]
-                if type(t) is int:
-                    scale *= t
-                else:
-                    n = prod(n, t)
-            n = _scale(n, scale)
-            total = n if total is None else tuple(map(add, total, n))
-        return ring._make(total, d)
+        digits = [key.to_bytes(n + 1, "big") for key in self._terms]
+        nums = list(self._terms.values())
+        d = self._d
+        scales, rotations = [], []  # per variable: integer factors, and the ring powers of a non-real value
+        for k, top in enumerate(reduce(or_, self._terms).to_bytes(n + 1, "big")[:n]):
+            if not top:
+                scales.append((1,))
+                continue
+            v = ring.coerce(values[self.variables[k]])
+            if any(v._n[1:]):
+                powers = [v._n]
+                while len(powers) < top:
+                    powers.append(prod(powers[-1], v._n))
+                scales.append((v._d**top,) + (1,) * top)
+                table = [_scale(p, v._d ** (top - e)) for e, p in enumerate(powers, 1)]
+                rotations.append((k, [None, *table]))
+            else:  # a real value's powers only scale a term
+                scales.append([v._n[0] ** e * v._d ** (top - e) for e in range(top + 1)])
+            d *= v._d**top
+        for k, table in rotations:
+            nums = [prod(num, table[dg[k]]) if dg[k] else num for dg, num in zip(digits, nums)]
+        factors = [prod_ints(map(getitem, scales, dg)) for dg in digits]
+        return ring._make(tuple(sum(map(mul, column, factors)) for column in zip(*nums)), d)
 
     def canonical_text(self) -> str:
         """Deterministic text form: sorted exponent tuples, exact coefficients."""
@@ -405,33 +524,35 @@ class MultiPoly:
         return "; ".join(parts)
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.variables}, {len(self.terms)} terms)"
+        return f"MultiPoly({self.variables}, {len(self._terms)} terms)"
 
 
 def sum_of_products(variables, pairs, weights, max_degree: int | None = None) -> list[MultiPoly]:
     """``sum_k w[k] p_k q_k`` for each row ``w`` of ``weights``, over ``pairs = [(p_k, q_k)]``.
 
-    The one polynomial product kernel, on raw numerators: ``p * q`` is one
-    pair under the weight 1, ``p + q`` two pairs whose second factor is 1,
-    and each row of ``weights`` gives one result.  Each polynomial's
-    coefficients are scaled to their common denominator once per call, and
-    each weight so that a row's terms land on one denominator.  A term is
-    then a product of integer tuples by the ring's product function, and
-    each surviving coefficient is reduced once.
+    The one polynomial product kernel, on stored numerators: ``p * q`` is one
+    pair under the weight 1, and each row of ``weights`` gives one result, in
+    the widest ring of the operands.  A product of monomials adds their
+    packed keys.  Each operand is split into the Gaussian halves of its
+    numerators (one, or the rational and the sqrt(2) half), and each pair of
+    halves that both hold terms runs :func:`_gauss_products` into the half
+    the ring's table names.  A weight that is not a real integer multiplies
+    the first factor's numerators first.  Each weight is scaled so that a
+    row's terms land on one denominator, and no coefficient is reduced here.
     """
     variables = tuple(variables)
-    ring = None
-    raw = {}
     for p, q in pairs:
         if p.variables != variables or q.variables != variables:
             raise ValueError("polynomials are over different variable lists")
-        if p.terms and q.terms:
-            ring = ring or p._ring()
-            for poly in (p, q):
-                if id(poly) not in raw:
-                    raw[id(poly)] = poly._numerators(ring)
-    ring = ring or GaussianRational
-    prod, make = ring._mul, ring._make
+    live = [poly for pair in pairs if pair[0]._terms and pair[1]._terms for poly in pair]
+    ring = _widest(p._ring for p in live)
+    prod, width = ring._mul, ring._width
+    # each operand's numerators, halves, denominator and top degree, read once per call
+    raw = {}
+    for p in live:
+        if id(p) not in raw:
+            items = p._numerators(ring)
+            raw[id(p)] = items, _halves(items, width), p._d, max(k & _BYTE for k in p._terms)
     results = []
     for row in weights:
         if len(row) != len(pairs):
@@ -442,17 +563,78 @@ def sum_of_products(variables, pairs, weights, max_degree: int | None = None) ->
                 w = ring.coerce(w)
                 if any(w._n):
                     plan.append((w, raw[id(p)], raw[id(q)]))
-        d = lcm(*[w._d * dp * dq for w, (_, dp), (_, dq) in plan])
+        top = max((x[3] + y[3] for _, x, y in plan), default=0)
+        if top > _BYTE:  # a key's bytes would carry into each other
+            raise DegreeOverflowError(f"monomial degree {top} exceeds the packed bound {_BYTE}")
+        d = lcm(*[w._d * x[2] * y[2] for w, x, y in plan])
+        accs = [{} for _ in range(width // 2)]
+        for w, (items, xs, dx, _), (_, ys, dy, _) in plan:
+            w = _scale(w._n, d // (w._d * dx * dy))
+            if any(w[1:]):
+                xs, scale = _halves([(k, prod(w, x)) for k, x in items], width), 1
+            else:
+                scale = w[0]
+            for s, t, r, c in ring._half_products:
+                if xs[s] and ys[t]:
+                    _gauss_products(xs[s], ys[t], accs[r], c * scale)
+        terms = {}
+        for r, acc in enumerate(accs):
+            for k, (re, im) in acc.items():
+                if re or im:
+                    n = terms.get(k)
+                    if n is None:
+                        n = terms[k] = [0] * width
+                    n[2 * r], n[2 * r + 1] = re, im
+        terms = {k: tuple(n) for k, n in terms.items()}
+        results.append(MultiPoly._packed(variables, ring, terms, d, max_degree, top))
+    return results
+
+
+def _halves(items: list, width: int) -> list[list]:
+    """``(key, (re, im))`` of every nonzero Gaussian half of each numerator, one list per half."""
+    return [[(k, n[h:h + 2]) for k, n in items if n[h] or n[h + 1]] for h in range(0, width, 2)]
+
+
+def bilinear_forms(weights, bra, ket, max_degree: int | None = None) -> list[MultiPoly]:
+    """``sum_{i,j} W[i][j] bra_i ket_j`` for each matrix ``W`` of ``weights``, in the amplitudes' ring.
+
+    Every amplitude ``bra_i`` and ``ket_j`` is one term, so each entry adds
+    its weight times the two coefficients under the one key
+    ``bra_i + ket_j``: one pass over the entries, with no product loop.
+    """
+    variables = bra[0].variables
+    amps = (*bra, *ket)
+    if any(a.variables != variables or len(a._terms) != 1 for a in amps):
+        raise ValueError("bilinear forms need one-term amplitudes over one variable list")
+    ring = _widest(a._ring for a in amps)
+    prod = ring._mul
+    top = max(k & _BYTE for a in bra for k in a._terms) + max(k & _BYTE for a in ket for k in a._terms)
+    if top > _BYTE:
+        raise DegreeOverflowError(f"a form's degree {top} exceeds the packed bound {_BYTE}")
+    # each (i, j) entry's key and amplitude product
+    cells = []
+    for b in bra:
+        ((kb, nb),) = b._numerators(ring)
+        for k in ket:
+            ((kk, nk),) = k._numerators(ring)
+            cells.append((kb + kk, prod(nb, nk), b._d * k._d))
+    results = []
+    for W in weights:
+        plan = [(w._n, w._d, cell) for w, cell in zip(map(ring.coerce, (w for row in W for w in row)), cells)
+                if any(w._n)]
+        d = lcm(*[dw * dc for _, dw, (_, _, dc) in plan])
         acc: dict = {}
-        for w, (xs, dp), (ys, dq) in plan:
-            w = _scale(w._n, d // (w._d * dp * dq))
-            for e1, x in xs:
-                x = prod(w, x)
-                for e2, y in ys:
-                    exps = tuple(map(add, e1, e2))
-                    t = prod(x, y)
-                    a = acc.get(exps)
-                    acc[exps] = t if a is None else tuple(map(add, a, t))
-        results.append(MultiPoly._new(variables, {e: make(n, d) for e, n in acc.items() if any(n)},
-                                      max_degree))
+        for w, dw, (key, n, dc) in plan:
+            scale = d // (dw * dc)
+            # a real factor only scales the other one
+            if not any(n[1:]):
+                t = _scale(w, scale * n[0])
+            elif not any(w[1:]):
+                t = _scale(n, scale * w[0])
+            else:
+                t = prod(_scale(w, scale), n)
+            a = acc.get(key)
+            acc[key] = t if a is None else tuple(map(add, a, t))
+        terms = {k: n for k, n in acc.items() if any(n)}
+        results.append(MultiPoly._packed(variables, ring, terms, d, max_degree, top))
     return results

@@ -367,6 +367,15 @@ def _local_pairs(kind: str, g: int, rng: np.random.Generator) -> tuple[np.ndarra
     return coeff[:, 0], coeff[:, 1]
 
 
+def _weighted_operators(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``einsum("gij,ijkl->gkl", w, basis)`` of complex weights over a real operator basis, as
+    one real einsum for each part: numpy's complex einsum runs a scalar loop."""
+    out = np.empty(w.shape[:1] + basis.shape[2:], dtype=complex)
+    out.real = np.einsum("gij,ijkl->gkl", w.real, basis)
+    out.imag = np.einsum("gij,ijkl->gkl", w.imag, basis)
+    return out
+
+
 def _monomial_maps(space: FockSpace, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`FockSpace.ladder_map` column maps of one mode's monomials ``1, a, a+, a+ a, a a, a+ a+``."""
     maps = [space.ladder_map(mode, k) for k in (0, -1, 1, 0, -2, 2)]
@@ -430,7 +439,8 @@ def positive_control(
         groups = ((a, b, table) for a, b in groups)
     else:  # a side's weights are over the one-body operators of its four 2x2 matrix units
         units = np.eye(16).reshape(4, 4, 4, 4)  # units[i, j] is the 4x4 matrix unit e_ij
-        L, R = sym_one_body(units[:2, :2]), sym_one_body(units[2:, 2:])
-        groups = ((np.einsum("gij,ijkl->gkl", a, L), np.einsum("gij,ijkl->gkl", b, R)) for a, b in groups)
+        # real and contiguous, so that each part of a group's weights is one fast real einsum
+        L, R = (np.ascontiguousarray(sym_one_body(u).real) for u in (units[:2, :2], units[2:, 2:]))
+        groups = ((_weighted_operators(a, L), _weighted_operators(b, R)) for a, b in groups)
     pair = f"{kind}-local random pairs x{n_pairs}"
     return _audit_pairs(groups, rng, fam, n_states, pair, kind, seed, threshold)

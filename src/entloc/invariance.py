@@ -1,10 +1,12 @@
 """Operators that map each separable family into itself.
 
-The family-I preservers are exactly the symmetric compressions of ``O x O``;
-their 3x3 matrix form is constructed and recognized here.  Family-II adds
-the requirement that ``O`` be proportional to a unitary.  For the four-level
-space the relevant structure is the block decomposition over the spatial
-sectors LL, LR, RR.
+The pair squares, the symmetric compressions of ``O x O``, map family I
+into itself; their 3x3 matrix form is constructed here, and
+:func:`fit_sep_I_preserver` recognizes it.  They are not the only such
+maps: ``|0,0><0,1|`` sends every family-I state into family I or to 0 and
+is no pair square.  Family-II adds the requirement that ``O`` be
+proportional to a unitary.  For the four-level space the relevant
+structure is the block decomposition over the spatial sectors LL, LR, RR.
 """
 
 from __future__ import annotations

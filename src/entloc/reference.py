@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import expectations, occupation_imbalance_pair
-# unused: perfbench/test_perfbench.py checks that its tracer patches this binding (ROADMAP item 1)
+# unused: perfbench/test_perfbench.py checks that its tracer patches this binding (ROADMAP item 2)
 from .factorization import residual  # noqa: F401
 from .hilbert import PAULI, check_state, project_symmetric, sym_one_body
 from .invariance import commutativity_condition

@@ -25,6 +25,7 @@ from entloc.certificates import (
     _forms,
     exact_matrix,
 )
+from entloc.cli import parse_operator
 from entloc.exact import RootTwoRational, conjugate_name
 from entloc.hilbert import SECTOR_SLOTS, SECTORS
 from entloc.separability import FAMILIES
@@ -416,25 +417,82 @@ GOLDEN_B = [
 ]
 
 
+def entries_spec(M) -> str:
+    return "entries:" + json.dumps(M, separators=(",", ":"))
+
+
+def seeded_entry(rng, kind: str):
+    """One nonzero ``entries:`` value of ``kind``: a JSON integer, a Gaussian-rational string
+    or an ``[re, im]`` pair of a fraction string and an integer."""
+    re, im = (int(v) for v in rng.choice([-3, -2, -1, 1, 2, 3], size=2))
+    den = int(rng.integers(2, 6))
+    if kind == "int":
+        return re
+    if kind == "gauss":
+        return f"{re}/{den}{im:+d}/{den + 1}j"
+    return [f"{re}/{den}", im]
+
+
+def seeded_sector_operator(rng, kind: str) -> str:
+    # every entry nonzero, so every sector block of the pair couples
+    return entries_spec([[seeded_entry(rng, kind) for _ in range(10)] for _ in range(10)])
+
+
+def seeded_operator_2x2(rng) -> str:
+    return entries_spec([[seeded_entry(rng, kind) for kind in ("gauss", "pair")] for _ in range(2)])
+
+
+def seeded_pair_operators(rng):
+    """Seeded 2x2 ``entries:`` pairs: generic, one side identity-proportional, and Paulis."""
+    for k in range(3):
+        yield f"generic-{k}", seeded_operator_2x2(rng), seeded_operator_2x2(rng)
+    scale = seeded_entry(rng, "gauss")
+    yield "identity-left", f"diag:{scale},{scale}", seeded_operator_2x2(rng)
+    yield "identity-right", seeded_operator_2x2(rng), f"diag:{scale},{scale}"
+    for i in range(4):
+        for j in range(4):
+            yield f"pauli-{i}-{j}", f"pauli:{i}", f"pauli:{j}"
+
+
 def golden_certificates():
     yield "pair-pauli", certify_factorization_sep_I(PAULI_EXACT[1], PAULI_EXACT[2])
     yield "pair-generic", certify_factorization_sep_I(exact_matrix(GOLDEN_O), exact_matrix(GOLDEN_Q))
     for X, Y in (("LL", "LR"), ("LR", "LL"), ("LL", "RR"), ("RR", "LL"), ("LR", "RR"), ("RR", "LR")):
         yield f"sectors-{X}-{Y}", certify_sector_coupling(GOLDEN_A, GOLDEN_B, X, Y)
+    # seeded operators read as the CLI reads them, so the exact parse is pinned with the expansion
+    rng = np.random.default_rng(2033)
+    for X, Y in ((X, Y) for X in SECTORS for Y in SECTORS if X != Y):
+        for kind in ("int", "gauss", "pair"):
+            A, B = (parse_operator(seeded_sector_operator(rng, kind), exact=True) for _ in range(2))
+            yield f"seeded-sectors-{X}-{Y}-{kind}", certify_sector_coupling(A, B, X, Y)
+    for name, O, Q in seeded_pair_operators(rng):
+        yield f"seeded-pair-{name}", certify_factorization_sep_I(
+            parse_operator(O, exact=True), parse_operator(Q, exact=True)
+        )
+
+
+def golden_entries() -> dict:
+    return {
+        name: {"n_terms": cert.n_terms, "canonical_text": cert.canonical_text(), "to_dict": cert.to_dict()}
+        for name, cert in golden_certificates()
+    }
 
 
 def test_golden_certificate_texts():
-    """Certificate texts and term counts are pinned byte for byte.
+    """Certificate texts, dicts and term counts are pinned byte for byte.
 
     The texts in ``golden_certificates.json`` were computed with plain
     ``Fraction`` coefficients, so any change of the exact arithmetic or of
     its text form shows here.  The four entries with an LL sector were
     regenerated once, when the sector certificates took the ssr family's
-    three free LL amplitudes in place of family I's square.
+    three free LL amplitudes in place of family I's square.  The ``seeded-``
+    entries and every ``to_dict`` were generated before the polynomial store
+    packed its monomials, and pin that it moved no byte.  Regenerate with
+    ``PYTHONPATH=src python tests/test_certificates.py``.
     """
     golden = json.loads(GOLDEN_PATH.read_text())
-    got = {
-        name: {"n_terms": cert.n_terms, "canonical_text": cert.canonical_text()}
-        for name, cert in golden_certificates()
-    }
-    assert got == golden
+    assert golden_entries() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(golden_entries(), indent=1) + "\n")

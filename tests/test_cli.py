@@ -431,7 +431,9 @@ def test_a_tolerance_that_cannot_decide_a_verdict_exits_2_with_one_line(argv, va
 def test_an_entries_integer_of_4300_digits_keeps_its_value():
     top = int("9" * MAX_DECIMAL_EXPONENT)
     exact = parse_operator(f"entries:[[{top},0],[0,-{top}]]", exact=True)
-    assert (exact[0, 0], exact[1, 1]) == (GaussianRational(top), GaussianRational(-top))
+    # an exact integer entry stays the Python int it spells, which every exact ring coerces
+    assert (exact[0, 0], exact[1, 1]) == (top, -top) and type(exact[0, 0]) is int
+    assert GaussianRational.coerce(exact[1, 1]) == GaussianRational(-top)
 
 
 def test_an_exact_scalar_of_4300_digits_keeps_its_value():
@@ -748,6 +750,23 @@ def test_a_dash_value_binds_to_no_flag_it_is_not_the_value_of(capsys):
             main(["classify", "--amps", *after])
         assert exc.value.code == EXIT_INPUT
         assert "argument --amps: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.6,0.8,0", "-0.6,0.8,0"])
+def test_a_flag_is_read_by_its_full_name_only(value, capsys):
+    # a prefix of --amps is refused in both spellings, with the command's usage
+    usages = set()
+    for argv in (["classify", "--am", value], ["classify", f"--am={value}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.endswith(f"entloc classify: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+        usages.add(err.partition("entloc classify: error")[0])
+    (usage,) = usages
+    assert usage.startswith("usage: entloc classify ")
+    # the same call with the full name reads the value
+    assert run_json(capsys, "classify", f"--amps={value}")[0] == 0
 
 
 @pytest.mark.parametrize("command", _COMMANDS)

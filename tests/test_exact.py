@@ -10,8 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entloc import DegreeOverflowError, GaussianRational, MultiPoly, RootTwoRational
-from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2, conjugate_name, sum_of_products
-from exact_reference import evaluate_complex
+from entloc.exact import GR_I, GR_ONE, HALF_SQRT2, SQRT2, bilinear_forms, sum_of_products
+from exact_reference import (
+    RefPoly,
+    evaluate_complex,
+    ref_canonical_text,
+    ref_conjugate,
+    ref_evaluate,
+    ref_exceeds,
+    ref_product,
+    ref_sorted_terms,
+    ref_sum,
+)
 
 
 def gr(re, im=0):
@@ -197,6 +207,32 @@ def test_multipoly_degree_guard():
         acc * p * p * p * p
 
 
+def test_a_monomial_past_its_packed_byte_is_refused():
+    # each exponent and the total degree take one byte of the packed key
+    top = MultiPoly(VARS, {(255, 0, 0, 0): GR_ONE})
+    assert top.terms == {(255, 0, 0, 0): GR_ONE}
+    for exps in ((256, 0, 0, 0), (200, 0, 56, 0)):
+        with pytest.raises(DegreeOverflowError):
+            MultiPoly(VARS, {exps: GR_ONE})
+    with pytest.raises(DegreeOverflowError):
+        top * var("c1")
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(VARS, {(-1, 1, 0, 0): GR_ONE})
+
+
+def test_monomials_and_coefficients_read_one_term_at_a_time():
+    p = MultiPoly.monomial(VARS, ("c0", "c1*", "c0"), gr("1/2", 3)) + var("c1")
+    assert p.terms == {(2, 0, 0, 1): gr("1/2", 3), (0, 0, 1, 0): GR_ONE}
+    assert list(p.monomials()) == [(0, 0, 1, 0), (2, 0, 0, 1)]
+    assert p.coefficient((2, 0, 0, 1)) == gr("1/2", 3) and p.coefficient((1, 0, 0, 0)) == gr(0)
+    assert p.n_terms == 2 and MultiPoly.const(VARS, gr(0)).is_zero
+
+
+def test_bilinear_forms_need_one_term_amplitudes():
+    with pytest.raises(ValueError, match="one-term amplitudes"):
+        bilinear_forms([[[GR_ONE]]], [var("c0") + var("c1")], [var("c0*")])
+
+
 def test_multipoly_exact_vs_complex_evaluation():
     rng = np.random.default_rng(42)
     p = (var("c0") + var("c1*", GR_I)) * (var("c0*") - var("c1")) + MultiPoly.const(
@@ -231,45 +267,8 @@ def test_leading_monomial_order():
 
 
 # --- the polynomial kernel against the object-path algorithm ------------------
-# The references below are the algorithms MultiPoly ran before its integer
-# kernel: one ring element per term product, added into a terms dict.
-
-def ref_sum(*polys):
-    terms = {}
-    for p in polys:
-        for exps, coeff in p.terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-    return {e: c for e, c in terms.items() if not c.is_zero}
-
-
-def ref_product(p, q):
-    terms = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            prod = c1 * c2
-            acc = terms.get(exps)
-            terms[exps] = prod if acc is None else acc + prod
-    return {e: c for e, c in terms.items() if not c.is_zero}
-
-
-def ref_conjugate(p):
-    order = [p.variables.index(conjugate_name(name)) for name in p.variables]
-    return {tuple(exps[k] for k in order): coeff.conjugate() for exps, coeff in p.terms.items()}
-
-
-def ref_evaluate(p, values):
-    ring = type(next(iter(p.terms.values()))) if p.terms else GaussianRational
-    acc = ring.coerce(0)
-    for exps, coeff in p.terms.items():
-        term = coeff
-        for name, e in zip(p.variables, exps):
-            for _ in range(e):
-                term = term * ring.coerce(values[name])
-        acc = acc + term
-    return acc
-
+# The references, in exact_reference.py, are the algorithms MultiPoly ran
+# before its integer kernel: one ring element per term product.
 
 def same_terms(poly, terms):
     # == and hash compare reduced numerators; the texts compare the boundary
@@ -345,3 +344,53 @@ def test_sum_of_products_is_the_weighted_sum_of_the_products(ring, raws, weights
         for w, (p, q) in zip(row, pairs):
             want = ref_sum(MultiPoly(VARS, want), MultiPoly(VARS, {e: w * c for e, c in ref_product(p, q).items()}))
         same_terms(result, want)
+
+
+# --- the polynomial store against the tuple-keyed reference -------------------
+
+@st.composite
+def store_cases(draw):
+    """A ring, a variable list of 1-7 conjugate pairs (the sector certificates have 7),
+    two polynomials with exponents up to 6 as raw dicts, and a degree bound."""
+    pairs = draw(st.integers(1, 7))
+    variables = tuple(v for k in range(pairs) for v in (f"x{k}", f"x{k}*"))
+    ring = draw(st.sampled_from([GaussianRational, RootTwoRational]))
+    raw = st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * len(variables)),
+        st.lists(kernel_fractions, min_size=4, max_size=4),
+        max_size=6,
+    )
+    return variables, ring, draw(raw), draw(raw), draw(st.integers(0, 40))
+
+
+def ref_poly(variables, ring, raw) -> RefPoly:
+    terms = {e: ring_value(ring, parts) for e, parts in raw.items()}
+    return RefPoly(variables, {e: c for e, c in terms.items() if not c.is_zero})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=store_cases())
+def test_the_polynomial_store_matches_the_tuple_keyed_reference(case):
+    variables, ring, raw_p, raw_q, bound = case
+    ref_p, ref_q = ref_poly(variables, ring, raw_p), ref_poly(variables, ring, raw_q)
+    p, q = MultiPoly(variables, ref_p.terms), MultiPoly(variables, ref_q.terms)
+    product = RefPoly(variables, ref_product(ref_p, ref_q))
+    for poly, ref in ((p, ref_p), (q, ref_q), (p * q, product)):
+        same_terms(poly, ref.terms)
+        # sorted_terms and the text follow the exponent tuples' order
+        assert poly.sorted_terms() == ref_sorted_terms(ref)
+        assert all(type(e) is tuple for e, _ in poly.sorted_terms())
+        assert poly.canonical_text() == ref_canonical_text(ref)
+        same_terms(poly.conjugate(), ref_conjugate(ref))
+    # a bounded polynomial refuses a monomial past its bound, when built and after a product
+    if ref_exceeds(ref_p.terms, bound):
+        with pytest.raises(DegreeOverflowError):
+            MultiPoly(variables, ref_p.terms, bound)
+        return
+    bounded = MultiPoly(variables, ref_p.terms, bound)
+    if ref_exceeds(product.terms, bound):
+        with pytest.raises(DegreeOverflowError):
+            bounded * q
+    else:
+        same_terms(bounded * q, product.terms)
+        assert (bounded * q).max_degree == bound

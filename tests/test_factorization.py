@@ -616,6 +616,19 @@ def test_positive_controls_small():
     assert rep.max_abs_residual <= 1e-10
 
 
+@pytest.mark.parametrize("g", [1, 7, 100, 1024])
+def test_ssr_control_operators_are_the_complex_einsum_byte_for_byte(g):
+    # the side bases are real, so two real einsums give the complex einsum's bytes
+    units = np.eye(16).reshape(4, 4, 4, 4)
+    for side in (units[:2, :2], units[2:, 2:]):
+        basis = factorization.sym_one_body(side)
+        assert not basis.imag.any()
+        for seed in range(3):
+            w = factorization._local_pairs("ssr", g, np.random.default_rng(seed))[0]
+            want = np.einsum("gij,ijkl->gkl", w, basis)
+            assert factorization._weighted_operators(w, basis.real).tobytes() == want.tobytes()
+
+
 def test_positive_control_rejects_other_kinds():
     with pytest.raises(ValueError):
         positive_control("I")
